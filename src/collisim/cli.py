@@ -120,8 +120,8 @@ def validate(cfg: dict) -> dict:
         raise ConfigError("walks.n_ladder: horizons must be >= 1")
     walks["n_ladder"] = ladder
     mlad = [float(m) for m in walks["m_ladder"]]
-    if any(b <= a for a, b in zip(mlad, mlad[1:])):
-        raise ConfigError("walks.m_ladder: must be strictly increasing")
+    if not mlad or any(b <= a for a, b in zip(mlad, mlad[1:])):
+        raise ConfigError("walks.m_ladder: must be a nonempty, strictly increasing list")
     walks["m_ladder"] = mlad
     hz = cfg["harness"]
     if float(hz["sigma"]) <= 0:
@@ -137,6 +137,8 @@ def validate(cfg: dict) -> dict:
         raise ConfigError("chaos.dx: need dx <= sqrt(dt) for stable kernels")
     if int(ch["order"]) < 0:
         raise ConfigError("chaos.order: must be >= 0")
+    if int(ch["order"]) >= 1 and int(ch["time_cells"]) <= int(ch["order"]):
+        raise ConfigError("chaos.time_cells: must exceed chaos.order to time-order its chains")
     return cfg
 
 

@@ -9,7 +9,6 @@ statistics stored in the report tables; thresholds live in the config.
 
 from __future__ import annotations
 
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
@@ -19,9 +18,11 @@ from scipy.special import kolmogorov
 
 from .collisions import TestFunction, constant_fn, detect_collisions, gaussian_bump, integrate
 from .environment import DisorderFunction, EnvironmentField
-from .polymer import collision_weights, partition_samples, scaled_disorder
+# collision_weights is not called here; perfbench/tracer.py wraps the name
+# collisim.harness.collision_weights and fails to install if it is missing
+from .polymer import collision_weights, partition_samples, scaled_disorder  # noqa: F401
 from .rngs import substream
-from .walks import WalkEnsemble, WalkPath, positions_from_steps, sample_ensemble
+from .walks import positions_from_steps, sample_ensemble
 
 # purpose tags for seed derivation (keep stable across versions)
 _TAG_WALKS = 1
@@ -165,112 +166,73 @@ def collision_statistics(k: int, horizon: int, f: TestFunction, n_replicas: int,
     """Per-replicate collision functionals for k walks of the given horizon.
 
     Returns arrays: pi_f, pi_prime_f, mass, distinct_mass, t_sum, prod_x,
-    log-domain safe exp_pi, max_abs (sup |S|/sqrt(N)), triple_count.
-    The X weights use theta^2 = f/sqrt(N) at collision cells, exact for
-    k <= 3 where even-cover subsets beyond pairs vanish; larger k falls back
-    to per-replicate site counting.
+    pi_scaled = pi_f/sqrt(N), exp_pi = exp(pi_scaled), max_abs (sup |S|/sqrt(N)).
+    Each collision cell (occupancy m >= 2) is visited once: it carries
+    weight binom(m, 2) in Pi_N, weight 1 in Pi'_N, and the site factor
+    1 + sum_{j>=1} binom(m, 2j) theta^(2j) of 1 + X_n, with
+    theta^2 = max(f, 0)/sqrt(N). Distinct cells at one time multiply.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    if k > 3:
-        return _collision_statistics_slow(k, horizon, f, n_replicas, master_seed)
     # keep the per-chunk (replicas x horizon) work arrays around 32 MB
     chunk = max(32, min(chunk, (1 << 22) // max(horizon, 1)))
     sqrt_n = math.sqrt(horizon)
-    pairs = list(itertools.combinations(range(k), 2))
+    times = np.arange(1, horizon + 1, dtype=float) / horizon
+    # even_binom[m, j-1] = binom(m, 2j), the coefficient of theta^(2j)
+    even_binom = np.array([[math.comb(m, 2 * j) for j in range(1, k // 2 + 1)]
+                           for m in range(k + 1)], dtype=float)
 
     def run(chunk_spec):
         idx, start, size = chunk_spec
         rng = substream(master_seed, _TAG_WALKS, idx)
         steps = rng.integers(0, 2, size=(size, k, horizon), dtype=np.int8) * 2 - 1
-        pos = positions_from_steps(steps)
-        out = {
-            "pi_f": np.zeros(size),
-            "mass": np.zeros(size),
-            "t_sum": np.zeros(size),
-            "prod_x": np.ones(size),
-            "triple_count": np.zeros(size),
-            "pi_prime_f": np.zeros(size),
-            "max_abs": np.abs(pos).max(axis=(1, 2)) / sqrt_n,
+        # walk-major: pos[i, s] is walk i at slot s = replica * horizon + (time - 1)
+        walks = positions_from_steps(np.ascontiguousarray(steps.transpose(1, 0, 2)))
+        pos = walks.reshape(k, size * horizon)
+        # a cell is visited through its lowest-indexed (lead) walk; below[i]
+        # marks the slots where a lower walk shares walk i's position
+        below = np.zeros((k - 1, size * horizon), dtype=bool)
+        slots, occ, sites = [], [], []
+        for i in range(k - 1):
+            above = pos[i + 1:] == pos[i]
+            # walk i leads a collision cell: a higher walk is there, no lower one
+            s = np.flatnonzero(above.any(axis=0) > below[i])
+            below[i + 1:] |= above[:k - 2 - i]
+            slots.append(s)
+            occ.append(1 + above[:, s].sum(axis=0))
+            sites.append(pos[i, s])
+        seg = np.cumsum([0] + [len(s) for s in slots])
+        slot, occ = np.concatenate(slots), np.concatenate(occ)
+        ridx, nidx = np.divmod(slot, horizon)
+        fv = np.asarray(f(times[nidx], np.concatenate(sites) / sqrt_n), dtype=float)
+        pair = even_binom[occ, 0]
+        theta2 = np.maximum(fv, 0.0) / sqrt_n
+        x_cell = np.zeros_like(theta2)
+        for j in range(k // 2, 0, -1):  # Horner in theta^2
+            x_cell = (x_cell + even_binom[occ, j - 1]) * theta2
+        x_mat = np.zeros(size * horizon)
+        for lo, hi in zip(seg[:-1], seg[1:]):
+            # one lead walk's cells hold distinct slots; the update is
+            # (1+x)(1+xc) - 1 without rounding through 1 + x
+            s, xc = slot[lo:hi], x_cell[lo:hi]
+            x = x_mat[s]
+            x_mat[s] = x + xc + x * xc
+        x_mat = x_mat.reshape(size, horizon)
+        return {
+            "pi_f": np.bincount(ridx, pair * fv, minlength=size),
+            "mass": np.bincount(ridx, pair, minlength=size),
+            "t_sum": x_mat.sum(axis=1),
+            "prod_x": np.prod(1.0 + x_mat, axis=1),
+            "pi_prime_f": np.bincount(ridx, fv, minlength=size),
+            "max_abs": np.maximum(walks.max(axis=(0, 2)), -walks.min(axis=(0, 2))) / sqrt_n,
+            "distinct_mass": np.bincount(ridx, minlength=size).astype(float),
         }
-        x_mat = np.zeros((size, horizon))
-        times = np.arange(1, horizon + 1, dtype=float) / horizon
-        for i, j in pairs:
-            eq = pos[:, i, :] == pos[:, j, :]
-            out["mass"] += eq.sum(axis=1)
-            ridx, nidx = np.nonzero(eq)
-            if len(ridx):
-                fv = np.asarray(
-                    f(times[nidx], pos[ridx, i, nidx] / sqrt_n), dtype=float)
-                np.add.at(out["pi_f"], ridx, fv)
-                np.add.at(x_mat, (ridx, nidx), fv / sqrt_n)
-        out["t_sum"] = x_mat.sum(axis=1)
-        out["prod_x"] = np.prod(1.0 + x_mat, axis=1)
-        if k == 3:
-            tri = (pos[:, 0, :] == pos[:, 1, :]) & (pos[:, 0, :] == pos[:, 2, :])
-            out["triple_count"] = tri.sum(axis=1).astype(float)
-            ridx, nidx = np.nonzero(tri)
-            tri_f = np.zeros(size)
-            if len(ridx):
-                fv = np.asarray(
-                    f(times[nidx], pos[ridx, 0, nidx] / sqrt_n), dtype=float)
-                np.add.at(tri_f, ridx, fv)
-            out["pi_prime_f"] = out["pi_f"] - 2.0 * tri_f
-            out["distinct_mass"] = out["mass"] - 2.0 * out["triple_count"]
-        else:
-            out["pi_prime_f"] = out["pi_f"].copy()
-            out["distinct_mass"] = out["mass"].copy()
-        return out
 
     parts = _map_chunks(run, _chunk_ranges(n_replicas, chunk), workers)
     merged = {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
     merged["pi_scaled"] = merged["pi_f"] / sqrt_n
     merged["exp_pi"] = np.exp(merged["pi_scaled"])
     return merged
-
-
-def _collision_statistics_slow(k, horizon, f, n_replicas, master_seed, chunk=512):
-    """General-k fallback through the measure ops, one ensemble at a time.
-
-    Steps are drawn in the same chunked blocks as the fast path, so for
-    k <= 3 the two routes see identical walks and must agree exactly.
-    """
-    chunk = max(32, min(chunk, (1 << 22) // max(horizon, 1)))
-    sqrt_n = math.sqrt(horizon)
-
-    def sqrt_f(tt, zz):
-        vals = np.asarray(f(np.asarray(tt, dtype=float) / horizon,
-                            np.asarray(zz, dtype=float) / sqrt_n), dtype=float)
-        return np.sqrt(np.maximum(vals, 0.0))
-
-    theta = scaled_disorder(DisorderFunction(sqrt_f, math.sqrt(max(f.bound, 0.0))),
-                            horizon ** (-0.25))
-    keys = ["pi_f", "pi_prime_f", "mass", "distinct_mass", "t_sum", "prod_x",
-            "triple_count", "max_abs"]
-    out = {key: np.zeros(n_replicas) for key in keys}
-    for idx, start, size in _chunk_ranges(n_replicas, chunk):
-        rng = substream(master_seed, _TAG_WALKS, idx)
-        steps = rng.integers(0, 2, size=(size, k, horizon), dtype=np.int8) * 2 - 1
-        pos_block = positions_from_steps(steps)
-        for j in range(size):
-            r = start + j
-            paths = tuple(
-                WalkPath(np.concatenate(([0], pos_block[j, i, :])).astype(np.int64))
-                for i in range(k))
-            ens = WalkEnsemble(paths, horizon)
-            with_mult, distinct = detect_collisions(ens)
-            weights = collision_weights(ens, theta)
-            out["pi_f"][r] = integrate(with_mult, f)
-            out["pi_prime_f"][r] = integrate(distinct, f)
-            out["mass"][r] = with_mult.total_mass()
-            out["distinct_mass"][r] = distinct.total_mass()
-            out["t_sum"][r] = weights.total
-            out["prod_x"][r] = float(np.prod(1.0 + weights.per_step))
-            out["triple_count"][r] = float((with_mult.weights >= 3).sum())
-            out["max_abs"][r] = float(np.abs(pos_block[j]).max()) / sqrt_n
-    out["pi_scaled"] = out["pi_f"] / sqrt_n
-    out["exp_pi"] = np.exp(out["pi_scaled"])
-    return out
 
 
 def local_time_counts(horizon: int, n_replicas: int, master_seed: int,

@@ -35,6 +35,21 @@ def test_bad_ladder_named(tmp_path, capsys):
     assert "walks.n_ladder" in capsys.readouterr().err
 
 
+def test_empty_m_ladder_named(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"walks": {"m_ladder": []}})
+    code = run_cli(["tightness", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "t")])
+    assert code == 2
+    assert "walks.m_ladder" in capsys.readouterr().err
+
+
+def test_coarse_chaos_grid_named(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"chaos": {"time_cells": 4, "dx": 0.25, "order": 4}})
+    code = run_cli(["chaos", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "c")])
+    assert code == 2
+    assert "chaos.time_cells" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
 def test_hex_seed_accepted(tmp_path):
     out = tmp_path / "run"
     cfg = write_cfg(tmp_path, {"walks": {"n_ladder": [8, 16]}, "run": {"replicas": 200}})

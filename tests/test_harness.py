@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from collisim import collisions as C
 from collisim import harness as H
+from collisim import polymer as P
 from collisim.collisions import constant_fn, gaussian_bump
 from collisim.rngs import substream
+from collisim.walks import WalkEnsemble, WalkPath, positions_from_steps
 
 
 def test_summarize_constant():
@@ -63,13 +66,62 @@ def test_jitter_preserves_integer_order():
     assert np.all(np.floor(out) == vals)
 
 
-def test_collision_statistics_match_slow_path():
-    f = gaussian_bump(0.5, 1.0)
-    fast = H.collision_statistics(3, 32, f, 40, 99)
-    slow = H._collision_statistics_slow(3, 32, f, 40, 99)
-    # same seeds drive both paths, so the per-replicate values must agree
-    for key in ("pi_f", "pi_prime_f", "mass", "distinct_mass", "t_sum", "prod_x", "max_abs"):
-        assert np.allclose(fast[key], slow[key], rtol=1e-10), key
+def _measure_oracle(k, horizon, f, n_replicas, seed, chunk):
+    """collision_statistics rebuilt replica by replica from the same chunked
+    step stream, through the per-ensemble measures and collision weights."""
+    theta = P.scaled_disorder(H._sqrt_f_disorder(f, horizon), horizon ** (-0.25))
+    ref = {key: np.empty(n_replicas) for key in
+           ("pi_f", "pi_prime_f", "mass", "distinct_mass", "t_sum", "prod_x", "max_abs")}
+    ranges = H._chunk_ranges(n_replicas, chunk)
+    assert len(ranges) >= 2
+    for idx, start, size in ranges:
+        rng = substream(seed, H._TAG_WALKS, idx)
+        steps = rng.integers(0, 2, size=(size, k, horizon), dtype=np.int8) * 2 - 1
+        pos = positions_from_steps(steps)
+        for j in range(size):
+            r = start + j
+            ens = WalkEnsemble(tuple(
+                WalkPath(np.concatenate(([0], pos[j, i]))) for i in range(k)), horizon)
+            with_mult, distinct = C.detect_collisions(ens)
+            x = P.collision_weights(ens, theta).per_step
+            ref["pi_f"][r] = C.integrate(with_mult, f)
+            ref["pi_prime_f"][r] = C.integrate(distinct, f)
+            ref["mass"][r] = with_mult.total_mass()
+            ref["distinct_mass"][r] = distinct.total_mass()
+            ref["t_sum"][r] = x.sum()
+            ref["prod_x"][r] = np.prod(1.0 + x)
+            ref["max_abs"][r] = np.abs(pos[j]).max() / math.sqrt(horizon)
+    return ref
+
+
+def test_collision_statistics_match_measure_oracle():
+    horizon, n_replicas, chunk, seed = 32, 150, 64, 99
+    f = C.TestFunction(lambda t, x: (0.3 + 0.4 * t) * np.exp(-x * x / 2.0), 0.7, True)
+    for k in (2, 3, 4, 5):
+        stats = H.collision_statistics(k, horizon, f, n_replicas, seed, chunk=chunk)
+        ref = _measure_oracle(k, horizon, f, n_replicas, seed, chunk)
+        for key in ("mass", "distinct_mass", "max_abs"):
+            assert np.array_equal(stats[key], ref[key]), (k, key)
+        for key in ("pi_f", "pi_prime_f", "t_sum", "prod_x"):
+            np.testing.assert_allclose(stats[key], ref[key], rtol=1e-12, atol=0,
+                                       err_msg=f"k={k} {key}")
+        if k >= 4:
+            # some replica has a cell with m >= 4 or two collision sites at
+            # one time, where X departs from the pair formula sum_pairs theta^2
+            pair_formula = stats["pi_f"] / math.sqrt(horizon)
+            assert np.any(np.abs(ref["t_sum"] - pair_formula) > 1e-9), k
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_collision_statistics_negative_f_clips_x_weights(k):
+    # theta^2 = max(f, 0)/sqrt N as on the environment side; Pi keeps the sign
+    stats = H.collision_statistics(k, 32, constant_fn(-0.5), 400, 12)
+    assert np.all(stats["prod_x"] == 1.0)
+    assert np.all(stats["t_sum"] == 0.0)
+    hit = stats["mass"] > 0
+    assert hit.any()
+    assert np.all(stats["pi_f"][hit] < 0.0)
+    assert np.all(stats["pi_prime_f"][hit] < 0.0)
 
 
 def test_collision_statistics_k2_pi_equals_prime():
@@ -81,10 +133,12 @@ def test_collision_statistics_k2_pi_equals_prime():
 
 def test_collision_statistics_worker_invariance():
     f = gaussian_bump(0.5, 1.0)
-    one = H.collision_statistics(3, 64, f, 300, 17, workers=1, chunk=64)
-    two = H.collision_statistics(3, 64, f, 300, 17, workers=2, chunk=64)
-    assert np.array_equal(one["pi_f"], two["pi_f"])
-    assert np.array_equal(one["prod_x"], two["prod_x"])
+    for k in (3, 4):
+        one = H.collision_statistics(k, 64, f, 300, 17, workers=1, chunk=64)
+        two = H.collision_statistics(k, 64, f, 300, 17, workers=2, chunk=64)
+        assert one.keys() == two.keys()
+        for key in one:
+            assert np.array_equal(one[key], two[key]), (k, key)
 
 
 def test_duality_experiment_zero_function():
