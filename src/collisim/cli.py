@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, harness
+from . import __version__, harness, polymer
 from .collisions import gaussian_bump
 from .rngs import HASH_VERSION
 
@@ -128,6 +128,11 @@ def validate(cfg: dict) -> dict:
         raise ConfigError("harness.sigma: must be > 0")
     if float(hz["beta"]) < 0:
         raise ConfigError("harness.beta: must be >= 0")
+    budget = hz["env_budget"]
+    if budget is not None and (isinstance(budget, bool) or not isinstance(budget, int)
+                               or budget < 1):
+        raise ConfigError(f"harness.env_budget: must be null or a positive integer, "
+                          f"got {budget!r}")
     ch = cfg["chaos"]
     if int(ch["time_cells"]) < 1:
         raise ConfigError("chaos.time_cells: must be >= 1")
@@ -254,6 +259,7 @@ def write_outputs(report: harness.ExperimentReport, cfg: dict, command: str,
         "seed": cfg["run"]["seed"],
         "artifact_version": __version__,
         "hash_function": HASH_VERSION,
+        "band_sigmas": polymer.BAND_SIGMAS,
         "report_schema": 1,
         "config": cfg,
     }

@@ -20,7 +20,8 @@ from .collisions import TestFunction, constant_fn, detect_collisions, gaussian_b
 from .environment import DisorderFunction, EnvironmentField
 # collision_weights is not called here; perfbench/tracer.py wraps the name
 # collisim.harness.collision_weights and fails to install if it is missing
-from .polymer import collision_weights, partition_samples, scaled_disorder  # noqa: F401
+from .polymer import collision_weights  # noqa: F401
+from .polymer import band_tail_bound, partition_samples, scaled_disorder
 from .rngs import substream
 from .walks import positions_from_steps, sample_ensemble
 
@@ -302,6 +303,7 @@ def duality_experiment(k: int, f: TestFunction, n_ladder, n_walk_replicas: int,
                                        n_env_replicas, env_rng)
             c_sum = summarize(z_vals**k)
             row["z_to_k"] = _sum_dict(c_sum)
+            row["band_tail_bound"] = band_tail_bound(horizon)
             raw[f"z_to_k_N{horizon}"] = z_vals**k
             verdicts.append(Verdict(
                 f"exact-bridge-N{horizon}",
@@ -523,7 +525,8 @@ def partition_experiment(n_ladder, k: int, f: TestFunction, n_env_replicas: int,
     function at intermediate-disorder scale with A_N = sqrt(f).
 
     env_budget, when set, caps replicas per rung at max(96, budget / N) so
-    the O(N^2) sweeps stay affordable on tall ladders.
+    the sweeps stay affordable on tall ladders. Each row carries the bound
+    on the environment-mean mass the transfer band drops at that N.
     """
     n_ladder = list(n_ladder)
     rows = []
@@ -543,7 +546,7 @@ def partition_experiment(n_ladder, k: int, f: TestFunction, n_env_replicas: int,
         all_positive = all_positive and bool(np.all(vals > 0.0))
         mean_one = mean_one and abs(s_mean.mean - 1.0) <= 4.0 * s_mean.stderr
         rows.append({"N": horizon, "replicas": reps, "mean": _sum_dict(s_mean),
-                     "moment_k": _sum_dict(s_k)})
+                     "moment_k": _sum_dict(s_k), "band_tail_bound": band_tail_bound(horizon)})
     verdicts = [
         Verdict("mean-one", mean_one, "E[z_N] = 1 within 4 stderr at every rung"),
         Verdict("positivity", all_positive, "every sampled z_N > 0"),

@@ -20,6 +20,9 @@ _LOG2 = math.log(2.0)
 #: exact integer binomial path stays exact in float64 up to here
 _EXACT_STEPS = 60
 
+#: quadrature points per g sweep in block_average_cells
+POINT_BUDGET = 1_000_000
+
 
 class QuadratureError(ValueError):
     """Raised when an integrand evaluates non-finitely on a rectangle."""
@@ -156,7 +159,8 @@ def block_average(g, times, xs, horizon: int, nodes: int = 4) -> float:
 
 def block_average_cells(g, i: np.ndarray, z: np.ndarray, horizon: int, nodes: int = 4) -> np.ndarray:
     """Block averages for a batch of m lattice cells (i, z), each an (m, n)
-    array; one vectorized g sweep over all m * nodes^(2n) quadrature points."""
+    array; vectorized g sweeps over row chunks of at most POINT_BUDGET
+    quadrature points (nodes^(2n) per cell), so memory stays bounded."""
     i = np.atleast_2d(np.asarray(i, dtype=np.int64))
     z = np.atleast_2d(np.asarray(z, dtype=np.int64))
     m, n = i.shape
@@ -179,12 +183,17 @@ def block_average_cells(g, i: np.ndarray, z: np.ndarray, horizon: int, nodes: in
     offs = np.stack([grid.reshape(-1) for grid in grids], axis=1)  # (npts, 2n)
     wflat = weights.reshape(-1)
 
-    ts = t_mid[:, None, :] + t_half * offs[None, :, :n]
-    xvals = x_mid[:, None, :] + x_half * offs[None, :, n:]
-    vals = np.asarray(g(ts.reshape(-1, n), xvals.reshape(-1, n)), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise QuadratureError("integrand is non-finite on a rectangle")
-    return (vals.reshape(m, npts) * wflat[None, :]).sum(axis=1)
+    out = np.empty(m)
+    rows = max(1, POINT_BUDGET // npts)
+    for r0 in range(0, m, rows):
+        cells = slice(r0, r0 + rows)
+        ts = t_mid[cells, None, :] + t_half * offs[None, :, :n]
+        xvals = x_mid[cells, None, :] + x_half * offs[None, :, n:]
+        vals = np.asarray(g(ts.reshape(-1, n), xvals.reshape(-1, n)), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise QuadratureError("integrand is non-finite on a rectangle")
+        out[cells] = (vals.reshape(-1, npts) * wflat[None, :]).sum(axis=1)
+    return out
 
 
 def rho_chain_norm_sq(n: int) -> float:

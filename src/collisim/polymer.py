@@ -1,10 +1,11 @@
 """Directed-polymer partition function over a Rademacher environment.
 
-The partition function is computed exactly by a forward transfer recursion
-over the parity band z in {-n..n}: O(N^2) time, O(N) memory per replicate.
-The chaos decomposition is available through two engines: an order-resolved
-recursion (exact when the truncation order reaches N) and a combinatorial
-chain enumeration kept as a test oracle for tiny horizons.
+One forward transfer recursion computes the partition function on the cells
+|z| <= B = floor(BAND_SIGMAS * sqrt(N)): O(N^{3/2}) cells, O(B) memory per
+replicate. The mass it drops averages to P(max_{n<=N} |S_n| > B) <=
+2 exp(-(B+1)^2 / (2N)), about 2e-14; for N <= 64 B = N and nothing is dropped.
+The chaos decomposition has two engines: the same recursion with an order
+axis (exact when the truncation order reaches N) and a test-oracle enumeration.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .rngs import splitmix64
 from .walks import WalkEnsemble
 
 ENUMERATION_CAP = 14
+BAND_SIGMAS = 8.0
 
 
 class TruncationOrderError(ValueError):
@@ -66,73 +68,94 @@ def _stage_seeds(seeds) -> np.ndarray:
     return splitmix64(np.asarray(seeds, dtype=np.int64).astype(np.uint64))
 
 
-def partition_many(horizon: int, amplitude: DisorderFunction, seeds) -> np.ndarray:
-    """Partition function values for a batch of environment seeds.
+def band_halfwidth(horizon: int) -> int:
+    """B = floor(BAND_SIGMAS * sqrt(N)), capped at N where the band covers the cone."""
+    return int(min(horizon, BAND_SIGMAS * math.sqrt(horizon)))
 
-    Vectorized over replicates: the transfer step touches an (R, band)
-    matrix once per time step, and disorder signs are hashed on demand.
+
+def band_tail_bound(horizon: int) -> float:
+    """2 exp(-(B+1)^2 / (2N)) >= P(max_{n<=N} |S_n| > B), the environment
+    mean of the mass the band drops (E[1 + A omega] = 1 at every cell)."""
+    band = band_halfwidth(horizon)
+    return 0.0 if band >= horizon else 2.0 * math.exp(-(band + 1) ** 2 / (2.0 * horizon))
+
+
+def _transfer(horizon: int, amplitude: DisorderFunction, start, signs,
+              beta: float | None = None) -> np.ndarray:
+    """The forward transfer recursion behind every z_N engine; returns row sums.
+
+    Rows start with weight start[r] at the origin. Step n keeps the cells
+    z = -n + 2j with |z| <= B = band_halfwidth(N), j = lo..lo+width-1, in
+    columns 1..width of a double buffer. Column 0 is never written, nor is
+    the one after the window: each buffer holds every other step, and its
+    windows never narrow. So the next shift-add reads no stale weight.
+    ``signs(n, z, cols)`` gives omega = +-1.0 on the window (``cols``: its
+    slice of z = -n..n). Rows are environments with factors (1 + a omega)/2,
+    or with ``beta`` chaos orders, each factor lifting beta a omega one up.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    s0 = np.atleast_1d(_stage_seeds(seeds))
-    reps = len(s0)
-    buf = np.zeros((reps, horizon + 1))
-    nxt = np.zeros_like(buf)
-    buf[:, 0] = 1.0
-    one = np.uint64(1)
+    band = band_halfwidth(horizon)
+    buf, nxt = np.zeros((2, len(start), band + 3))
+    buf[:, 1] = start
+    lo = 0
     for n in range(1, horizon + 1):
-        prev = buf[:, :n]
-        cur = nxt[:, : n + 1]
-        cur[:, 0] = prev[:, 0]
-        cur[:, n] = prev[:, n - 1]
-        if n > 1:
-            np.add(prev[:, : n - 1], prev[:, 1:n], out=cur[:, 1:n])
-        z = np.arange(-n, n + 1, 2, dtype=np.int64)
+        moved = max(0, (n - band + 1) // 2) - lo  # 0 or 1 cell to the right
+        lo += moved
+        width = min(n, (n + band) // 2) - lo + 1
+        cur = nxt[:, 1:width + 1]
+        np.add(buf[:, moved:moved + width], buf[:, moved + 1:moved + width + 1], out=cur)
+        z = 2 * (lo + np.arange(width, dtype=np.int64)) - n
         a = np.asarray(amplitude(np.full_like(z, n), z), dtype=float)
-        with np.errstate(over="ignore"):
-            t0 = splitmix64(s0 ^ np.uint64(n))
-            h = splitmix64(t0[:, None] ^ z.astype(np.uint64)[None, :])
-        # lowest hash bit picks the sign; the transfer 1/2 is folded in
-        factor = np.where((h & one).astype(bool), (0.5 - 0.5 * a)[None, :],
-                          (0.5 + 0.5 * a)[None, :])
-        cur *= factor
+        omega = signs(n, z, slice(lo, lo + width))
+        if beta is None:
+            # 0.5 + (0.5 a) omega is 0.5 +- 0.5 a bit for bit
+            omega *= 0.5 * a
+            omega += 0.5
+            cur *= omega
+        else:
+            cur *= 0.5
+            # numpy materializes the RHS before adding, so every order slice
+            # reads its predecessor's pre-bump transfer value
+            cur[1:] += cur[:-1] * (beta * a * omega)
         buf, nxt = nxt, buf
-    return buf[:, : horizon + 1].sum(axis=1)
+    return buf[:, 1:width + 1].sum(axis=1)
+
+
+def _hashed_signs(s0, n: int, z: np.ndarray) -> np.ndarray:
+    """omega(n, z) = +-1.0 from the lowest cell-hash bit, for staged seed(s) s0."""
+    with np.errstate(over="ignore"):
+        h = splitmix64(splitmix64(s0 ^ np.uint64(n)) ^ z.astype(np.uint64))
+    return 1.0 - 2.0 * (h & np.uint64(1)).astype(np.float64)
+
+
+def partition_many(horizon: int, amplitude: DisorderFunction, seeds) -> np.ndarray:
+    """Partition function values for a batch of environment seeds, one row
+    each in the transfer state; disorder signs are hashed on demand."""
+    s0 = np.atleast_1d(_stage_seeds(seeds))[:, None]
+    return _transfer(horizon, amplitude, np.ones(len(s0)),
+                     lambda n, z, cols: _hashed_signs(s0, n, z))
 
 
 def partition_samples(horizon: int, amplitude: DisorderFunction, n_replicas: int,
                       rng: np.random.Generator) -> np.ndarray:
-    """Partition values over n_replicas fresh environments drawn from ``rng``.
+    """Partition values over n_replicas fresh environments drawn from ``rng``;
+    distributionally identical to partition_many. Each step draws the full
+    row z = -n..n as bytes, so the stream does not depend on the band."""
 
-    Distributionally identical to partition_many over hashed fields but the
-    Rademacher signs come straight from the generator, which is what the
-    big moment sweeps need: the transfer step is memory-bound, so the signs
-    are drawn as bytes and folded in with a single where().
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    buf = np.zeros((n_replicas, horizon + 1))
-    nxt = np.zeros_like(buf)
-    buf[:, 0] = 1.0
-    for n in range(1, horizon + 1):
-        prev = buf[:, :n]
-        cur = nxt[:, : n + 1]
-        cur[:, 0] = prev[:, 0]
-        cur[:, n] = prev[:, n - 1]
-        if n > 1:
-            np.add(prev[:, : n - 1], prev[:, 1:n], out=cur[:, 1:n])
-        z = np.arange(-n, n + 1, 2, dtype=np.int64)
-        a = np.asarray(amplitude(np.full_like(z, n), z), dtype=float)
-        flips = rng.integers(0, 2, size=(n_replicas, n + 1), dtype=np.int8).view(np.bool_)
-        # the transfer average's 1/2 is folded into the disorder factor
-        cur *= np.where(flips, (0.5 + 0.5 * a)[None, :], (0.5 - 0.5 * a)[None, :])
-        buf, nxt = nxt, buf
-    return buf[:, : horizon + 1].sum(axis=1)
+    def signs(n, z, cols):
+        omega = rng.integers(0, 2, size=(n_replicas, n + 1), dtype=np.int8)[:, cols].astype(float)
+        omega *= 2.0
+        omega -= 1.0
+        return omega
+
+    return _transfer(horizon, amplitude, np.ones(n_replicas), signs)
 
 
 def partition_dp(horizon: int, amplitude: DisorderFunction, field: EnvironmentField,
                  with_terms: bool = False, max_order: int | None = None) -> PartitionResult:
-    """Exact conditional expectation E[prod_n (1 + A(n,S_n) omega(n,S_n)) | omega].
+    """Conditional expectation E[prod_n (1 + A(n,S_n) omega(n,S_n)) | omega],
+    exact up to the band's dropped mass (none for N <= 64).
 
     A term breakdown attached to the result must sum back to the value, so
     it is only available untruncated; truncated series live in chaos_terms.
@@ -155,34 +178,10 @@ def chaos_terms(horizon: int, beta: float, amplitude: DisorderFunction,
     factor raises the order by one. Exact decomposition when max_order >= N;
     otherwise the orders above max_order are dropped (truncated engine).
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
     m = horizon if max_order is None else min(max_order, horizon)
     s0 = _stage_seeds([field.seed])[0]
-    w = np.zeros((m + 1, horizon + 1))
-    nxt = np.zeros_like(w)
-    w[0, 0] = 1.0
-    one = np.uint64(1)
-    for n in range(1, horizon + 1):
-        prev = w[:, :n]
-        cur = nxt[:, : n + 1]
-        cur[:, 0] = 0.5 * prev[:, 0]
-        cur[:, n] = 0.5 * prev[:, n - 1]
-        if n > 1:
-            np.add(prev[:, : n - 1], prev[:, 1:n], out=cur[:, 1:n])
-            cur[:, 1:n] *= 0.5
-        z = np.arange(-n, n + 1, 2, dtype=np.int64)
-        a = np.asarray(amplitude(np.full_like(z, n), z), dtype=float)
-        with np.errstate(over="ignore"):
-            h = splitmix64(splitmix64(s0 ^ np.uint64(n)) ^ z.astype(np.uint64))
-        signs = 1.0 - 2.0 * (h & one).astype(np.float64)
-        bump = beta * a * signs
-        # numpy materializes the RHS before adding, so every order slice
-        # reads its predecessor's pre-bump transfer value
-        cur[1:] += cur[:-1] * bump[None, :]
-        w, nxt = nxt, w
-        nxt.fill(0.0)
-    return w[:, : horizon + 1].sum(axis=1)
+    return _transfer(horizon, amplitude, np.r_[1.0, np.zeros(m)],
+                     lambda n, z, cols: _hashed_signs(s0, n, z), beta=beta)
 
 
 def chaos_terms_enumerated(horizon: int, beta: float, amplitude: DisorderFunction,

@@ -2,6 +2,8 @@ import json
 import math
 from pathlib import Path
 
+import pytest
+
 from collisim import cli
 
 
@@ -40,6 +42,20 @@ def test_empty_m_ladder_named(tmp_path, capsys):
     code = run_cli(["tightness", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "t")])
     assert code == 2
     assert "walks.m_ladder" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["abc", 0, -5, 1.5, True])
+def test_bad_env_budget_named(tmp_path, capsys, budget):
+    cfg = write_cfg(tmp_path, {"harness": {"env_budget": budget}})
+    code = run_cli(["partition", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "p")])
+    assert code == 2
+    assert "harness.env_budget" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
+
+
+def test_null_env_budget_accepted():
+    cfg = cli._merge(cli.DEFAULT_CONFIG, {"run": {"seed": 1}, "harness": {"env_budget": None}})
+    assert cli.validate(cfg)["harness"]["env_budget"] is None
 
 
 def test_coarse_chaos_grid_named(tmp_path, capsys):

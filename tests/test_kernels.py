@@ -115,6 +115,22 @@ def test_block_average_raises_on_nonfinite():
         K.block_average(bad, [0.5], [0.0], 4)
 
 
+def test_block_average_chunks_are_bit_identical(monkeypatch):
+    def g(ts, xs):
+        return np.exp(-(xs**2).sum(axis=1)) * (1.0 + ts.prod(axis=1))
+
+    rng = substream(41, 0)
+    i = np.sort(rng.integers(1, 17, size=(23, 2)), axis=1)
+    z = rng.integers(-6, 7, size=(23, 2))
+    whole = K.block_average_cells(g, i, z, 16)
+    # 256 points per cell: chunks of 3 cells, the last one ragged
+    monkeypatch.setattr(K, "POINT_BUDGET", 3 * 256 + 17)
+    chunked = K.block_average_cells(g, i, z, 16)
+    assert whole.tobytes() == chunked.tobytes()
+    monkeypatch.setattr(K, "POINT_BUDGET", 1)
+    assert K.block_average_cells(g, i, z, 16).tobytes() == whole.tobytes()
+
+
 def test_rho_chain_norms():
     assert K.rho_chain_norm_sq(0) == 1.0
     assert K.rho_chain_norm_sq(1) == pytest.approx(1 / math.sqrt(math.pi), rel=1e-14)

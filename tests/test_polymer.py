@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -228,3 +229,134 @@ def test_partition_breakdown_rejects_truncation():
     with pytest.raises(P.TruncationOrderError):
         P.partition_dp(6, constant_disorder(0.1), EnvironmentField(1),
                        with_terms=True, max_order=3)
+
+
+def _in_band_paths(horizon, band):
+    pos, prob = W.enumerate_paths(horizon)
+    return pos[np.abs(pos).max(axis=1) <= band], prob
+
+
+def _weights_over(paths, prob, amp, sign_at):
+    """Enumeration of z restricted to ``paths``: sum of prob * prod(1 + A omega)."""
+    w = np.full(len(paths), prob)
+    for n in range(1, paths.shape[1]):
+        sites = paths[:, n]
+        w *= 1.0 + np.asarray(amp(np.full_like(sites, n), sites), dtype=float) * sign_at(n, sites)
+    return w.sum()
+
+
+def test_band_geometry_and_tail_bound():
+    for horizon in (1, 16, 64):
+        assert P.band_halfwidth(horizon) == horizon
+        assert P.band_tail_bound(horizon) == 0.0
+    assert P.band_halfwidth(65) == 64
+    assert P.band_halfwidth(1024) == 256
+    assert P.band_tail_bound(1024) == pytest.approx(2.0 * math.exp(-257**2 / 2048), rel=1e-15)
+    assert P.band_tail_bound(1024) < 2.5e-14
+
+
+def test_narrow_band_matches_enumeration(monkeypatch):
+    # sigma = 1 gives B = 3 at N = 12: the band cuts the cone at every step
+    # from n = 4 on, so all three engines must drop exactly the paths that
+    # leave |z| <= 3 and keep every other cell in its column
+    monkeypatch.setattr(P, "BAND_SIGMAS", 1.0)
+    horizon, band = 12, 3
+    assert P.band_halfwidth(horizon) == band
+    paths, prob = _in_band_paths(horizon, band)
+    amp = _wavy_amplitude(0.45)
+
+    seeds = child_seeds(12, 3, 0)
+    many = P.partition_many(horizon, amp, seeds)
+    for seed, got in zip(seeds, many):
+        field = EnvironmentField(int(seed))
+        want = _weights_over(paths, prob, amp, field.omega_at)
+        assert got == pytest.approx(want, abs=1e-13)
+        terms = P.chaos_terms(horizon, 1.0, amp, field)
+        assert terms.sum() == pytest.approx(want, abs=1e-13)
+
+    # replay the generator's full-row draws to get each replica's signs
+    reps = 3
+    got = P.partition_samples(horizon, amp, reps, substream(12, 1))
+    replay = substream(12, 1)
+    flips = [None] + [replay.integers(0, 2, size=(reps, n + 1), dtype=np.int8)
+                      for n in range(1, horizon + 1)]
+    for r in range(reps):
+        def sign_at(n, sites, r=r):
+            return np.where(flips[n][r, (sites + n) // 2] == 1, 1.0, -1.0)
+        assert got[r] == pytest.approx(_weights_over(paths, prob, amp, sign_at), abs=1e-13)
+
+    # with no disorder z_N is the probability of staying in the band, and
+    # the dropped mass sits under the reported tail bound (B = 7 at N = 14)
+    monkeypatch.setattr(P, "BAND_SIGMAS", 2.0)
+    paths, prob = _in_band_paths(14, P.band_halfwidth(14))
+    stay = P.partition_many(14, constant_disorder(0.0), [1])[0]
+    assert stay == pytest.approx(len(paths) * prob, abs=1e-15)
+    assert 0.0 < 1.0 - stay <= P.band_tail_bound(14) < 0.25
+
+
+@pytest.mark.parametrize("horizon", [16, 64, 1024])
+def test_band_matches_full_width(horizon, monkeypatch):
+    amp = P.scaled_disorder(_wavy_amplitude(1.0), horizon ** (-0.25))
+    seeds = child_seeds(8, 6, horizon)
+
+    def engines():
+        return (P.partition_samples(horizon, amp, 6, substream(8, horizon)),
+                P.partition_many(horizon, amp, seeds),
+                P.chaos_terms(horizon, 1.0, amp, EnvironmentField(int(seeds[0])), max_order=6))
+
+    banded = engines()
+    monkeypatch.setattr(P, "BAND_SIGMAS", math.inf)
+    assert P.band_halfwidth(horizon) == horizon
+    full = engines()
+    for b, f in zip(banded, full):
+        if horizon <= 64:
+            assert b.tobytes() == f.tobytes()
+        else:
+            np.testing.assert_allclose(b, f, rtol=1e-12, atol=0.0)
+
+
+def test_partition_dp_is_a_partition_many_row():
+    horizon = 1024
+    amp = P.scaled_disorder(_wavy_amplitude(1.0), horizon ** (-0.25))
+    seeds = child_seeds(10, 5, 0)
+    batch = P.partition_many(horizon, amp, seeds)
+    for i in (0, 3):
+        value = P.partition_dp(horizon, amp, EnvironmentField(int(seeds[i]))).value
+        assert np.float64(value).tobytes() == batch[i].tobytes()
+
+
+@pytest.mark.parametrize("horizon,k", [(4, 4), (3, 5)])
+def test_exact_bridge_by_enumeration(horizon, k):
+    # E_env[z^k] = E_walks[prod_n (1 + X_n)] as an exact identity: both
+    # sides by enumeration, every sign configuration against every k-tuple
+    def theta_fn(n, z):
+        n = np.asarray(n, dtype=float)
+        z = np.asarray(z, dtype=float)
+        return 0.3 + 0.2 * np.cos(0.9 * n + 0.6 * z) ** 2
+
+    theta = DisorderFunction(theta_fn, 0.5)
+    pos, prob = W.enumerate_paths(horizon)
+    cells = [(n, z) for n in range(1, horizon + 1) for z in range(-n, n + 1, 2)]
+    index = {cell: c for c, cell in enumerate(cells)}
+    th = np.array([theta_fn(n, z) for n, z in cells])
+    configs = np.arange(1 << len(cells))[:, None] >> np.arange(len(cells))[None, :] & 1
+    omega = 1.0 - 2.0 * configs
+    factors = 1.0 + th[None, :] * omega  # (configs, cells)
+    z_vals = np.zeros(len(configs))
+    for path in pos:
+        visited = [index[(n, int(path[n]))] for n in range(1, horizon + 1)]
+        z_vals += prob * factors[:, visited].prod(axis=1)
+    env_side = (z_vals**k).mean()
+
+    # prod(1 + X) is symmetric in the walks: one ensemble per multiset of
+    # paths, counted by its number of orderings
+    walk_side = 0.0
+    for tup in itertools.combinations_with_replacement(range(len(pos)), k):
+        ens = W.WalkEnsemble(tuple(W.WalkPath(pos[i]) for i in tup), horizon)
+        orderings = math.factorial(k)
+        for c in np.unique(tup, return_counts=True)[1]:
+            orderings //= math.factorial(int(c))
+        walk_side += orderings * float(np.prod(1.0 + P.collision_weights(ens, theta).per_step))
+    walk_side *= prob**k
+    assert env_side > 1.0
+    assert walk_side == pytest.approx(env_side, rel=1e-12)
