@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__, harness, polymer
 from .collisions import gaussian_bump
+from .kernels import CLT_MIN_BUDGET
 from .rngs import HASH_VERSION
 
 COMMANDS = (
@@ -43,12 +44,10 @@ DEFAULT_CONFIG = {
         "n_ladder": [64, 256, 1024],
         "m_ladder": [2, 4, 8, 16],
     },
-    "environment": {},
     "harness": {
         "alpha": 0.5,
         "sigma": 1.0,
         "beta": 1.0,
-        "family": "polymer",
         "with_chaos_target": False,
         "thresholds": {
             "gap_factor": 2.0,
@@ -83,7 +82,9 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
         where = f"{path}.{key}" if path else key
         if key not in out:
             raise ConfigError(f"unknown config field: {where}")
-        if isinstance(out[key], dict) and isinstance(val, dict):
+        if isinstance(out[key], dict):
+            if not isinstance(val, dict):
+                raise ConfigError(f"{where}: must be an object, got {val!r}")
             out[key] = _merge(out[key], val, where)
         else:
             out[key] = val
@@ -100,50 +101,76 @@ def parse_seed(text) -> int:
         raise ConfigError(f"run.seed: cannot parse {text!r} as an integer") from exc
 
 
+def _parse(kind, value, where: str):
+    """kind(value), finite, or a ConfigError naming the field."""
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: cannot parse {value!r} as {kind.__name__}") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}: must be finite, got {value!r}")
+    return number
+
+
+def _int_at_least(value, where: str, minimum: int) -> int:
+    """value as an integer >= minimum; fractions and booleans are rejected,
+    not truncated."""
+    number = _parse(int, value, where)
+    fractional = isinstance(value, float) and value != number
+    if isinstance(value, bool) or fractional or number < minimum:
+        raise ConfigError(f"{where}: must be an integer >= {minimum}, got {value!r}")
+    return number
+
+
 def validate(cfg: dict) -> dict:
+    """Check and normalise every field, so a bad value fails before any work."""
     run = cfg["run"]
     if run["seed"] is None:
         raise ConfigError("run.seed: a seed is required (no wall-clock default)")
     run["seed"] = parse_seed(run["seed"])
     for field in ("replicas", "env_replicas", "workers"):
-        if int(run[field]) < 1:
-            raise ConfigError(f"run.{field}: must be a positive integer")
-        run[field] = int(run[field])
+        run[field] = _int_at_least(run[field], f"run.{field}", 1)
     walks = cfg["walks"]
-    if int(walks["k"]) < 2:
-        raise ConfigError("walks.k: need k >= 2")
-    walks["k"] = int(walks["k"])
-    ladder = [int(n) for n in walks["n_ladder"]]
+    walks["k"] = _int_at_least(walks["k"], "walks.k", 2)
+    ladder = [_int_at_least(n, "walks.n_ladder", 1) for n in walks["n_ladder"]]
     if not ladder or any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ConfigError("walks.n_ladder: must be a strictly increasing list")
-    if any(n < 1 for n in ladder):
-        raise ConfigError("walks.n_ladder: horizons must be >= 1")
     walks["n_ladder"] = ladder
-    mlad = [float(m) for m in walks["m_ladder"]]
+    mlad = [_parse(float, m, "walks.m_ladder") for m in walks["m_ladder"]]
     if not mlad or any(b <= a for a, b in zip(mlad, mlad[1:])):
         raise ConfigError("walks.m_ladder: must be a nonempty, strictly increasing list")
     walks["m_ladder"] = mlad
     hz = cfg["harness"]
-    if float(hz["sigma"]) <= 0:
+    for field in ("alpha", "sigma", "beta"):
+        hz[field] = _parse(float, hz[field], f"harness.{field}")
+    if hz["sigma"] <= 0:
         raise ConfigError("harness.sigma: must be > 0")
-    if float(hz["beta"]) < 0:
+    if hz["beta"] < 0:
         raise ConfigError("harness.beta: must be >= 0")
+    for field, value in hz["thresholds"].items():
+        hz["thresholds"][field] = _parse(float, value, f"harness.thresholds.{field}")
     budget = hz["env_budget"]
     if budget is not None and (isinstance(budget, bool) or not isinstance(budget, int)
                                or budget < 1):
         raise ConfigError(f"harness.env_budget: must be null or a positive integer, "
                           f"got {budget!r}")
+    hz["max_order"] = _int_at_least(hz["max_order"], "harness.max_order", 1)
+    hz["norm_samples"] = _int_at_least(hz["norm_samples"], "harness.norm_samples", 2)
+    hz["clt_budget"] = _int_at_least(hz["clt_budget"], "harness.clt_budget",
+                                     CLT_MIN_BUDGET)
     ch = cfg["chaos"]
-    if int(ch["time_cells"]) < 1:
-        raise ConfigError("chaos.time_cells: must be >= 1")
-    if float(ch["dx"]) <= 0 or float(ch["cutoff"]) <= 0:
+    for field in ("gamma", "dx", "cutoff"):
+        ch[field] = _parse(float, ch[field], f"chaos.{field}")
+    ch["time_cells"] = _int_at_least(ch["time_cells"], "chaos.time_cells", 1)
+    if ch["dx"] <= 0 or ch["cutoff"] <= 0:
         raise ConfigError("chaos.dx / chaos.cutoff: must be > 0")
-    if float(ch["dx"]) > math.sqrt(1.0 / int(ch["time_cells"])) + 1e-12:
+    if ch["dx"] > math.sqrt(1.0 / ch["time_cells"]) + 1e-12:
         raise ConfigError("chaos.dx: need dx <= sqrt(dt) for stable kernels")
-    if int(ch["order"]) < 0:
-        raise ConfigError("chaos.order: must be >= 0")
-    if int(ch["order"]) >= 1 and int(ch["time_cells"]) <= int(ch["order"]):
+    ch["order"] = _int_at_least(ch["order"], "chaos.order", 0)
+    if ch["order"] >= 1 and ch["time_cells"] <= ch["order"]:
         raise ConfigError("chaos.time_cells: must exceed chaos.order to time-order its chains")
+    # the moment stderrs need two replicas
+    ch["replicas"] = _int_at_least(ch["replicas"], "chaos.replicas", 2)
     return cfg
 
 

@@ -16,14 +16,18 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.special import kolmogorov
 
-from .collisions import TestFunction, constant_fn, detect_collisions, gaussian_bump, integrate
+from .collisions import TestFunction, constant_fn, gaussian_bump
 from .environment import DisorderFunction, EnvironmentField
-# collision_weights is not called here; perfbench/tracer.py wraps the name
-# collisim.harness.collision_weights and fails to install if it is missing
-from .polymer import collision_weights  # noqa: F401
 from .polymer import band_tail_bound, partition_samples, scaled_disorder
 from .rngs import substream
-from .walks import positions_from_steps, sample_ensemble
+from .walks import positions_from_steps
+# No experiment calls sample_ensemble, detect_collisions, integrate or
+# collision_weights: they are imported only because perfbench/tracer.py wraps
+# these names here and Tracer.install fails if one is missing. For the same
+# reason collisim.polymer keeps integrate and collisim.walks keeps substream.
+from .collisions import detect_collisions, integrate  # noqa: F401
+from .polymer import collision_weights  # noqa: F401
+from .walks import sample_ensemble  # noqa: F401
 
 # purpose tags for seed derivation (keep stable across versions)
 _TAG_WALKS = 1
@@ -59,16 +63,6 @@ def summarize(values, extra: dict | None = None) -> MonteCarloSummary:
     stderr = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return MonteCarloSummary(n, mean, stderr, (mean - _Z99 * stderr, mean + _Z99 * stderr),
                              extra or {})
-
-
-def mc_estimate(sampler, n_replicas: int, master_seed: int) -> MonteCarloSummary:
-    """Generic replicate-at-a-time estimator; sampler(rng) -> float."""
-    if n_replicas < 2:
-        raise ValueError("need at least 2 replicates")
-    values = np.empty(n_replicas)
-    for r in range(n_replicas):
-        values[r] = sampler(substream(master_seed, _TAG_MC, r))
-    return summarize(values)
 
 
 @dataclass(frozen=True)
@@ -565,40 +559,26 @@ def partition_experiment(n_ladder, k: int, f: TestFunction, n_env_replicas: int,
 
 def collision_experiment(k: int, horizon: int, n_replicas: int, master_seed: int,
                          f: TestFunction | None = None, workers: int = 1) -> ExperimentReport:
-    """Collision-measure invariants over sampled ensembles: the pathwise
-    total-mass identity for k = 2, parity of atoms, and the multiplicity
-    bounds Pi' <= Pi <= binom(k,2) Pi'."""
+    """Collision-measure invariants on the batched occupancy kernel: the
+    multiplicity bounds Pi' <= Pi <= binom(k,2) Pi' on every replicate and,
+    for k = 2, the pathwise total-mass identity: each collision cell holds
+    both walks, so ||Pi|| counts the times with S^1_n = S^2_n, the zero
+    count of the difference walk, which is the distinct-cell count."""
     if f is None:
         f = gaussian_bump(0.5, 1.0)
-    identity_ok = True
-    parity_ok = True
-    bounds_ok = True
-    masses = np.empty(n_replicas)
-    for r in range(n_replicas):
-        rng = substream(master_seed, _TAG_WALKS, r)
-        ens = sample_ensemble(k, horizon, rng)
-        with_mult, distinct = detect_collisions(ens)
-        masses[r] = with_mult.total_mass()
-        parity_ok &= bool(np.all((with_mult.times + with_mult.sites) % 2 == 0))
-        pi = integrate(with_mult, f)
-        pip = integrate(distinct, f)
-        bounds_ok &= (pip <= pi + 1e-12) and (pi <= k * (k - 1) / 2 * pip + 1e-12)
-        if k == 2:
-            diff = ens.walks[0].positions[1:] - ens.walks[1].positions[1:]
-            identity_ok &= with_mult.total_mass() == float(np.count_nonzero(diff == 0))
-    raw = {"mass": masses}
-    verdicts = [
-        Verdict("atom-parity", parity_ok, "all atoms have matching time/site parity"),
-        Verdict("multiplicity-bounds", bounds_ok,
-                "Pi' <= Pi <= binom(k,2) Pi' on every replicate"),
-    ]
+    stats = collision_statistics(k, horizon, f, n_replicas, master_seed, workers)
+    pi, pip = stats["pi_f"], stats["pi_prime_f"]
+    bounds_ok = bool(np.all(pip <= pi + 1e-12) and
+                     np.all(pi <= math.comb(k, 2) * pip + 1e-12))
+    verdicts = [Verdict("multiplicity-bounds", bounds_ok,
+                        "Pi' <= Pi <= binom(k,2) Pi' on every replicate")]
     if k == 2:
         verdicts.append(Verdict(
-            "mass-identity", identity_ok,
+            "mass-identity", bool(np.array_equal(stats["mass"], stats["distinct_mass"])),
             "||Pi|| equals the difference-walk zero count pathwise"))
     cfg = {"k": k, "N": horizon, "replicas": n_replicas}
-    tables = {"mass": _sum_dict(summarize(masses))}
-    return ExperimentReport("collisions", cfg, tables, verdicts, raw)
+    tables = {"mass": _sum_dict(summarize(stats["mass"]))}
+    return ExperimentReport("collisions", cfg, tables, verdicts, {"mass": stats["mass"]})
 
 
 def chaos_experiment(gamma: float, time_cells: int, dx: float, cutoff: float,

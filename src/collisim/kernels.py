@@ -23,6 +23,9 @@ _EXACT_STEPS = 60
 #: quadrature points per g sweep in block_average_cells
 POINT_BUDGET = 1_000_000
 
+#: fewest proposal nodes local_clt_l2_error accepts
+CLT_MIN_BUDGET = 10_000
+
 
 class QuadratureError(ValueError):
     """Raised when an integrand evaluates non-finitely on a rectangle."""
@@ -288,8 +291,8 @@ def local_clt_l2_error(n: int, horizon: int, budget: int, rng: np.random.Generat
     Report is the squared distance; take sqrt for the L2 distance. The
     stderr of the sqrt is propagated by the caller where needed.
     """
-    if budget < 10_000:
-        raise ValueError("budget must be >= 1e4 nodes")
+    if budget < CLT_MIN_BUDGET:
+        raise ValueError(f"budget must be >= {CLT_MIN_BUDGET} nodes")
     chunks = []
     done = 0
     scale = float(horizon) ** (n / 2.0)

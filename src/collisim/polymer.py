@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collisions import TestFunction, detect_collisions, integrate
+# integrate is not called here; perfbench/tracer.py wraps the name (see harness.py)
+from .collisions import detect_collisions, integrate  # noqa: F401
 from .environment import DisorderFunction, EnvironmentField
 from .rngs import splitmix64
 from .walks import WalkEnsemble
@@ -27,10 +28,6 @@ BAND_SIGMAS = 8.0
 
 class TruncationOrderError(ValueError):
     """Raised when a chaos comparison asks for more orders than computed."""
-
-
-class NegativeTestFunction(ValueError):
-    """Raised when a duality test function evaluates negative."""
 
 
 @dataclass(frozen=True)
@@ -49,14 +46,6 @@ class CollisionWeights:
     @property
     def total(self) -> float:
         return float(self.per_step.sum())
-
-
-@dataclass(frozen=True)
-class DualitySample:
-    exp_pi: float
-    prod_x: float
-    pi_scaled: float
-    t_sum: float
 
 
 def scaled_disorder(amplitude: DisorderFunction, factor: float) -> DisorderFunction:
@@ -261,25 +250,3 @@ def subset_expansion_weight(sites, thetas) -> float:
             if all(c % 2 == 0 for c in counts.values()):
                 total += float(np.prod(thetas[list(subset)]))
     return total
-
-
-def duality_pair(ensemble: WalkEnsemble, f: TestFunction) -> DualitySample:
-    """(exp(Pi_N(f)/sqrt(N)), prod(1 + X_{N,n})) for one ensemble, with the
-    amplitude A_N = sqrt(f) at intermediate-disorder scale N^(-1/4)."""
-    n = ensemble.horizon
-    sqrt_n = math.sqrt(n)
-
-    def sqrt_f(tt, zz):
-        vals = np.asarray(f(np.asarray(tt, dtype=float) / n, np.asarray(zz, dtype=float) / sqrt_n), dtype=float)
-        if np.any(vals < 0.0):
-            raise NegativeTestFunction("duality needs a nonnegative test function")
-        return np.sqrt(vals)
-
-    theta = DisorderFunction(sqrt_f, math.sqrt(max(f.bound, 0.0)))
-    theta = scaled_disorder(theta, n ** (-0.25))
-    weights = collision_weights(ensemble, theta)
-    with_mult, _ = detect_collisions(ensemble)
-    pi_f = integrate(with_mult, f)
-    pi_scaled = pi_f / sqrt_n
-    prod_x = float(np.prod(1.0 + weights.per_step))
-    return DualitySample(math.exp(pi_scaled), prod_x, pi_scaled, weights.total)

@@ -36,16 +36,9 @@ class Integrand:
     order: int
     support_radius: float
     symmetric: bool = False
-    l2_norm_sq: float | None = None
 
     def __call__(self, ts, xs):
         return self.fn(np.asarray(ts, dtype=float), np.asarray(xs, dtype=float))
-
-
-def integrand_1d(fn, support_radius, l2_norm_sq=None) -> Integrand:
-    """Order-1 integrand from a scalar-signature f(t, x)."""
-    return Integrand(lambda ts, xs: np.asarray(fn(ts[:, 0], xs[:, 0]), dtype=float),
-                     1, support_radius, True, l2_norm_sq)
 
 
 @dataclass(frozen=True)

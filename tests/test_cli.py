@@ -53,6 +53,32 @@ def test_bad_env_budget_named(tmp_path, capsys, budget):
     assert not (tmp_path / "p").exists()
 
 
+@pytest.mark.parametrize("command, doc, field", [
+    ("expmoment", {"run": {"replicas": "abc"}}, "run.replicas"),
+    ("collisions", {"run": {"replicas": 1.5}}, "run.replicas"),
+    ("partition", {"run": {"env_replicas": "abc"}}, "run.env_replicas"),
+    ("expmoment", {"run": {"workers": "abc"}}, "run.workers"),
+    ("expmoment", {"run": {"workers": math.inf}}, "run.workers"),
+    ("collisions", {"walks": {"k": "x"}}, "walks.k"),
+    ("expmoment", {"walks": {"n_ladder": [8, "x"]}}, "walks.n_ladder"),
+    ("expmoment", {"walks": {"n_ladder": [8, 16.5]}}, "walks.n_ladder"),
+    ("tightness", {"walks": {"m_ladder": [2, "x"]}}, "walks.m_ladder"),
+    ("kernels-check", {"harness": {"clt_budget": 5000}}, "harness.clt_budget"),
+    ("kernels-check", {"harness": {"max_order": 0}}, "harness.max_order"),
+    ("kernels-check", {"harness": {"norm_samples": 1}}, "harness.norm_samples"),
+    ("chaos", {"chaos": {"replicas": 1}}, "chaos.replicas"),
+    ("collisions", {"harness": {"sigma": math.nan}}, "harness.sigma"),
+    ("duality", {"harness": {"alpha": math.inf}}, "harness.alpha"),
+    ("expmoment", {"harness": {"thresholds": 5}}, "harness.thresholds"),
+])
+def test_bad_config_value_named(tmp_path, capsys, command, doc, field):
+    cfg = write_cfg(tmp_path, doc)
+    code = run_cli([command, "--config", cfg, "--seed", "1", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_null_env_budget_accepted():
     cfg = cli._merge(cli.DEFAULT_CONFIG, {"run": {"seed": 1}, "harness": {"env_budget": None}})
     assert cli.validate(cfg)["harness"]["env_budget"] is None

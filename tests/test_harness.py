@@ -17,22 +17,9 @@ def test_summarize_constant():
     assert s.ci99 == (3.0, 3.0)
 
 
-def test_mc_estimate_fair_coin():
-    s = H.mc_estimate(lambda rng: float(rng.integers(0, 2) * 2 - 1), 10_000, 5)
-    assert abs(s.mean) < 4e-2
-    assert s.n == 10_000
-
-
-def test_mc_estimate_deterministic_rerun():
-    sampler = lambda rng: float(rng.standard_normal())
-    a = H.mc_estimate(sampler, 500, 11)
-    b = H.mc_estimate(sampler, 500, 11)
-    assert a == b
-
-
-def test_mc_estimate_rejects_nonfinite():
+def test_summarize_rejects_nonfinite():
     with pytest.raises(H.NonFiniteSample):
-        H.mc_estimate(lambda rng: float("nan"), 10, 1)
+        H.summarize([1.0, float("nan"), 2.0])
 
 
 def test_ks_identical_samples():
@@ -129,6 +116,11 @@ def test_collision_statistics_k2_pi_equals_prime():
     stats = H.collision_statistics(2, 64, f, 200, 7)
     assert np.array_equal(stats["pi_f"], stats["pi_prime_f"])
     assert np.array_equal(stats["mass"], stats["distinct_mass"])
+    # a collision-free replicate carries no weight on either side of the duality
+    free = stats["mass"] == 0
+    assert free.any()
+    assert np.all(stats["prod_x"][free] == 1.0)
+    assert np.all(stats["exp_pi"][free] == 1.0)
 
 
 def test_collision_statistics_worker_invariance():
@@ -222,8 +214,48 @@ def test_partition_experiment_small():
 
 
 def test_collision_experiment_identity():
-    rep = H.collision_experiment(2, 64, 400, 21)
-    assert rep.passed
+    for k in (2, 3):
+        rep = H.collision_experiment(k, 64, 400, 21)
+        names = [v.name for v in rep.verdicts]
+        assert names == (["multiplicity-bounds", "mass-identity"] if k == 2
+                         else ["multiplicity-bounds"]), k
+        assert rep.passed, (k, [v.detail for v in rep.verdicts if not v.passed])
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_collision_experiment_reads_kernel_mass(k):
+    f = gaussian_bump(0.5, 1.0)
+    rep = H.collision_experiment(k, 64, 700, 33, f)
+    stats = H.collision_statistics(k, 64, f, 700, 33)
+    assert rep.raw["mass"].tobytes() == stats["mass"].tobytes()
+    assert rep.tables["mass"] == H._sum_dict(H.summarize(stats["mass"]))
+
+
+def test_collision_experiment_worker_invariance():
+    # 1100 replicates span three kernel chunks, so two workers share them out
+    one = H.collision_experiment(3, 64, 1100, 8, workers=1)
+    two = H.collision_experiment(3, 64, 1100, 8, workers=2)
+    assert one.to_dict() == two.to_dict()
+    assert np.array_equal(one.raw["mass"], two.raw["mass"])
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_collision_experiment_flags_bad_replicate(monkeypatch, k):
+    kernel = H.collision_statistics
+
+    def corrupted(*args, **kwargs):
+        stats = kernel(*args, **kwargs)
+        hit = int(np.flatnonzero(stats["mass"] > 0)[0])
+        stats["pi_f"][hit] = 0.5 * stats["pi_prime_f"][hit]
+        stats["mass"][hit] += 1.0
+        return stats
+
+    monkeypatch.setattr(H, "collision_statistics", corrupted)
+    rep = H.collision_experiment(k, 64, 300, 5)
+    failed = {v.name for v in rep.verdicts if not v.passed}
+    assert failed == ({"multiplicity-bounds", "mass-identity"} if k == 2
+                      else {"multiplicity-bounds"})
+    assert not rep.passed
 
 
 def test_kernels_check_small():
@@ -251,17 +283,22 @@ def test_report_serialization_roundtrip():
     assert all(isinstance(line, str) for line in rep.lines())
 
 
-def test_t_sum_dominates_scaled_pi_at_k3():
-    # T_N >= Pi_N(f)/sqrt N pathwise; for k = 3 the two coincide since all
-    # odd Rademacher products vanish
-    stats = H.collision_statistics(3, 64, gaussian_bump(0.5, 1.0), 10_000, 404)
+@pytest.mark.parametrize("k", [2, 3])
+def test_t_sum_dominates_scaled_pi(k):
+    # T_N >= Pi_N(f)/sqrt N pathwise, so exp(Pi_N(f)/sqrt N) <= exp(T_N); for
+    # k <= 3 the two coincide since all odd Rademacher products vanish and at
+    # most one site per time holds a collision
+    stats = H.collision_statistics(k, 64, gaussian_bump(0.5, 1.0), 10_000, 404)
     assert np.all(stats["t_sum"] >= stats["pi_scaled"] - 1e-12)
     assert np.allclose(stats["t_sum"], stats["pi_scaled"], atol=1e-12)
+    assert np.all(stats["exp_pi"] <= np.exp(stats["t_sum"]) * (1 + 1e-12))
+    np.testing.assert_allclose(np.log(stats["exp_pi"]), stats["t_sum"], rtol=1e-12, atol=1e-15)
+    assert np.any(stats["t_sum"] > 0)
 
 
 def test_fair_coin_binomial_bound_at_scale():
-    # mc_estimate owns the summary contract; the stated 1e6-replicate bound
-    # is checked on a vectorized draw from the same substream scheme
+    # the stated 1e6-replicate bound, checked on one vectorized draw from
+    # the substream scheme
     vals = substream(606, 0).integers(0, 2, size=1_000_000) * 2 - 1
     assert abs(vals.mean()) < 4e-3
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from collisim import polymer as P
 from collisim import walks as W
-from collisim.collisions import constant_fn, gaussian_bump
 from collisim.environment import DisorderFunction, EnvironmentField, constant_disorder
 from collisim.rngs import child_seeds, substream
 
@@ -162,67 +161,6 @@ def test_collision_weights_nonnegative_and_bounded(seed):
     x = P.collision_weights(ens, theta).per_step
     assert np.all(x >= 0.0)
     assert np.all(x <= (c + 1) ** k / math.sqrt(horizon))
-
-
-def test_duality_pair_collision_free():
-    ens = _collision_ensemble([0, 1, 2, 3], [0, -1, -2, -3])
-    sample = P.duality_pair(ens, gaussian_bump(0.5, 1.0))
-    assert sample.exp_pi == 1.0
-    assert sample.prod_x == 1.0
-
-
-def test_duality_pair_single_collision_identity():
-    # k = 2 with one collision: log(expPi) = T_N exactly
-    ens = _collision_ensemble([0, 1, 0, 1], [0, 1, 0, -1])
-    f = gaussian_bump(0.5, 1.0)
-    sample = P.duality_pair(ens, f)
-    assert sample.pi_scaled == pytest.approx(sample.t_sum, rel=1e-12)
-    assert math.log(sample.exp_pi) == pytest.approx(sample.t_sum, rel=1e-12)
-
-
-def test_duality_pair_k3_inequality():
-    f = gaussian_bump(0.5, 1.0)
-    rng = substream(23, 0)
-    for _ in range(200):
-        ens = W.sample_ensemble(3, 64, rng)
-        sample = P.duality_pair(ens, f)
-        assert sample.t_sum >= sample.pi_scaled - 1e-12
-        assert sample.exp_pi <= math.exp(sample.t_sum) * (1 + 1e-12)
-
-
-def test_duality_pair_rejects_negative():
-    ens = _collision_ensemble([0, 1, 0], [0, -1, 0])
-    bad = constant_fn(-1.0)
-    with pytest.raises(P.NegativeTestFunction):
-        P.duality_pair(ens, bad)
-
-
-def test_exact_bridge_identity_small():
-    # E_env[z^k] = E_walks[prod(1+X)] as an identity; compare both Monte
-    # Carlo estimates with shared tolerance at small N
-    horizon, k = 16, 2
-    f = gaussian_bump(0.5, 1.0)
-    sqrt_n = math.sqrt(horizon)
-
-    def sqrt_f(tt, zz):
-        vals = np.asarray(f(np.asarray(tt, dtype=float) / horizon,
-                            np.asarray(zz, dtype=float) / sqrt_n), dtype=float)
-        return np.sqrt(vals)
-
-    amp = P.scaled_disorder(DisorderFunction(sqrt_f, math.sqrt(0.5)), horizon ** (-0.25))
-    z_vals = P.partition_samples(horizon, amp, 40_000, substream(61, 0))
-    env_est = (z_vals**k).mean()
-    env_se = (z_vals**k).std(ddof=1) / math.sqrt(len(z_vals))
-
-    rng = substream(62, 0)
-    prods = np.empty(40_000)
-    for r in range(len(prods)):
-        ens = W.sample_ensemble(k, horizon, rng)
-        sample = P.duality_pair(ens, f)
-        prods[r] = sample.prod_x
-    walk_est = prods.mean()
-    walk_se = prods.std(ddof=1) / math.sqrt(len(prods))
-    assert abs(env_est - walk_est) < 4.0 * math.hypot(env_se, walk_se)
 
 
 def test_partition_breakdown_rejects_truncation():

@@ -23,11 +23,12 @@ def test_same_seed_same_path():
 
 
 def test_replica_stream_is_pure_function():
-    a = W.sample_walk_replica(64, 9, 3)
-    b = W.sample_walk_replica(64, 9, 3)
-    c = W.sample_walk_replica(64, 9, 4)
-    assert np.array_equal(a.positions, b.positions)
-    assert not np.array_equal(a.positions, c.positions)
+    # a block of walks is a pure function of its (seed, purpose, chunk) key
+    a = W.first_return_times(200, 64, substream(9, 1, 3))
+    b = W.first_return_times(200, 64, substream(9, 1, 3))
+    c = W.first_return_times(200, 64, substream(9, 1, 4))
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 @given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=2**32))
