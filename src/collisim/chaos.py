@@ -5,6 +5,11 @@ to its area; chain terms are built by a forward recursion over chaos orders
 with strict time ordering between consecutive cells (the simplex support).
 Kernels are evaluated at cell centers (midpoint rule); refinement drift is
 reported as a diagnostic rather than hidden.
+
+One step of the recursion is a causal space-time convolution with the heat
+kernel, which is translation-invariant on the grid, so it runs as one
+zero-padded 2-D FFT product: O(TX log(TX)) per order and replica, exact up
+to rounding.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .environment import ContinuumAmplitude
-from .kernels import rho_chain_norm_sq
+from .kernels import heat_kernel, rho_chain_norm_sq
 from .rngs import substream
 
 __all__ = [
@@ -45,6 +50,8 @@ class WhiteNoiseGrid:
             raise ValueError("grid parameters must be positive")
         if self.dx > math.sqrt(self.dt) + 1e-12:
             raise ValueError("need dx <= sqrt(dt) for stable midpoint kernels")
+        if self.space_cells < 1:
+            raise ValueError("cutoff too small for dx: the grid has no space cells")
 
     @property
     def dt(self) -> float:
@@ -81,24 +88,55 @@ def chaos_tail_bound(sup_amplitude: float, order: int, max_terms: int = 400) -> 
     return float(sum(s2**n * rho_chain_norm_sq(n) for n in range(order + 1, order + 1 + max_terms)))
 
 
-def _kernel_stack(grid: WhiteNoiseGrid) -> np.ndarray:
-    """K[d][x_from, x_to] = heat kernel over time lag d*dt between centers."""
-    xc = grid.space_centers()
-    diff = xc[None, :] - xc[:, None]
-    lags = np.arange(1, grid.time_cells, dtype=float) * grid.dt
+def _fast_len(n: int) -> int:
+    """Smallest 2·3·5-smooth integer >= n, a length numpy.fft transforms fast."""
+    if n < 1:
+        raise ValueError(f"FFT length must be >= 1, got {n}")
+    m = n
+    while True:
+        r = m
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
+
+
+def _kernel_fft(grid: WhiteNoiseGrid) -> np.ndarray:
+    """rfft2 of the kernel generator G[d, X-1+e] = heat kernel over time lag
+    d*dt and offset e*dx, for d = 0..T-1 and e = -(X-1)..X-1; G[0] = 0
+    keeps consecutive chain cells strictly time-ordered. The padding to at
+    least (2T-1, 2X-1) keeps the circular product from wrapping onto the grid."""
+    t_cells, x_cells = grid.time_cells, grid.space_cells
+    offsets = np.arange(1 - x_cells, x_cells) * grid.dx
+    lags = np.arange(1, t_cells, dtype=float) * grid.dt
+    gen = np.zeros((t_cells, 2 * x_cells - 1))
     with np.errstate(under="ignore"):
-        k = np.exp(-diff[None, :, :] ** 2 / (2.0 * lags[:, None, None]))
-        k /= np.sqrt(2.0 * math.pi * lags)[:, None, None]
-    return k
+        gen[1:] = heat_kernel(lags[:, None], offsets[None, :])
+    return np.fft.rfft2(gen, s=(_fast_len(2 * t_cells - 1), _fast_len(2 * x_cells - 1)))
+
+
+def _propagate(v: np.ndarray, kernel_fft: np.ndarray) -> np.ndarray:
+    """w[t, x] = sum_{s<t} sum_y v[s, y] G(t-s, x-y) for a (T, X) field v."""
+    t_cells, x_cells = v.shape
+    shape = (kernel_fft.shape[0], _fast_len(2 * x_cells - 1))
+    full = np.fft.irfft2(np.fft.rfft2(v, s=shape) * kernel_fft, s=shape)
+    w = np.zeros_like(v)
+    w[1:] = full[1:t_cells, x_cells - 1 : 2 * x_cells - 1]  # no chain ends in slice 0
+    return w
 
 
 def simulate_Z_batch(a: ContinuumAmplitude, grid: WhiteNoiseGrid, order: int,
-                     master_seed: int, n_replicas: int, kernel_stack: np.ndarray | None = None,
+                     master_seed: int, n_replicas: int, kernel_fft: np.ndarray | None = None,
                      replica_offset: int = 0) -> np.ndarray:
     """(n_replicas, order+1) per-order chaos terms, term_0 = 1.
 
     Replica r draws its cell Gaussians from substream(master_seed, r), so
-    batching is invisible to results.
+    batching is invisible to results. Each order after the first is one
+    FFT convolution (``_propagate``): O(TX log(TX)) per order and replica,
+    exact up to rounding. ``kernel_fft`` is ``_kernel_fft(grid)``, passed in
+    to share it across batches.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -114,7 +152,7 @@ def simulate_Z_batch(a: ContinuumAmplitude, grid: WhiteNoiseGrid, order: int,
     terms[:, 0] = 1.0
     if order == 0:
         return terms
-    kernels = kernel_stack if kernel_stack is not None else _kernel_stack(grid)
+    kern = kernel_fft if kernel_fft is not None else _kernel_fft(grid)
     sigma = math.sqrt(grid.dt * grid.dx)
     for r in range(n_replicas):
         rng = substream(master_seed, replica_offset + r)
@@ -122,10 +160,7 @@ def simulate_Z_batch(a: ContinuumAmplitude, grid: WhiteNoiseGrid, order: int,
         v = amp * rho0 * xi
         terms[r, 1] = v.sum()
         for n in range(2, order + 1):
-            w = np.zeros_like(v)
-            for lag in range(1, t_cells):
-                w[lag:] += v[: t_cells - lag] @ kernels[lag - 1]
-            v = amp * xi * w
+            v = amp * xi * _propagate(v, kern)
             terms[r, n] = v.sum()
     return terms
 
@@ -183,13 +218,13 @@ def estimate_Z_moments(a: ContinuumAmplitude, grid: WhiteNoiseGrid, order: int,
     levels = []
     z_fine = np.empty(n_replicas)
     for li, g in enumerate((grid, grid.refined())):
-        kern = _kernel_stack(g)
+        kern = _kernel_fft(g)
         vals = np.empty((n_replicas, k))
         done = 0
         while done < n_replicas:
             size = min(batch, n_replicas - done)
             terms = simulate_Z_batch(a, g, order, master_seed, size,
-                                     kernel_stack=kern, replica_offset=li * n_replicas + done)
+                                     kernel_fft=kern, replica_offset=li * n_replicas + done)
             plus = terms.sum(axis=1)
             minus = (terms * signs[None, :]).sum(axis=1)
             vals[done : done + size] = (
@@ -235,9 +270,7 @@ def scheme_order_variances(grid: WhiteNoiseGrid, gamma: float, order: int) -> np
     chain = s0.copy()  # weight of chains ending at each slice
     variances[1] = g2 * dt * chain.sum() if order >= 1 else 0.0
     for n in range(2, order + 1):
-        nxt = np.zeros(t_cells)
-        for i in range(1, t_cells):
-            nxt[i] = float((chain[:i] * s_lag[:i][::-1]).sum())
-        chain = nxt
+        # causal: chains ending at slice i extend those ending before it
+        chain = np.concatenate(([0.0], np.convolve(chain, s_lag)[: t_cells - 1]))
         variances[n] = g2**n * dt**n * chain.sum()
     return variances[1:]

@@ -166,6 +166,9 @@ def validate(cfg: dict) -> dict:
         raise ConfigError("chaos.dx / chaos.cutoff: must be > 0")
     if ch["dx"] > math.sqrt(1.0 / ch["time_cells"]) + 1e-12:
         raise ConfigError("chaos.dx: need dx <= sqrt(dt) for stable kernels")
+    if round(2.0 * ch["cutoff"] / ch["dx"]) < 1:
+        raise ConfigError("chaos.cutoff: [-cutoff, cutoff] holds no space cell of width "
+                          "chaos.dx (2 cutoff / dx rounds to 0)")
     ch["order"] = _int_at_least(ch["order"], "chaos.order", 0)
     if ch["order"] >= 1 and ch["time_cells"] <= ch["order"]:
         raise ConfigError("chaos.time_cells: must exceed chaos.order to time-order its chains")

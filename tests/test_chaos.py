@@ -7,6 +7,7 @@ from scipy.special import erfc
 from collisim import chaos as C
 from collisim.environment import ContinuumAmplitude
 from collisim.kernels import rho_chain_norm_sq
+from collisim.rngs import substream
 
 
 def _const_amp(gamma):
@@ -18,11 +19,42 @@ def _grid(time_cells=32, cutoff=6.0):
     return C.WhiteNoiseGrid(time_cells, math.sqrt(1.0 / time_cells) * 0.999, cutoff)
 
 
+def _heat(lag, offset):
+    return np.exp(-offset**2 / (2.0 * lag)) / np.sqrt(2.0 * math.pi * lag)
+
+
+def _lag_loop_terms(a, grid, order, master_seed, n_replicas):
+    """Reference propagation: one matmul per time lag against a stack of
+    (X, X) heat-kernel matrices, the O(T^2 X^2) form of the same sums."""
+    t_cells, x_cells = grid.time_cells, grid.space_cells
+    tc, xc = grid.time_centers(), grid.space_centers()
+    lags = np.arange(1, t_cells) * grid.dt
+    kernels = _heat(lags[:, None, None], xc[None, None, :] - xc[None, :, None])
+    amp = np.asarray(a(tc[:, None], xc[None, :]), dtype=float)
+    rho0 = _heat(tc[:, None], xc[None, :])
+    sigma = math.sqrt(grid.dt * grid.dx)
+    terms = np.zeros((n_replicas, order + 1))
+    terms[:, 0] = 1.0
+    for r in range(n_replicas):
+        xi = substream(master_seed, r).standard_normal((t_cells, x_cells)) * sigma
+        v = amp * rho0 * xi
+        terms[r, 1] = v.sum()
+        for n in range(2, order + 1):
+            w = np.zeros_like(v)
+            for lag in range(1, t_cells):
+                w[lag:] += v[: t_cells - lag] @ kernels[lag - 1]
+            v = amp * xi * w
+            terms[r, n] = v.sum()
+    return terms
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         C.WhiteNoiseGrid(16, 0.5, 6.0)  # dx > sqrt(dt)
     with pytest.raises(ValueError):
         C.WhiteNoiseGrid(0, 0.1, 6.0)
+    with pytest.raises(ValueError, match="no space cells"):
+        C.WhiteNoiseGrid(32, 0.175, 0.01)  # 2 cutoff / dx rounds to 0
     g = _grid(16)
     assert g.refined().time_cells == 32
     assert g.refined().dx == pytest.approx(g.dx / 2)
@@ -42,6 +74,45 @@ def test_order_zero_gives_one():
 def test_resolution_guard():
     with pytest.raises(C.GridResolutionError):
         C.simulate_Z(_const_amp(0.5), _grid(4), 6, 1)
+
+
+# 2T-1 and 2X-1 are not 5-smooth (13, 21 and 21, 37), so the padded
+# transform is longer than the linear convolution on both axes
+ODD_GRIDS = [(7, 0.3, 1.65), (11, 0.25, 2.375)]
+
+
+@pytest.mark.parametrize("time_cells, dx, cutoff", ODD_GRIDS)
+def test_fft_propagation_matches_lag_loop(time_cells, dx, cutoff):
+    grid = C.WhiteNoiseGrid(time_cells, dx, cutoff)
+    assert grid.space_cells in (11, 19)
+    amp = ContinuumAmplitude(lambda t, x: 0.9 * np.cos(2.0 * t + 0.7 * x) + 0.2 * t, 1.1)
+    order = time_cells - 1
+    ref = _lag_loop_terms(amp, grid, order, 4242, 4)
+    got = C.simulate_Z_batch(amp, grid, order, 4242, 4)
+    scale = np.abs(ref).max(axis=0)
+    assert np.all(scale[1:] > 0.0)
+    assert np.all(np.abs(got - ref) <= 1e-12 * scale), np.abs(got - ref).max(axis=0) / scale
+
+
+@pytest.mark.parametrize("time_cells, dx, cutoff", ODD_GRIDS)
+def test_fft_propagation_does_not_wrap(time_cells, dx, cutoff):
+    # a unit impulse at each corner cell propagates to the shifted kernel
+    # generator and to nothing else: circular wrap of the padded transform
+    # would leak mass onto the opposite edge or the early slices
+    grid = C.WhiteNoiseGrid(time_cells, dx, cutoff)
+    t_cells, x_cells = time_cells, grid.space_cells
+    kern = C._kernel_fft(grid)
+    t_idx = np.arange(t_cells)[:, None]
+    x_idx = np.arange(x_cells)[None, :]
+    atol = 1e-12 * _heat(grid.dt, 0.0)
+    for s, y in ((0, 0), (0, x_cells - 1), (t_cells - 1, 0), (t_cells - 1, x_cells - 1)):
+        v = np.zeros((t_cells, x_cells))
+        v[s, y] = 1.0
+        w = C._propagate(v, kern)
+        lag = np.maximum(t_idx - s, 1) * grid.dt
+        expected = np.where(t_idx > s, _heat(lag, (x_idx - y) * dx), 0.0)
+        assert np.all(w[0] == 0.0)
+        assert np.all(np.abs(w - expected) <= atol), (s, y, np.abs(w - expected).max())
 
 
 def test_mean_one_over_seeds():
@@ -85,6 +156,35 @@ def test_sample_variances_match_exact_scheme():
         centered = terms[:, n] - terms[:, n].mean()
         se = math.sqrt(max((centered**4).mean() - sample**2, 0.0) / len(terms))
         assert abs(sample - scheme[n - 1]) < 4 * se, (n, sample, scheme[n - 1], se)
+
+
+def _scheme_variances_lag_loop(grid, gamma, order):
+    """Reference scheme_order_variances: the chain recursion as one Python
+    sum per slice, nxt[i] = sum_{j<i} chain[j] s_lag[i-1-j]."""
+    dt, dx, t_cells = grid.dt, grid.dx, grid.time_cells
+    tc, xc = grid.time_centers(), grid.space_centers()
+    chain = (np.exp(-(xc[None, :] ** 2) / tc[:, None])
+             / (2.0 * math.pi * tc[:, None])).sum(axis=1) * dx
+    diffs = np.arange(-2 * grid.space_cells, 2 * grid.space_cells + 1) * dx
+    lags = np.arange(1, t_cells) * dt
+    s_lag = (np.exp(-(diffs[None, :] ** 2) / lags[:, None])
+             / (2.0 * math.pi * lags[:, None])).sum(axis=1) * dx
+    variances = [gamma**2 * dt * chain.sum()]
+    for n in range(2, order + 1):
+        nxt = np.zeros(t_cells)
+        for i in range(1, t_cells):
+            nxt[i] = float((chain[:i] * s_lag[:i][::-1]).sum())
+        chain = nxt
+        variances.append(gamma ** (2 * n) * dt**n * chain.sum())
+    return np.array(variances)
+
+
+@pytest.mark.parametrize("time_cells", [16, 128, 256])
+def test_scheme_variances_match_lag_loop(time_cells):
+    grid = _grid(time_cells)
+    ref = _scheme_variances_lag_loop(grid, 0.8, 6)
+    got = C.scheme_order_variances(grid, 0.8, 6)
+    assert np.all(np.abs(got - ref) <= 1e-13 * ref), np.abs(got - ref) / ref
 
 
 def test_scheme_variances_converge_to_chain_norms():

@@ -70,6 +70,7 @@ def test_bad_env_budget_named(tmp_path, capsys, budget):
     ("collisions", {"harness": {"sigma": math.nan}}, "harness.sigma"),
     ("duality", {"harness": {"alpha": math.inf}}, "harness.alpha"),
     ("expmoment", {"harness": {"thresholds": 5}}, "harness.thresholds"),
+    ("chaos", {"chaos": {"cutoff": 0.01}}, "chaos.cutoff"),
 ])
 def test_bad_config_value_named(tmp_path, capsys, command, doc, field):
     cfg = write_cfg(tmp_path, doc)
