@@ -4,26 +4,18 @@ limit."""
 
 __version__ = "0.1.0"
 
-from .collisions import CollisionMeasure, TestFunction, detect_collisions, integrate
-from .environment import ContinuumAmplitude, DisorderFunction, EnvironmentField, cell_of
-from .polymer import PartitionResult, chaos_terms, collision_weights, partition_dp
-from .walks import WalkEnsemble, WalkPath, sample_walk
+from .collisions import TestFunction, gaussian_bump
+from .environment import ContinuumAmplitude, DisorderFunction, EnvironmentField
+from .polymer import chaos_terms, partition_dp, partition_many
 
 __all__ = [
     "__version__",
-    "CollisionMeasure",
     "TestFunction",
-    "detect_collisions",
-    "integrate",
+    "gaussian_bump",
     "ContinuumAmplitude",
     "DisorderFunction",
     "EnvironmentField",
-    "cell_of",
-    "PartitionResult",
     "chaos_terms",
-    "collision_weights",
     "partition_dp",
-    "WalkEnsemble",
-    "WalkPath",
-    "sample_walk",
+    "partition_many",
 ]

@@ -25,8 +25,6 @@ from .rngs import substream
 
 __all__ = [
     "WhiteNoiseGrid",
-    "ChaosApproximation",
-    "simulate_Z",
     "simulate_Z_batch",
     "second_moment_series",
     "estimate_Z_moments",
@@ -69,17 +67,6 @@ class WhiteNoiseGrid:
 
     def refined(self) -> "WhiteNoiseGrid":
         return replace(self, time_cells=2 * self.time_cells, dx=self.dx / 2.0)
-
-
-@dataclass(frozen=True)
-class ChaosApproximation:
-    truncation_order: int
-    per_order: np.ndarray  # term_0 = 1, term_1, ..., term_M
-    truncation_bound: float
-
-    @property
-    def value(self) -> float:
-        return float(self.per_order.sum())
 
 
 def chaos_tail_bound(sup_amplitude: float, order: int, max_terms: int = 400) -> float:
@@ -163,12 +150,6 @@ def simulate_Z_batch(a: ContinuumAmplitude, grid: WhiteNoiseGrid, order: int,
             v = amp * xi * _propagate(v, kern)
             terms[r, n] = v.sum()
     return terms
-
-
-def simulate_Z(a: ContinuumAmplitude, grid: WhiteNoiseGrid, order: int,
-               master_seed: int, replica: int = 0) -> ChaosApproximation:
-    terms = simulate_Z_batch(a, grid, order, master_seed, 1, replica_offset=replica)[0]
-    return ChaosApproximation(order, terms, chaos_tail_bound(a.sup_bound, order))
 
 
 def second_moment_series(gamma: float, tol: float = 1e-12) -> float:

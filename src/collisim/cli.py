@@ -92,13 +92,16 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
 
 
 def parse_seed(text) -> int:
-    """Seeds are accepted as decimal or hex strings (or plain ints)."""
-    if isinstance(text, int):
-        return text
+    """Seeds are U64: decimal or hex strings, or plain ints, in [0, 2**64)."""
+    if isinstance(text, bool):
+        raise ConfigError(f"run.seed: must be an integer, got {text!r}")
     try:
-        return int(str(text), 0)
+        seed = text if isinstance(text, int) else int(str(text), 0)
     except ValueError as exc:
         raise ConfigError(f"run.seed: cannot parse {text!r} as an integer") from exc
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"run.seed: must lie in [0, 2**64), got {text!r}")
+    return seed
 
 
 def _parse(kind, value, where: str):
@@ -122,12 +125,21 @@ def _int_at_least(value, where: str, minimum: int) -> int:
     return number
 
 
+def _require_bool(value, where: str) -> None:
+    # a JSON string such as "false" would otherwise be truthy
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}: must be true or false, got {value!r}")
+
+
 def validate(cfg: dict) -> dict:
     """Check and normalise every field, so a bad value fails before any work."""
     run = cfg["run"]
     if run["seed"] is None:
         raise ConfigError("run.seed: a seed is required (no wall-clock default)")
     run["seed"] = parse_seed(run["seed"])
+    if not isinstance(run["out"], str) or not run["out"]:
+        raise ConfigError(f"run.out: must be a non-empty path string, got {run['out']!r}")
+    _require_bool(run["raw"], "run.raw")
     for field in ("replicas", "env_replicas", "workers"):
         run[field] = _int_at_least(run[field], f"run.{field}", 1)
     walks = cfg["walks"]
@@ -141,6 +153,7 @@ def validate(cfg: dict) -> dict:
         raise ConfigError("walks.m_ladder: must be a nonempty, strictly increasing list")
     walks["m_ladder"] = mlad
     hz = cfg["harness"]
+    _require_bool(hz["with_chaos_target"], "harness.with_chaos_target")
     for field in ("alpha", "sigma", "beta"):
         hz[field] = _parse(float, hz[field], f"harness.{field}")
     if hz["sigma"] <= 0:

@@ -8,7 +8,6 @@ bit-exactly across runs.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -22,14 +21,9 @@ __all__ = [
     "TestFunction",
     "detect_collisions",
     "integrate",
-    "total_mass_identity_check",
     "gaussian_bump",
     "constant_fn",
 ]
-
-
-class WrongEnsembleSize(ValueError):
-    """Raised when an operation needs a specific k."""
 
 
 @dataclass(frozen=True)
@@ -38,7 +32,6 @@ class TestFunction:
 
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
     bound: float
-    nonneg: bool = False
 
     def __call__(self, t, x):
         return self.evaluator(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
@@ -47,12 +40,12 @@ class TestFunction:
 def gaussian_bump(alpha: float = 0.5, sigma: float = 1.0) -> TestFunction:
     """f(t, x) = alpha * exp(-x^2 / (2 sigma^2)), the default test family."""
     a, s2 = float(alpha), float(sigma) ** 2
-    return TestFunction(lambda t, x: a * np.exp(-x * x / (2.0 * s2)), abs(a), a >= 0)
+    return TestFunction(lambda t, x: a * np.exp(-x * x / (2.0 * s2)), abs(a))
 
 
 def constant_fn(value: float) -> TestFunction:
     v = float(value)
-    return TestFunction(lambda t, x: np.full(np.broadcast(t, x).shape, v), abs(v), v >= 0)
+    return TestFunction(lambda t, x: np.full(np.broadcast(t, x).shape, v), abs(v))
 
 
 @dataclass(frozen=True)
@@ -71,25 +64,6 @@ class CollisionMeasure:
 
     def total_mass(self) -> float:
         return float(self.weights.sum())
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"# horizon={self.horizon} k={self.k}\n")
-        buf.write("n,z,weight\n")
-        for n, z, w in zip(self.times, self.sites, self.weights):
-            buf.write(f"{n},{z},{w}\n")
-        return buf.getvalue()
-
-    @staticmethod
-    def from_csv(text: str) -> "CollisionMeasure":
-        lines = text.strip().splitlines()
-        header = lines[0].lstrip("# ").split()
-        meta = dict(kv.split("=") for kv in header)
-        rows = [tuple(int(v) for v in line.split(",")) for line in lines[2:]]
-        arr = np.array(rows, dtype=np.int64).reshape(-1, 3)
-        return CollisionMeasure(
-            int(meta["horizon"]), arr[:, 0], arr[:, 1], arr[:, 2], int(meta.get("k", 0))
-        )
 
 
 def _sorted_measure(horizon, k, times, sites, weights) -> CollisionMeasure:
@@ -133,13 +107,3 @@ def integrate(measure: CollisionMeasure, f: TestFunction) -> float:
     t = measure.times / measure.horizon
     x = measure.sites / math.sqrt(measure.horizon)
     return float(np.sum(measure.weights * np.asarray(f(t, x), dtype=float)))
-
-
-def total_mass_identity_check(ensemble: WalkEnsemble) -> tuple[float, int]:
-    """For k = 2: (||Pi_N||, zero count of the difference walk); the two are
-    equal pathwise."""
-    if ensemble.k != 2:
-        raise WrongEnsembleSize(f"identity requires k=2, got k={ensemble.k}")
-    with_mult, _ = detect_collisions(ensemble)
-    diff = ensemble.walks[0].positions[1:] - ensemble.walks[1].positions[1:]
-    return with_mult.total_mass(), int(np.count_nonzero(diff == 0))

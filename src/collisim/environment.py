@@ -22,7 +22,6 @@ __all__ = [
     "ContinuumAmplitude",
     "disorder_from_function",
     "constant_disorder",
-    "cell_of",
     "cells_of",
     "HASH_VERSION",
 ]
@@ -83,25 +82,14 @@ def disorder_from_function(a: ContinuumAmplitude, horizon: int) -> DisorderFunct
     return DisorderFunction(evaluator, a.sup_bound)
 
 
-def cell_of(t: float, x: float, horizon: int) -> tuple[int, int]:
-    """The unique lattice cell (i, z) whose rectangle contains (t, x).
+def cells_of(t: np.ndarray, x: np.ndarray, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lattice cells (i, z) whose rectangles contain the points (t, x).
 
     i = ceil(N t) with t in (0, 1]; z is the unique integer of the same
     parity as i with x in ((z-1)/sqrt(N), (z+1)/sqrt(N)]. Both intervals are
     left-open right-closed, so boundary points attach to the cell on their
-    left.
+    left. Raises on any t outside (0, 1].
     """
-    if not 0.0 < t <= 1.0:
-        raise ValueError(f"t must lie in (0, 1], got {t}")
-    i = math.ceil(horizon * t)
-    u = x * math.sqrt(horizon)
-    parity = i & 1
-    q = math.ceil((u - 1.0 - parity) / 2.0)
-    return i, 2 * q + parity
-
-
-def cells_of(t: np.ndarray, x: np.ndarray, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized cell map; raises on any t outside (0, 1]."""
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     if np.any(t <= 0.0) or np.any(t > 1.0):

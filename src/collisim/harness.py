@@ -17,7 +17,8 @@ import numpy as np
 from scipy.special import kolmogorov
 
 from .collisions import TestFunction, constant_fn, gaussian_bump
-from .environment import DisorderFunction, EnvironmentField
+from .environment import (ContinuumAmplitude, DisorderFunction, EnvironmentField,
+                          disorder_from_function)
 from .polymer import band_tail_bound, partition_samples, scaled_disorder
 from .rngs import substream
 from .walks import positions_from_steps
@@ -45,7 +46,6 @@ class MonteCarloSummary:
     mean: float
     stderr: float
     ci99: tuple[float, float]
-    extra: dict = dc_field(default_factory=dict)
 
     def overlaps(self, other: "MonteCarloSummary") -> bool:
         return self.ci99[0] <= other.ci99[1] and other.ci99[0] <= self.ci99[1]
@@ -54,15 +54,14 @@ class MonteCarloSummary:
 _Z99 = 2.576
 
 
-def summarize(values, extra: dict | None = None) -> MonteCarloSummary:
+def summarize(values) -> MonteCarloSummary:
     values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
         raise NonFiniteSample("non-finite replicate value")
     n = len(values)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return MonteCarloSummary(n, mean, stderr, (mean - _Z99 * stderr, mean + _Z99 * stderr),
-                             extra or {})
+    return MonteCarloSummary(n, mean, stderr, (mean - _Z99 * stderr, mean + _Z99 * stderr))
 
 
 @dataclass(frozen=True)
@@ -93,13 +92,6 @@ def ks_two_sample(xs, ys) -> KSResult:
     if np.allclose(xs, np.round(xs)) and np.allclose(ys, np.round(ys)):
         note = "integer-valued samples: ties make the p-value conservative"
     return KSResult(stat, pvalue, note)
-
-
-def jitter(values, rng: np.random.Generator) -> np.ndarray:
-    """Break integer ties with uniform(0,1) noise; rank-preserving and
-    distribution-equality-preserving under the null."""
-    values = np.asarray(values, dtype=float)
-    return values + rng.uniform(0.0, 1.0, size=values.shape)
 
 
 @dataclass(frozen=True)
@@ -231,34 +223,17 @@ def collision_statistics(k: int, horizon: int, f: TestFunction, n_replicas: int,
 
 
 def local_time_counts(horizon: int, n_replicas: int, master_seed: int,
-                      even_times_only: bool = False, workers: int = 1,
-                      chunk: int = 2048) -> np.ndarray:
-    """Zero counts of single walks (integer-valued samples); optionally only
-    even times up to the horizon (the k=2 local-time law comparison)."""
+                      workers: int = 1, chunk: int = 2048) -> np.ndarray:
+    """Zero counts of single walks up to the horizon (integer-valued samples)."""
 
     def run(chunk_spec):
         idx, start, size = chunk_spec
         rng = substream(master_seed, _TAG_WALKS, idx)
         steps = rng.integers(0, 2, size=(size, horizon), dtype=np.int8) * 2 - 1
-        pos = positions_from_steps(steps)
-        zeros = (pos == 0)
-        if even_times_only:
-            zeros = zeros[:, 1::2]
-        return zeros.sum(axis=1).astype(float)
+        return (positions_from_steps(steps) == 0).sum(axis=1).astype(float)
 
     parts = _map_chunks(run, _chunk_ranges(n_replicas, chunk), workers)
     return np.concatenate(parts)
-
-
-def local_time_exponents(beta: float, horizon: int, n_replicas: int, master_seed: int,
-                         workers: int = 1, chunk: int = 2048,
-                         even_times_only: bool = False) -> np.ndarray:
-    """exp(beta * N^(-1/2) * #zeros) replicates."""
-    counts = local_time_counts(horizon, n_replicas, master_seed, even_times_only,
-                               workers, chunk)
-    if beta == 0.0:
-        return np.ones_like(counts)
-    return np.exp(beta * counts / math.sqrt(horizon))
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +243,7 @@ def local_time_exponents(beta: float, horizon: int, n_replicas: int, master_seed
 def duality_experiment(k: int, f: TestFunction, n_ladder, n_walk_replicas: int,
                        n_env_replicas: int, master_seed: int, workers: int = 1,
                        chaos_target: MonteCarloSummary | None = None,
-                       gap_factor: float = 2.0,
-                       chaos_tol_rel: float = 0.1) -> ExperimentReport:
+                       gap_factor: float = 2.0) -> ExperimentReport:
     """Three estimates per ladder horizon: (a) E[exp(Pi_N(f)/sqrt N)] and
     (b) E[prod(1+X)] over walks, (c) E[z_N^k] over environments; the (b)=(c)
     bridge is an exact identity, the (a)-(b) gap shrinks along the ladder."""
@@ -317,7 +291,7 @@ def duality_experiment(k: int, f: TestFunction, n_ladder, n_walk_replicas: int,
         ))
     if chaos_target is not None:
         a_last = rows[-1]["exp_pi"]
-        tol = chaos_tol_rel * abs(chaos_target.mean) + 3.0 * math.hypot(
+        tol = 0.1 * abs(chaos_target.mean) + 3.0 * math.hypot(
             a_last["stderr"], chaos_target.stderr)
         err = abs(a_last["mean"] - chaos_target.mean)
         verdicts.append(Verdict(
@@ -332,14 +306,9 @@ def duality_experiment(k: int, f: TestFunction, n_ladder, n_walk_replicas: int,
 
 
 def _sqrt_f_disorder(f: TestFunction, horizon: int) -> DisorderFunction:
-    sqrt_n = math.sqrt(horizon)
-
-    def amp(n, z):
-        vals = np.asarray(f(np.asarray(n, dtype=float) / horizon,
-                            np.asarray(z, dtype=float) / sqrt_n), dtype=float)
-        return np.sqrt(np.maximum(vals, 0.0))
-
-    return DisorderFunction(amp, math.sqrt(max(f.bound, 0.0)))
+    """A_N(n, z) = sqrt(max(f(n/N, z/sqrt N), 0))."""
+    return disorder_from_function(ContinuumAmplitude(
+        lambda t, x: np.sqrt(np.maximum(f(t, x), 0.0)), math.sqrt(max(f.bound, 0.0))), horizon)
 
 
 def _sum_dict(s: MonteCarloSummary) -> dict:
@@ -357,7 +326,8 @@ def exponential_moment_probe(beta: float, n_ladder, n_replicas: int, master_seed
     rows = []
     raw = {}
     for ni, horizon in enumerate(n_ladder):
-        vals = local_time_exponents(beta, horizon, n_replicas, master_seed + ni, workers)
+        counts = local_time_counts(horizon, n_replicas, master_seed + ni, workers)
+        vals = np.exp(beta * counts / math.sqrt(horizon))
         raw[f"exp_moment_N{horizon}"] = vals
         rows.append({"N": horizon, **_sum_dict(summarize(vals))})
     verdicts = [Verdict("all-finite", all(math.isfinite(r["mean"]) for r in rows),
@@ -413,36 +383,24 @@ def tightness_probe(k: int, n_ladder, m_ladder, n_replicas: int, master_seed: in
                             {"mass": mass_rows, "support": sup_rows}, verdicts)
 
 
-def product_sum_property_check(family: str, n_ladder, n_replicas: int, master_seed: int,
+def product_sum_property_check(n_ladder, n_replicas: int, master_seed: int,
                                k: int = 3, f: TestFunction | None = None,
                                workers: int = 1) -> ExperimentReport:
     """Pathwise sandwich exp(S - c_N S / 2) <= prod(1+X) <= exp(S) and
-    concentration of the ratio prod(1+X)/exp(S) at 1 along the ladder.
-
-    family: 'deterministic' uses X_n = 1/N; 'polymer' uses collision weights
-    of k walks at intermediate-disorder scale.
-    """
+    concentration of the ratio prod(1+X)/exp(S) at 1 along the ladder, for
+    the collision weights X of k walks at intermediate-disorder scale."""
     if f is None:
         f = gaussian_bump(0.5, 1.0)
     n_ladder = list(n_ladder)
     rows = []
     sandwich_ok = True
     q99s = []
+    c = math.sqrt(max(f.bound, 0.0))
     for ni, horizon in enumerate(n_ladder):
-        if family == "deterministic":
-            x = np.full(horizon, 1.0 / horizon)
-            s_vals = np.full(n_replicas, x.sum())
-            p_vals = np.full(n_replicas, np.prod(1.0 + x))
-            c_n = 1.0 / horizon
-        elif family == "polymer":
-            stats = collision_statistics(k, horizon, f, n_replicas,
-                                         master_seed + ni, workers)
-            s_vals = stats["t_sum"]
-            p_vals = stats["prod_x"]
-            c = math.sqrt(max(f.bound, 0.0))
-            c_n = (c + 1.0) ** k / math.sqrt(horizon)
-        else:
-            raise ValueError(f"unknown family {family!r}")
+        stats = collision_statistics(k, horizon, f, n_replicas, master_seed + ni, workers)
+        s_vals = stats["t_sum"]
+        p_vals = stats["prod_x"]
+        c_n = (c + 1.0) ** k / math.sqrt(horizon)
         lower = np.exp(s_vals * (1.0 - 0.5 * c_n))
         upper = np.exp(s_vals)
         ok = bool(np.all(p_vals <= upper * (1 + 1e-12)) and
@@ -459,7 +417,7 @@ def product_sum_property_check(family: str, n_ladder, n_replicas: int, master_se
         Verdict("ratio-concentrates", q99s[-1] < q99s[0] or q99s[-1] == 0.0,
                 f"q99 |prod/exp(S) - 1| along ladder: {['%.2e' % q for q in q99s]}"),
     ]
-    cfg = {"family": family, "n_ladder": n_ladder, "replicas": n_replicas, "k": k}
+    cfg = {"n_ladder": n_ladder, "replicas": n_replicas, "k": k}
     return ExperimentReport("product-sum", cfg, {"ladder": rows}, verdicts)
 
 
@@ -587,7 +545,6 @@ def chaos_experiment(gamma: float, time_cells: int, dx: float, cutoff: float,
     """Simulated chaos value at constant amplitude against the closed-form
     second-moment series, after one grid refinement."""
     from .chaos import WhiteNoiseGrid, estimate_Z_moments, second_moment_series
-    from .environment import ContinuumAmplitude
 
     amp = ContinuumAmplitude(
         lambda t, x: np.full(np.broadcast(t, x).shape, float(gamma)), abs(gamma))
@@ -662,11 +619,12 @@ def kernels_check(max_order: int, norm_samples: int, clt_ladder, clt_budget: int
                             {"norms": rows, "clt": clt_rows}, verdicts)
 
 
-def ustat_check(horizon: int, n_replicas: int, master_seed: int,
-                support_radius: float = 2.0) -> ExperimentReport:
+def ustat_check(horizon: int, n_replicas: int, master_seed: int) -> ExperimentReport:
     """Zero mean, variance bound, and cross-order uncorrelatedness of the
-    U-statistics at orders 1 and 2."""
+    U-statistics at orders 1 and 2, for integrands supported on |x| <= 2."""
     from .ustat import Integrand, UStatSpec, ustat_moment_suite
+
+    support_radius = 2.0
 
     def g1(ts, xs):
         return np.exp(-xs[:, 0] ** 2) * (np.abs(xs[:, 0]) <= support_radius)
@@ -682,7 +640,7 @@ def ustat_check(horizon: int, n_replicas: int, master_seed: int,
         UStatSpec(Integrand(g1, 1, support_radius, True), horizon, amp, field),
         UStatSpec(Integrand(g2, 2, support_radius, True), horizon, amp, field),
     ]
-    suite = ustat_moment_suite(specs, n_replicas, master_seed, return_values=True)
+    suite = ustat_moment_suite(specs, n_replicas, master_seed)
     mean_ok = all(abs(m) <= 4.0 * se for m, se in zip(suite.means, suite.mean_stderrs))
     # L2 bound with c = sup A = 1 and ||g||_2^2 over the touched window
     bounds = []

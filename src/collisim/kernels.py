@@ -75,37 +75,6 @@ def heat_kernel(t, x):
     return out
 
 
-def chain_density_discrete(times, sites) -> float:
-    """p_n(i, z): product of walk transitions along increments, zero
-    outside the integer simplex (strictly increasing times, i_1 >= 1)."""
-    times = np.asarray(times, dtype=np.int64)
-    sites = np.asarray(sites, dtype=np.int64)
-    if times.size == 0:
-        return 1.0
-    if times[0] < 1 or np.any(np.diff(times) <= 0):
-        return 0.0
-    di = np.diff(np.concatenate(([0], times)))
-    dz = np.diff(np.concatenate(([0], sites)))
-    logs = log_rw_transition(di, dz)
-    if np.any(np.isneginf(logs)):
-        return 0.0
-    return float(np.exp(logs.sum()))
-
-
-def chain_density_gaussian(times, xs) -> float:
-    """rho_n(t, x): product of heat kernels along increments, zero outside
-    the simplex."""
-    times = np.asarray(times, dtype=float)
-    xs = np.asarray(xs, dtype=float)
-    if times.size == 0:
-        return 1.0
-    if times[0] <= 0.0 or np.any(np.diff(times) <= 0.0):
-        return 0.0
-    dt = np.diff(np.concatenate(([0.0], times)))
-    dx = np.diff(np.concatenate(([0.0], xs)))
-    return float(np.prod(heat_kernel(dt, dx)))
-
-
 def chain_density_gaussian_batch(times: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """rho_n over (m, n) batches of chains; zero off the simplex."""
     times = np.atleast_2d(np.asarray(times, dtype=float))
@@ -116,14 +85,6 @@ def chain_density_gaussian_batch(times: np.ndarray, xs: np.ndarray) -> np.ndarra
     dt_safe = np.where(dt > 0.0, dt, 1.0)
     vals = np.exp(-dx * dx / (2.0 * dt_safe)) / np.sqrt(2.0 * math.pi * dt_safe)
     return np.where(ok, vals.prod(axis=1), 0.0)
-
-
-def discrete_kernel_pNn(times, xs, horizon: int) -> float:
-    """p^N_n(t, x) = 2^-n p_n([t,x]_N) 1{ceil(N t) in D^N_n}."""
-    out = discrete_kernel_pNn_batch(
-        np.asarray(times, dtype=float)[None, :], np.asarray(xs, dtype=float)[None, :], horizon
-    )
-    return float(out[0])
 
 
 def discrete_kernel_pNn_batch(times: np.ndarray, xs: np.ndarray, horizon: int) -> np.ndarray:
@@ -149,15 +110,6 @@ def discrete_kernel_pNn_batch(times: np.ndarray, xs: np.ndarray, horizon: int) -
     with np.errstate(over="ignore"):
         vals = np.exp(logs - n * _LOG2)
     return np.where(inside & ordered, vals, 0.0)
-
-
-def block_average(g, times, xs, horizon: int, nodes: int = 4) -> float:
-    """Average of g over the (coordinatewise) rectangle of R^N_n containing
-    the point, by tensor-product Gauss-Legendre quadrature."""
-    times = np.asarray(times, dtype=float)[None, :]
-    xs = np.asarray(xs, dtype=float)[None, :]
-    i, z = cells_of(times, xs, horizon)
-    return float(block_average_cells(g, i, z, horizon, nodes)[0])
 
 
 def block_average_cells(g, i: np.ndarray, z: np.ndarray, horizon: int, nodes: int = 4) -> np.ndarray:

@@ -4,13 +4,12 @@ One forward transfer recursion computes the partition function on the cells
 |z| <= B = floor(BAND_SIGMAS * sqrt(N)): O(N^{3/2}) cells, O(B) memory per
 replicate. The mass it drops averages to P(max_{n<=N} |S_n| > B) <=
 2 exp(-(B+1)^2 / (2N)), about 2e-14; for N <= 64 B = N and nothing is dropped.
-The chaos decomposition has two engines: the same recursion with an order
-axis (exact when the truncation order reaches N) and a test-oracle enumeration.
+The chaos decomposition runs the same recursion with an order axis (exact
+when the truncation order reaches N).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,19 +21,13 @@ from .environment import DisorderFunction, EnvironmentField
 from .rngs import splitmix64
 from .walks import WalkEnsemble
 
-ENUMERATION_CAP = 14
 BAND_SIGMAS = 8.0
-
-
-class TruncationOrderError(ValueError):
-    """Raised when a chaos comparison asks for more orders than computed."""
 
 
 @dataclass(frozen=True)
 class PartitionResult:
     value: float
     horizon: int
-    term_breakdown: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -141,22 +134,12 @@ def partition_samples(horizon: int, amplitude: DisorderFunction, n_replicas: int
     return _transfer(horizon, amplitude, np.ones(n_replicas), signs)
 
 
-def partition_dp(horizon: int, amplitude: DisorderFunction, field: EnvironmentField,
-                 with_terms: bool = False, max_order: int | None = None) -> PartitionResult:
+def partition_dp(horizon: int, amplitude: DisorderFunction,
+                 field: EnvironmentField) -> PartitionResult:
     """Conditional expectation E[prod_n (1 + A(n,S_n) omega(n,S_n)) | omega],
-    exact up to the band's dropped mass (none for N <= 64).
-
-    A term breakdown attached to the result must sum back to the value, so
-    it is only available untruncated; truncated series live in chaos_terms.
-    """
-    value = float(partition_many(horizon, amplitude, [field.seed])[0])
-    terms = None
-    if with_terms:
-        if max_order is not None and max_order < horizon:
-            raise TruncationOrderError(
-                f"breakdown needs all {horizon} orders, got max_order={max_order}")
-        terms = chaos_terms(horizon, 1.0, amplitude, field, max_order=max_order)
-    return PartitionResult(value, horizon, terms)
+    exact up to the band's dropped mass (none for N <= 64); its chaos terms
+    are chaos_terms(horizon, 1.0, amplitude, field)."""
+    return PartitionResult(float(partition_many(horizon, amplitude, [field.seed])[0]), horizon)
 
 
 def chaos_terms(horizon: int, beta: float, amplitude: DisorderFunction,
@@ -171,45 +154,6 @@ def chaos_terms(horizon: int, beta: float, amplitude: DisorderFunction,
     s0 = _stage_seeds([field.seed])[0]
     return _transfer(horizon, amplitude, np.r_[1.0, np.zeros(m)],
                      lambda n, z, cols: _hashed_signs(s0, n, z), beta=beta)
-
-
-def chaos_terms_enumerated(horizon: int, beta: float, amplitude: DisorderFunction,
-                           field: EnvironmentField) -> np.ndarray:
-    """Combinatorial oracle: term_n = beta^n sum over ordered time tuples and
-    site chains of p_n(i, z) A(i, z) omega(i, z). Exponential; capped."""
-    if horizon > ENUMERATION_CAP:
-        raise ValueError(f"enumeration capped at N={ENUMERATION_CAP}")
-    terms = np.zeros(horizon + 1)
-    terms[0] = 1.0
-    times = range(1, horizon + 1)
-    for n in range(1, horizon + 1):
-        total = 0.0
-        for tup in itertools.combinations(times, n):
-            total += _chain_weight_sum(tup, amplitude, field)
-        terms[n] = beta**n * total
-    return terms
-
-
-def _chain_weight_sum(tup, amplitude, field) -> float:
-    """sum over site chains of p_n * prod_j A(i_j, z_j) omega(i_j, z_j)."""
-    from .kernels import rw_transition
-
-    frontier = [(0, 1.0)]  # (site, weighted probability so far)
-    prev_t = 0
-    for t in tup:
-        dt = t - prev_t
-        new_frontier = {}
-        for site, wgt in frontier:
-            for dz in range(-dt, dt + 1, 2):
-                p = rw_transition(dt, dz)
-                if p == 0.0:
-                    continue
-                z = site + dz
-                factor = float(amplitude(t, z)) * field.omega_at(t, z)
-                new_frontier[z] = new_frontier.get(z, 0.0) + wgt * p * factor
-        frontier = list(new_frontier.items())
-        prev_t = t
-    return sum(w for _, w in frontier)
 
 
 def collision_weights(ensemble: WalkEnsemble, theta: DisorderFunction) -> CollisionWeights:
@@ -229,24 +173,3 @@ def collision_weights(ensemble: WalkEnsemble, theta: DisorderFunction) -> Collis
         factors = ((1.0 + th) ** m + (1.0 - th) ** m) / 2.0
         np.multiply.at(prod, with_mult.times - 1, factors)
     return CollisionWeights(prod - 1.0)
-
-
-def subset_expansion_weight(sites, thetas) -> float:
-    """Test oracle for one time step: X_{N,n} as the explicit sum over walk
-    subsets of size >= 2 whose sites are all covered an even number of times
-    (the surviving Rademacher expectations).
-
-    sites[i] is walk i's position, thetas[i] the amplitude at that cell.
-    """
-    sites = list(sites)
-    thetas = np.asarray(thetas, dtype=float)
-    k = len(sites)
-    total = 0.0
-    for l in range(2, k + 1):
-        for subset in itertools.combinations(range(k), l):
-            counts: dict = {}
-            for i in subset:
-                counts[sites[i]] = counts.get(sites[i], 0) + 1
-            if all(c % 2 == 0 for c in counts.values()):
-                total += float(np.prod(thetas[list(subset)]))
-    return total

@@ -47,7 +47,6 @@ class UStatSpec:
     horizon: int
     amplitude: DisorderFunction
     field: EnvironmentField
-    quad_nodes: int = 4
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,7 @@ def build_cell_table(spec: UStatSpec) -> CellTable:
         prefactor = 2.0 ** (n / 2.0)
     times = ci[tuples]
     sites = cz[tuples]
-    gbar = block_average_cells(g, times, sites, spec.horizon, spec.quad_nodes)
+    gbar = block_average_cells(g, times, sites, spec.horizon)
     amp = np.asarray(spec.amplitude(times, sites), dtype=float)
     weights = gbar * amp.prod(axis=1)
     return CellTable(times, sites, weights, prefactor, n)
@@ -161,11 +160,10 @@ class MomentSuite:
     variance_stderrs: np.ndarray
     cross: dict
     n_replicas: int
-    values: np.ndarray | None = None
+    values: np.ndarray  # (specs, replicas) sampled statistics
 
 
-def ustat_moment_suite(specs, n_replicas: int, master_seed: int,
-                       return_values: bool = False) -> MomentSuite:
+def ustat_moment_suite(specs, n_replicas: int, master_seed: int) -> MomentSuite:
     """Sample moments of several U-statistics over shared environment seeds.
 
     The block-average tables are seed-independent, so each replica costs one
@@ -194,5 +192,4 @@ def ustat_moment_suite(specs, n_replicas: int, master_seed: int,
         cov = float(np.cov(values[a], values[b], ddof=1)[0, 1])
         se = float(np.sqrt((values[a] ** 2 * values[b] ** 2).mean() / n_replicas))
         cross[(a, b)] = (cov, se)
-    return MomentSuite(means, mean_se, variances, var_se, cross, n_replicas,
-                       values if return_values else None)
+    return MomentSuite(means, mean_se, variances, var_se, cross, n_replicas, values)

@@ -14,10 +14,10 @@ import numpy as np
 from collisim import harness as H
 from collisim import kernels as K
 from collisim import polymer as P
-from collisim import walks as W
 from collisim.collisions import gaussian_bump
 from collisim.environment import DisorderFunction, EnvironmentField
 from collisim.rngs import substream
+import oracles
 
 BUMP = gaussian_bump(0.5, 1.0)
 
@@ -46,7 +46,7 @@ def test_criterion_01_partition_dp_oracle():
         field = EnvironmentField(int(rng.integers(0, 2**62)))
         amp = _rand_amplitude(rng)
         dp = P.partition_dp(horizon, amp, field).value
-        pos, prob = W.enumerate_paths(horizon)
+        pos, prob = oracles.enumerate_paths(horizon)
         weights = np.full(len(pos), prob)
         for n in range(1, horizon + 1):
             sites = pos[:, n]
@@ -66,7 +66,7 @@ def test_criterion_02_chaos_decomposition_identity():
         horizon = int(rng.integers(1, 9))
         field = EnvironmentField(int(rng.integers(0, 2**62)))
         amp = _rand_amplitude(rng)
-        unit_terms = P.chaos_terms_enumerated(horizon, 1.0, amp, field)
+        unit_terms = oracles.chaos_terms_enumerated(horizon, 1.0, amp, field)
         for beta in (0.3, 1.0):
             series = sum(beta**n * unit_terms[n] for n in range(horizon + 1))
             dp = P.partition_dp(horizon, P.scaled_disorder(amp, beta), field).value
@@ -114,9 +114,9 @@ def test_criterion_04_local_clt_ladder():
 
 def test_criterion_05_return_time_pmf():
     started = time.perf_counter()
-    pmf = W.return_time_pmf(10)
+    pmf = oracles.return_time_pmf(10)
     n_walks = 1_000_000
-    times = W.first_return_times(n_walks, 20, substream(1005, 0))
+    times = oracles.first_return_times(n_walks, 20, substream(1005, 0))
     ok = True
     worst = 0.0
     for k in range(1, 11):
@@ -135,9 +135,9 @@ def test_criterion_06_local_time_law():
     horizon = 512
     stats = H.collision_statistics(2, horizon, BUMP, 10_000, 1006)
     mass = stats["mass"]
-    local = H.local_time_counts(2 * horizon, 10_000, 1007, even_times_only=True)
+    local = H.local_time_counts(2 * horizon, 10_000, 1007)
     rng = substream(1008, 0)
-    res = H.ks_two_sample(H.jitter(mass, rng), H.jitter(local, rng))
+    res = H.ks_two_sample(oracles.jitter(mass, rng), oracles.jitter(local, rng))
     elapsed = time.perf_counter() - started
     _line("criterion-6 k=2 local-time law", res.pvalue > 0.01,
           f"KS D={res.statistic:.4f}, p={res.pvalue:.3f} > 0.01", elapsed, 120.0)
@@ -220,8 +220,7 @@ def test_criterion_12_measure_merging():
 
 def test_criterion_13_product_sum_sandwich():
     started = time.perf_counter()
-    rep = H.product_sum_property_check("polymer", [64, 256, 1024], 100_000, 1017,
-                                       k=3, f=BUMP)
+    rep = H.product_sum_property_check([64, 256, 1024], 100_000, 1017, k=3, f=BUMP)
     sandwich = [v for v in rep.verdicts if v.name == "pathwise-sandwich"][0]
     ratio = [v for v in rep.verdicts if v.name == "ratio-concentrates"][0]
     elapsed = time.perf_counter() - started

@@ -61,19 +61,18 @@ def test_grid_validation():
 
 
 def test_zero_amplitude_gives_one():
-    approx = C.simulate_Z(_const_amp(0.0), _grid(16), 4, 99)
-    assert approx.value == 1.0
+    terms = C.simulate_Z_batch(_const_amp(0.0), _grid(16), 4, 99, 1)
+    assert terms.sum() == 1.0
 
 
 def test_order_zero_gives_one():
-    approx = C.simulate_Z(_const_amp(0.7), _grid(16), 0, 99)
-    assert approx.value == 1.0
-    assert approx.per_order.tolist() == [1.0]
+    terms = C.simulate_Z_batch(_const_amp(0.7), _grid(16), 0, 99, 1)
+    assert terms.tolist() == [[1.0]]
 
 
 def test_resolution_guard():
     with pytest.raises(C.GridResolutionError):
-        C.simulate_Z(_const_amp(0.5), _grid(4), 6, 1)
+        C.simulate_Z_batch(_const_amp(0.5), _grid(4), 6, 1, 1)
 
 
 # 2T-1 and 2X-1 are not 5-smooth (13, 21 and 21, 37), so the padded
@@ -241,8 +240,8 @@ def test_estimate_Z_moments_second_moment_vs_series():
 
 
 def test_simulation_reproducible():
-    a = C.simulate_Z(_const_amp(0.5), _grid(16), 3, 12345, replica=4)
-    b = C.simulate_Z(_const_amp(0.5), _grid(16), 3, 12345, replica=4)
-    c = C.simulate_Z(_const_amp(0.5), _grid(16), 3, 12345, replica=5)
-    assert a.per_order.tolist() == b.per_order.tolist()
-    assert a.per_order.tolist() != c.per_order.tolist()
+    def replica(r):
+        return C.simulate_Z_batch(_const_amp(0.5), _grid(16), 3, 12345, 1, replica_offset=r)[0]
+
+    assert replica(4).tolist() == replica(4).tolist()
+    assert replica(4).tolist() != replica(5).tolist()

@@ -71,10 +71,23 @@ def test_bad_env_budget_named(tmp_path, capsys, budget):
     ("duality", {"harness": {"alpha": math.inf}}, "harness.alpha"),
     ("expmoment", {"harness": {"thresholds": 5}}, "harness.thresholds"),
     ("chaos", {"chaos": {"cutoff": 0.01}}, "chaos.cutoff"),
+    # the string "false" is truthy: only JSON booleans switch these
+    ("duality", {"harness": {"with_chaos_target": "false"}}, "harness.with_chaos_target"),
+    ("expmoment", {"run": {"raw": "false"}}, "run.raw"),
+    ("ustat-check", {"run": {"out": 5}}, "run.out"),
+    ("expmoment", {"run": {"out": ""}}, "run.out"),
+    ("expmoment", {"run": {"seed": -1}}, "run.seed"),
+    ("expmoment", {"run": {"seed": 2**64}}, "run.seed"),
+    ("expmoment", {"run": {"seed": True}}, "run.seed"),
 ])
 def test_bad_config_value_named(tmp_path, capsys, command, doc, field):
     cfg = write_cfg(tmp_path, doc)
-    code = run_cli([command, "--config", cfg, "--seed", "1", "--out", str(tmp_path / "o")])
+    # flags win over the file, so they are left out for the fields under test
+    run = doc.get("run", {})
+    argv = [command, "--config", cfg]
+    argv += [] if "seed" in run else ["--seed", "1"]
+    argv += [] if "out" in run else ["--out", str(tmp_path / "o")]
+    code = run_cli(argv)
     assert code == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
@@ -91,6 +104,15 @@ def test_coarse_chaos_grid_named(tmp_path, capsys):
     assert code == 2
     assert "chaos.time_cells" in capsys.readouterr().err
     assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", "0x10000000000000000"])
+def test_seed_flag_outside_u64_rejected(tmp_path, capsys, seed):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["expmoment", f"--seed={seed}", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_hex_seed_accepted(tmp_path):
@@ -139,18 +161,37 @@ def test_partition_one_step_formula(tmp_path):
     assert row["mean"]["mean"] >= 1 - a - 1e-9
 
 
+# every subcommand in well under a second; 2100 replicates span several
+# walk chunks (512 per chunk for k walks, 2048 for local times)
+TINY = {
+    "walks": {"n_ladder": [4, 16]},
+    "run": {"replicas": 2100, "env_replicas": 50},
+    "harness": {"max_order": 2, "norm_samples": 20_000, "clt_budget": 10_000},
+    "chaos": {"time_cells": 8, "replicas": 50},
+}
+
+
+def _tiny_report(tmp_path, command, name, *flags):
+    out = tmp_path / name
+    code = run_cli([command, "--config", write_cfg(tmp_path, TINY), "--seed", "77",
+                    "--out", str(out), *flags])
+    assert code in (0, 1), command
+    report = (out / "report.json").read_bytes()
+    assert report, command
+    return report
+
+
 def test_rerun_byte_identical_report(tmp_path):
-    outs = []
-    for name in ("a", "b"):
-        out = tmp_path / name
-        cfg = write_cfg(tmp_path, {
-            "walks": {"k": 3, "n_ladder": [8, 16]},
-            "run": {"replicas": 300, "env_replicas": 100},
-        })
-        code = run_cli(["convergence", "--config", cfg, "--seed", "77", "--out", str(out)])
-        assert code in (0, 1)
-        outs.append((out / "report.json").read_bytes())
-    assert outs[0] == outs[1]
+    for command in cli.COMMANDS:
+        first = _tiny_report(tmp_path, command, f"{command}-a")
+        assert _tiny_report(tmp_path, command, f"{command}-b") == first, command
+
+
+@pytest.mark.parametrize("command",
+                         ["collisions", "duality", "expmoment", "tightness", "convergence"])
+def test_report_independent_of_workers(tmp_path, command):
+    one = _tiny_report(tmp_path, command, "w1", "--workers", "1")
+    assert _tiny_report(tmp_path, command, "w2", "--workers", "2") == one
 
 
 def test_raw_csv_emitted(tmp_path):

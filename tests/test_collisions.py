@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from collisim import collisions as C
 from collisim import walks as W
 from collisim.rngs import substream
+import oracles
 
 
 def _ensemble(*position_lists):
@@ -48,7 +49,7 @@ def test_integrate_against_brute_force():
     rng = substream(13, 0)
     ens = W.sample_ensemble(3, 48, rng)
     with_mult, _ = C.detect_collisions(ens)
-    f = C.TestFunction(lambda t, x: np.exp(-np.asarray(x) ** 2), 1.0, True)
+    f = C.TestFunction(lambda t, x: np.exp(-np.asarray(x) ** 2), 1.0)
     got = C.integrate(with_mult, f)
     # independent recomputation straight from the raw paths
     pos = ens.position_matrix()
@@ -63,11 +64,11 @@ def test_integrate_against_brute_force():
 
 def test_total_mass_identity_hand_and_random():
     ens = _ensemble([0, 1, 0, 1], [0, -1, 0, 1])
-    assert C.total_mass_identity_check(ens) == (2.0, 2)
+    assert oracles.total_mass_identity_check(ens) == (2.0, 2)
     apart = _ensemble([0, 1, 2, 3], [0, -1, -2, -3])
-    assert C.total_mass_identity_check(apart) == (0.0, 0)
-    with pytest.raises(C.WrongEnsembleSize):
-        C.total_mass_identity_check(_ensemble([0, 1], [0, 1], [0, 1]))
+    assert oracles.total_mass_identity_check(apart) == (0.0, 0)
+    with pytest.raises(oracles.WrongEnsembleSize):
+        oracles.total_mass_identity_check(_ensemble([0, 1], [0, 1], [0, 1]))
 
 
 def test_total_mass_identity_many_replicates():
@@ -120,18 +121,6 @@ def test_mass_gap_decays_along_ladder():
             done += size
         means[horizon] = total / reps / math.sqrt(horizon)
     assert means[65536] < means[256] / 3.0, means
-
-
-def test_csv_round_trip():
-    ens = _ensemble([0, 1, 0, 1], [0, -1, 0, 1])
-    with_mult, _ = C.detect_collisions(ens)
-    text = with_mult.to_csv()
-    assert text.splitlines()[0] == "# horizon=3 k=2"
-    back = C.CollisionMeasure.from_csv(text)
-    assert back.horizon == 3 and back.k == 2
-    assert np.array_equal(back.times, with_mult.times)
-    assert np.array_equal(back.sites, with_mult.sites)
-    assert np.array_equal(back.weights, with_mult.weights)
 
 
 def test_measures_sorted_and_deduplicated():

@@ -10,11 +10,11 @@ from collisim.environment import (
     ContinuumAmplitude,
     DisorderFunction,
     EnvironmentField,
-    cell_of,
     cells_of,
     constant_disorder,
     disorder_from_function,
 )
+from oracles import cell_of
 
 
 def test_omega_deterministic_and_signed():

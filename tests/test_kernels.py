@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from collisim import kernels as K
+from collisim.environment import cells_of
 from collisim.rngs import substream
 
 
@@ -45,27 +46,12 @@ def test_heat_kernel_normalization():
     assert val == pytest.approx(1.0, abs=1e-8)
 
 
-def test_chain_density_discrete():
-    assert K.chain_density_discrete([1], [1]) == 0.5
-    assert K.chain_density_discrete([1, 2], [1, 0]) == 0.25
-    assert K.chain_density_discrete([2, 1], [0, 1]) == 0.0  # unordered times
-    # n=2, N=4: summing over all sites at fixed times (2, 4) gives 1
-    total = sum(
-        K.chain_density_discrete([2, 4], [z1, z2])
-        for z1 in range(-2, 3)
-        for z2 in range(-4, 5)
-    )
-    assert total == pytest.approx(1.0, abs=1e-14)
-
-
 def test_chain_density_gaussian():
-    assert K.chain_density_gaussian([1.0], [0.0]) == pytest.approx(
-        1 / math.sqrt(2 * math.pi), abs=1e-14)
-    assert K.chain_density_gaussian([0.7, 0.3], [0.0, 0.0]) == 0.0
-    t = [0.3, 0.8]
-    x = [0.5, -0.2]
+    rho = K.chain_density_gaussian_batch
+    assert rho([1.0], [0.0])[0] == pytest.approx(1 / math.sqrt(2 * math.pi), abs=1e-14)
+    assert rho([0.7, 0.3], [0.0, 0.0])[0] == 0.0
     manual = K.heat_kernel(0.3, 0.5) * K.heat_kernel(0.5, -0.7)
-    assert K.chain_density_gaussian(t, x) == pytest.approx(manual, rel=1e-14)
+    assert rho([0.3, 0.8], [0.5, -0.2])[0] == pytest.approx(manual, rel=1e-14)
 
 
 def test_discrete_kernel_zero_beyond_horizon():
@@ -75,7 +61,7 @@ def test_discrete_kernel_zero_beyond_horizon():
 
 
 def test_discrete_kernel_basic_value():
-    assert K.discrete_kernel_pNn([1.0], [0.5], 1) == pytest.approx(0.25, abs=1e-15)
+    assert K.discrete_kernel_pNn_batch([1.0], [0.5], 1)[0] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_discrete_kernel_piecewise_constant():
@@ -89,13 +75,19 @@ def test_discrete_kernel_piecewise_constant():
     assert vals[0] > 0
 
 
+def _block_average(g, times, xs, horizon, nodes=4):
+    """Average of g over the rectangle of R^N_n holding one point."""
+    i, z = cells_of([times], [xs], horizon)
+    return K.block_average_cells(g, i, z, horizon, nodes)[0]
+
+
 def test_block_average_constant_and_linear():
     const = lambda ts, xs: np.full(len(ts), 3.25)
-    assert K.block_average(const, [0.4], [0.1], 9) == pytest.approx(3.25, abs=1e-13)
+    assert _block_average(const, [0.4], [0.1], 9) == pytest.approx(3.25, abs=1e-13)
     linear = lambda ts, xs: xs[:, 0]
     # t = 0.4 -> i = 4 (even), so x = 2/3 sits in the cell of z = 2 whose
     # x-interval (1/3, 1] has midpoint 2/3
-    val = K.block_average(linear, [0.4], [2 / 3], 9)
+    val = _block_average(linear, [0.4], [2 / 3], 9)
     assert val == pytest.approx(2 / 3, abs=1e-13)
 
 
@@ -105,14 +97,14 @@ def test_block_average_quadratic_closed_form():
     # cell containing (1/N, 0) is (1, -1): x-interval (-2/sqrt7, 0]
     a, b = -2 / math.sqrt(horizon), 0.0
     exact = (b**3 - a**3) / (3 * (b - a))
-    val = K.block_average(quad_fn, [1 / horizon], [0.0], horizon, nodes=6)
+    val = _block_average(quad_fn, [1 / horizon], [0.0], horizon, nodes=6)
     assert val == pytest.approx(exact, rel=1e-12)
 
 
 def test_block_average_raises_on_nonfinite():
     bad = lambda ts, xs: np.full(len(ts), np.nan)
     with pytest.raises(K.QuadratureError):
-        K.block_average(bad, [0.5], [0.0], 4)
+        _block_average(bad, [0.5], [0.0], 4)
 
 
 def test_block_average_chunks_are_bit_identical(monkeypatch):

