@@ -225,19 +225,14 @@ def _chaos_target_summary(cfg, f):
     """E[Z_{sqrt(2f)}^k] from the grid simulator, as a summary the duality
     verdict can hold against its largest-horizon estimate."""
     from .chaos import WhiteNoiseGrid, estimate_Z_moments
-    from .environment import ContinuumAmplitude
 
     ch, k = cfg["chaos"], cfg["walks"]["k"]
-    amp = ContinuumAmplitude(
-        lambda t, x: np.sqrt(2.0 * np.asarray(f(t, x), dtype=float)),
-        math.sqrt(2.0 * max(f.bound, 0.0)))
     grid = WhiteNoiseGrid(int(ch["time_cells"]), float(ch["dx"]), float(ch["cutoff"]))
-    rep = estimate_Z_moments(amp, grid, int(ch["order"]), k, int(ch["replicas"]),
-                             cfg["run"]["seed"] + 99)
+    rep = estimate_Z_moments(harness.sqrt_amplitude(f, 2.0), grid, int(ch["order"]), k,
+                             int(ch["replicas"]), cfg["run"]["seed"] + 99)
+    mean, se = float(rep.moments[k - 1]), float(rep.stderrs[k - 1])
     return harness.MonteCarloSummary(
-        rep.n_replicas, float(rep.moments[k - 1]), float(rep.stderrs[k - 1]),
-        (float(rep.moments[k - 1] - 2.576 * rep.stderrs[k - 1]),
-         float(rep.moments[k - 1] + 2.576 * rep.stderrs[k - 1])))
+        rep.n_replicas, mean, se, (mean - harness._Z99 * se, mean + harness._Z99 * se))
 
 
 def dispatch(command: str, cfg: dict) -> harness.ExperimentReport:
@@ -251,7 +246,7 @@ def dispatch(command: str, cfg: dict) -> harness.ExperimentReport:
                                             run["replicas"], seed, f, workers)
     if command == "partition":
         return harness.partition_experiment(
-            walks["n_ladder"], walks["k"], f, run["env_replicas"], seed,
+            walks["n_ladder"], walks["k"], f, run["env_replicas"], seed, workers,
             plateau_sigma=thresholds["plateau_sigma"], env_budget=hz["env_budget"])
     if command == "chaos":
         return harness.chaos_experiment(

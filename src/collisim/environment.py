@@ -2,8 +2,8 @@
 
 The environment omega(n, z) is a deterministic counter-based hash of
 (seed, n, z): the lowest hash bit picks the sign, so +-1 are exactly
-balanced over the hash codomain and an O(N^2) partition-function sweep
-needs O(1) memory for disorder.
+balanced over the hash codomain. Every polymer sample hashes one such
+field on the transfer band only (O(N^{3/2}) signs) and stores none.
 """
 
 from __future__ import annotations

@@ -35,6 +35,8 @@ _TAG_WALKS = 1
 _TAG_ENV = 2
 _TAG_MC = 5
 
+_ENV_CHUNK = 256  # environments per partition_sweep chunk: a few MB of transfer state
+
 
 class NonFiniteSample(RuntimeError):
     """A replicate produced NaN or infinity."""
@@ -153,7 +155,8 @@ def collision_statistics(k: int, horizon: int, f: TestFunction, n_replicas: int,
     """Per-replicate collision functionals for k walks of the given horizon.
 
     Returns arrays: pi_f, pi_prime_f, mass, distinct_mass, t_sum, prod_x,
-    pi_scaled = pi_f/sqrt(N), exp_pi = exp(pi_scaled), max_abs (sup |S|/sqrt(N)).
+    pi_scaled = pi_f/sqrt(N), exp_pi = exp(pi_scaled), max_abs (sup |S|/sqrt(N)),
+    pair_hits (||Pi_N|| by definition, the (n, i<j) with S^i_n = S^j_n = mass).
     Each collision cell (occupancy m >= 2) is visited once: it carries
     weight binom(m, 2) in Pi_N, weight 1 in Pi'_N, and the site factor
     1 + sum_{j>=1} binom(m, 2j) theta^(2j) of 1 + X_n, with
@@ -179,9 +182,11 @@ def collision_statistics(k: int, horizon: int, f: TestFunction, n_replicas: int,
         # a cell is visited through its lowest-indexed (lead) walk; below[i]
         # marks the slots where a lower walk shares walk i's position
         below = np.zeros((k - 1, size * horizon), dtype=bool)
+        pair_hits = np.zeros(size, dtype=np.int64)
         slots, occ, sites = [], [], []
         for i in range(k - 1):
             above = pos[i + 1:] == pos[i]
+            pair_hits += above.reshape(k - 1 - i, size, horizon).sum(axis=(0, 2))
             # walk i leads a collision cell: a higher walk is there, no lower one
             s = np.flatnonzero(above.any(axis=0) > below[i])
             below[i + 1:] |= above[:k - 2 - i]
@@ -213,6 +218,7 @@ def collision_statistics(k: int, horizon: int, f: TestFunction, n_replicas: int,
             "pi_prime_f": np.bincount(ridx, fv, minlength=size),
             "max_abs": np.maximum(walks.max(axis=(0, 2)), -walks.min(axis=(0, 2))) / sqrt_n,
             "distinct_mass": np.bincount(ridx, minlength=size).astype(float),
+            "pair_hits": pair_hits,
         }
 
     parts = _map_chunks(run, _chunk_ranges(n_replicas, chunk), workers)
@@ -220,6 +226,21 @@ def collision_statistics(k: int, horizon: int, f: TestFunction, n_replicas: int,
     merged["pi_scaled"] = merged["pi_f"] / sqrt_n
     merged["exp_pi"] = np.exp(merged["pi_scaled"])
     return merged
+
+
+def partition_sweep(f: TestFunction, horizon: int, n_replicas: int, master_seed: int,
+                    workers: int = 1) -> np.ndarray:
+    """z_N at A_N(n, z) = N^(-1/4) sqrt(max(f(n/N, z/sqrt N), 0)) over n_replicas
+    hashed fields. Chunk idx draws its field seeds from the stream
+    (master_seed, _TAG_ENV, idx), so the values do not depend on the workers."""
+    amplitude = disorder_from_function(sqrt_amplitude(f), horizon)
+    amplitude = scaled_disorder(amplitude, horizon ** (-0.25))
+
+    def run(chunk_spec):
+        idx, start, size = chunk_spec
+        return partition_samples(horizon, amplitude, size, substream(master_seed, _TAG_ENV, idx))
+
+    return np.concatenate(_map_chunks(run, _chunk_ranges(n_replicas, _ENV_CHUNK), workers))
 
 
 def local_time_counts(horizon: int, n_replicas: int, master_seed: int,
@@ -265,10 +286,7 @@ def duality_experiment(k: int, f: TestFunction, n_ladder, n_walk_replicas: int,
         raw[f"exp_pi_N{horizon}"] = stats["exp_pi"]
         raw[f"prod_x_N{horizon}"] = stats["prod_x"]
         if n_env_replicas > 0:
-            amp = _sqrt_f_disorder(f, horizon)
-            env_rng = substream(master_seed + ni, _TAG_ENV)
-            z_vals = partition_samples(horizon, scaled_disorder(amp, horizon ** (-0.25)),
-                                       n_env_replicas, env_rng)
+            z_vals = partition_sweep(f, horizon, n_env_replicas, master_seed + ni, workers)
             c_sum = summarize(z_vals**k)
             row["z_to_k"] = _sum_dict(c_sum)
             row["band_tail_bound"] = band_tail_bound(horizon)
@@ -305,10 +323,10 @@ def duality_experiment(k: int, f: TestFunction, n_ladder, n_walk_replicas: int,
     return ExperimentReport("duality", cfg, {"ladder": rows}, verdicts, raw)
 
 
-def _sqrt_f_disorder(f: TestFunction, horizon: int) -> DisorderFunction:
-    """A_N(n, z) = sqrt(max(f(n/N, z/sqrt N), 0))."""
-    return disorder_from_function(ContinuumAmplitude(
-        lambda t, x: np.sqrt(np.maximum(f(t, x), 0.0)), math.sqrt(max(f.bound, 0.0))), horizon)
+def sqrt_amplitude(f: TestFunction, c: float = 1.0) -> ContinuumAmplitude:
+    """a(t, x) = sqrt(c max(f(t, x), 0)): a negative f gives no disorder."""
+    return ContinuumAmplitude(lambda t, x: np.sqrt(c * np.maximum(f(t, x), 0.0)),
+                              math.sqrt(c * max(f.bound, 0.0)))
 
 
 def _sum_dict(s: MonteCarloSummary) -> dict:
@@ -471,7 +489,7 @@ def convergence_study(k: int, f: TestFunction, n_ladder, n_replicas: int,
 
 
 def partition_experiment(n_ladder, k: int, f: TestFunction, n_env_replicas: int,
-                         master_seed: int, plateau_sigma: float = 3.0,
+                         master_seed: int, workers: int = 1, plateau_sigma: float = 3.0,
                          env_budget: int | None = None) -> ExperimentReport:
     """Mean-one, positivity, and k-th moment plateau of the partition
     function at intermediate-disorder scale with A_N = sqrt(f).
@@ -489,9 +507,7 @@ def partition_experiment(n_ladder, k: int, f: TestFunction, n_env_replicas: int,
         reps = n_env_replicas
         if env_budget is not None:
             reps = int(min(n_env_replicas, max(96, env_budget // horizon)))
-        amp = scaled_disorder(_sqrt_f_disorder(f, horizon), horizon ** (-0.25))
-        env_rng = substream(master_seed + ni, _TAG_ENV)
-        vals = partition_samples(horizon, amp, reps, env_rng)
+        vals = partition_sweep(f, horizon, reps, master_seed + ni, workers)
         raw[f"z_N{horizon}"] = vals
         s_mean = summarize(vals)
         s_k = summarize(vals**k)
@@ -519,9 +535,9 @@ def collision_experiment(k: int, horizon: int, n_replicas: int, master_seed: int
                          f: TestFunction | None = None, workers: int = 1) -> ExperimentReport:
     """Collision-measure invariants on the batched occupancy kernel: the
     multiplicity bounds Pi' <= Pi <= binom(k,2) Pi' on every replicate and,
-    for k = 2, the pathwise total-mass identity: each collision cell holds
-    both walks, so ||Pi|| counts the times with S^1_n = S^2_n, the zero
-    count of the difference walk, which is the distinct-cell count."""
+    for k = 2, the pathwise total-mass identity: ||Pi|| from the collision
+    cells equals the count of times with S^1_n = S^2_n (pair_hits), the
+    zero count of the difference walk."""
     if f is None:
         f = gaussian_bump(0.5, 1.0)
     stats = collision_statistics(k, horizon, f, n_replicas, master_seed, workers)
@@ -532,7 +548,7 @@ def collision_experiment(k: int, horizon: int, n_replicas: int, master_seed: int
                         "Pi' <= Pi <= binom(k,2) Pi' on every replicate")]
     if k == 2:
         verdicts.append(Verdict(
-            "mass-identity", bool(np.array_equal(stats["mass"], stats["distinct_mass"])),
+            "mass-identity", bool(np.array_equal(stats["mass"], stats["pair_hits"])),
             "||Pi|| equals the difference-walk zero count pathwise"))
     cfg = {"k": k, "N": horizon, "replicas": n_replicas}
     tables = {"mass": _sum_dict(summarize(stats["mass"]))}

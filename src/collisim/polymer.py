@@ -46,10 +46,6 @@ def scaled_disorder(amplitude: DisorderFunction, factor: float) -> DisorderFunct
     return DisorderFunction(lambda n, z: f * amplitude(n, z), abs(f) * amplitude.sup_bound)
 
 
-def _stage_seeds(seeds) -> np.ndarray:
-    return splitmix64(np.asarray(seeds, dtype=np.int64).astype(np.uint64))
-
-
 def band_halfwidth(horizon: int) -> int:
     """B = floor(BAND_SIGMAS * sqrt(N)), capped at N where the band covers the cone."""
     return int(min(horizon, BAND_SIGMAS * math.sqrt(horizon)))
@@ -62,7 +58,7 @@ def band_tail_bound(horizon: int) -> float:
     return 0.0 if band >= horizon else 2.0 * math.exp(-(band + 1) ** 2 / (2.0 * horizon))
 
 
-def _transfer(horizon: int, amplitude: DisorderFunction, start, signs,
+def _transfer(horizon: int, amplitude: DisorderFunction, start, seeds,
               beta: float | None = None) -> np.ndarray:
     """The forward transfer recursion behind every z_N engine; returns row sums.
 
@@ -71,13 +67,14 @@ def _transfer(horizon: int, amplitude: DisorderFunction, start, signs,
     columns 1..width of a double buffer. Column 0 is never written, nor is
     the one after the window: each buffer holds every other step, and its
     windows never narrow. So the next shift-add reads no stale weight.
-    ``signs(n, z, cols)`` gives omega = +-1.0 on the window (``cols``: its
-    slice of z = -n..n). Rows are environments with factors (1 + a omega)/2,
+    omega = +-1.0 is hashed on the window from the field seeds (one per row,
+    or one for all). Rows are environments with factors (1 + a omega)/2,
     or with ``beta`` chaos orders, each factor lifting beta a omega one up.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     band = band_halfwidth(horizon)
+    s0 = splitmix64(np.asarray(seeds, dtype=np.int64).astype(np.uint64))
     buf, nxt = np.zeros((2, len(start), band + 3))
     buf[:, 1] = start
     lo = 0
@@ -89,7 +86,7 @@ def _transfer(horizon: int, amplitude: DisorderFunction, start, signs,
         np.add(buf[:, moved:moved + width], buf[:, moved + 1:moved + width + 1], out=cur)
         z = 2 * (lo + np.arange(width, dtype=np.int64)) - n
         a = np.asarray(amplitude(np.full_like(z, n), z), dtype=float)
-        omega = signs(n, z, slice(lo, lo + width))
+        omega = _hashed_signs(s0, n, z)
         if beta is None:
             # 0.5 + (0.5 a) omega is 0.5 +- 0.5 a bit for bit
             omega *= 0.5 * a
@@ -114,24 +111,17 @@ def _hashed_signs(s0, n: int, z: np.ndarray) -> np.ndarray:
 def partition_many(horizon: int, amplitude: DisorderFunction, seeds) -> np.ndarray:
     """Partition function values for a batch of environment seeds, one row
     each in the transfer state; disorder signs are hashed on demand."""
-    s0 = np.atleast_1d(_stage_seeds(seeds))[:, None]
-    return _transfer(horizon, amplitude, np.ones(len(s0)),
-                     lambda n, z, cols: _hashed_signs(s0, n, z))
+    seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))[:, None]
+    return _transfer(horizon, amplitude, np.ones(len(seeds)), seeds)
 
 
 def partition_samples(horizon: int, amplitude: DisorderFunction, n_replicas: int,
                       rng: np.random.Generator) -> np.ndarray:
-    """Partition values over n_replicas fresh environments drawn from ``rng``;
-    distributionally identical to partition_many. Each step draws the full
-    row z = -n..n as bytes, so the stream does not depend on the band."""
-
-    def signs(n, z, cols):
-        omega = rng.integers(0, 2, size=(n_replicas, n + 1), dtype=np.int8)[:, cols].astype(float)
-        omega *= 2.0
-        omega -= 1.0
-        return omega
-
-    return _transfer(horizon, amplitude, np.ones(n_replicas), signs)
+    """Partition values over n_replicas environment fields whose seeds are
+    drawn from ``rng``: value r is partition_dp(horizon, amplitude,
+    EnvironmentField(seed_r)).value bit for bit."""
+    seeds = rng.integers(2**63, size=n_replicas, dtype=np.int64)
+    return partition_many(horizon, amplitude, seeds)
 
 
 def partition_dp(horizon: int, amplitude: DisorderFunction,
@@ -151,9 +141,7 @@ def chaos_terms(horizon: int, beta: float, amplitude: DisorderFunction,
     otherwise the orders above max_order are dropped (truncated engine).
     """
     m = horizon if max_order is None else min(max_order, horizon)
-    s0 = _stage_seeds([field.seed])[0]
-    return _transfer(horizon, amplitude, np.r_[1.0, np.zeros(m)],
-                     lambda n, z, cols: _hashed_signs(s0, n, z), beta=beta)
+    return _transfer(horizon, amplitude, np.r_[1.0, np.zeros(m)], field.seed, beta=beta)
 
 
 def collision_weights(ensemble: WalkEnsemble, theta: DisorderFunction) -> CollisionWeights:

@@ -2,8 +2,8 @@
 tolerance, with a printed pass/fail line each.
 
 Run `pytest -v tests/test_acceptance.py` (add -s to stream the lines live).
-The full module takes about 3 minutes on two cores (175 s, of which
-criterion 10 is 117 s, criterion 11 is 33 s and criterion 9 is 4-6 s).
+The full module takes about 2 minutes on two cores (124 s, of which
+criterion 10 is 62 s, criterion 11 is 36 s and criterion 9 is 5-6 s).
 """
 
 import math
@@ -15,7 +15,7 @@ from collisim import harness as H
 from collisim import kernels as K
 from collisim import polymer as P
 from collisim.collisions import gaussian_bump
-from collisim.environment import DisorderFunction, EnvironmentField
+from collisim.environment import DisorderFunction, EnvironmentField, disorder_from_function
 from collisim.rngs import substream
 import oracles
 
@@ -148,7 +148,7 @@ def test_criterion_07_exact_moment_bridge():
     ok = True
     details = []
     for horizon in (64, 256):
-        amp = H._sqrt_f_disorder(BUMP, horizon)
+        amp = disorder_from_function(H.sqrt_amplitude(BUMP), horizon)
         z_vals = P.partition_samples(horizon, P.scaled_disorder(amp, horizon**-0.25),
                                      10_000, substream(1010, horizon))
         for k in (2, 3):

@@ -162,10 +162,11 @@ def test_partition_one_step_formula(tmp_path):
 
 
 # every subcommand in well under a second; 2100 replicates span several
-# walk chunks (512 per chunk for k walks, 2048 for local times)
+# walk chunks (512 per chunk for k walks, 2048 for local times), and 600
+# environments span three environment chunks (256 per chunk)
 TINY = {
     "walks": {"n_ladder": [4, 16]},
-    "run": {"replicas": 2100, "env_replicas": 50},
+    "run": {"replicas": 2100, "env_replicas": 600},
     "harness": {"max_order": 2, "norm_samples": 20_000, "clt_budget": 10_000},
     "chaos": {"time_cells": 8, "replicas": 50},
 }
@@ -188,7 +189,8 @@ def test_rerun_byte_identical_report(tmp_path):
 
 
 @pytest.mark.parametrize("command",
-                         ["collisions", "duality", "expmoment", "tightness", "convergence"])
+                         ["collisions", "partition", "duality", "expmoment", "tightness",
+                          "convergence"])
 def test_report_independent_of_workers(tmp_path, command):
     one = _tiny_report(tmp_path, command, "w1", "--workers", "1")
     assert _tiny_report(tmp_path, command, "w2", "--workers", "2") == one
@@ -256,3 +258,20 @@ def test_duality_with_chaos_target(tmp_path):
     # the short two-rung ladder cannot halve the asymptotic gap, so the
     # overall exit status only needs to reflect the verdict list faithfully
     assert code == (0 if report["passed"] else 1)
+
+
+def test_chaos_target_negative_alpha_is_finite(tmp_path):
+    # a negative f carries no disorder: sqrt(2 max(f, 0)) = 0, so Z = 1
+    out = tmp_path / "neg"
+    cfg = write_cfg(tmp_path, {
+        "walks": {"k": 2, "n_ladder": [4, 16]},
+        "run": {"replicas": 200, "env_replicas": 50},
+        "harness": {"with_chaos_target": True, "alpha": -0.5},
+        "chaos": {"time_cells": 8, "replicas": 50},
+    })
+    run_cli(["duality", "--config", cfg, "--seed", "6", "--out", str(out)])
+    text = (out / "report.json").read_text()
+    assert "nan" not in text
+    detail = [v["detail"] for v in json.loads(text)["verdicts"]
+              if v["name"] == "chaos-target"][0]
+    assert "E[Z^k]=1.00000" in detail

@@ -7,6 +7,7 @@ from collisim import collisions as C
 from collisim import harness as H
 from collisim import polymer as P
 from collisim.collisions import constant_fn, gaussian_bump
+from collisim.environment import EnvironmentField, disorder_from_function
 from collisim.rngs import substream
 from collisim.walks import WalkEnsemble, WalkPath, positions_from_steps
 from oracles import jitter
@@ -54,10 +55,16 @@ def test_jitter_preserves_integer_order():
     assert np.all(np.floor(out) == vals)
 
 
+def _polymer_amplitude(f, horizon):
+    """A_N = N^(-1/4) sqrt(max(f, 0)), the amplitude of the duality's z_N."""
+    amp = disorder_from_function(H.sqrt_amplitude(f), horizon)
+    return P.scaled_disorder(amp, horizon ** (-0.25))
+
+
 def _measure_oracle(k, horizon, f, n_replicas, seed, chunk):
     """collision_statistics rebuilt replica by replica from the same chunked
     step stream, through the per-ensemble measures and collision weights."""
-    theta = P.scaled_disorder(H._sqrt_f_disorder(f, horizon), horizon ** (-0.25))
+    theta = _polymer_amplitude(f, horizon)
     ref = {key: np.empty(n_replicas) for key in
            ("pi_f", "pi_prime_f", "mass", "distinct_mass", "t_sum", "prod_x", "max_abs")}
     ranges = H._chunk_ranges(n_replicas, chunk)
@@ -90,6 +97,8 @@ def test_collision_statistics_match_measure_oracle():
         ref = _measure_oracle(k, horizon, f, n_replicas, seed, chunk)
         for key in ("mass", "distinct_mass", "max_abs"):
             assert np.array_equal(stats[key], ref[key]), (k, key)
+        # the pair count is ||Pi_N|| by definition, at every k
+        assert np.array_equal(stats["pair_hits"], ref["mass"]), k
         for key in ("pi_f", "pi_prime_f", "t_sum", "prod_x"):
             np.testing.assert_allclose(stats[key], ref[key], rtol=1e-12, atol=0,
                                        err_msg=f"k={k} {key}")
@@ -196,6 +205,30 @@ def test_convergence_study_k2_pi_equals_prime():
 def test_partition_experiment_small():
     rep = H.partition_experiment([16, 32, 64], 2, gaussian_bump(0.5, 1.0), 3000, 15)
     assert rep.passed, [v.detail for v in rep.verdicts if not v.passed]
+
+
+def test_partition_experiment_replicas_are_named_fields():
+    # replica chunk + 4 is replica 4 of chunk 1 on each rung's stream
+    # (seed + rung, _TAG_ENV, chunk); partition_dp recomputes it
+    f = gaussian_bump(0.5, 1.0)
+    ladder = [16, 128]
+    chunk = H._ENV_CHUNK
+    rep = H.partition_experiment(ladder, 2, f, chunk + 44, 15)
+    for ni, horizon in enumerate(ladder):
+        amp = _polymer_amplitude(f, horizon)
+        seeds = substream(15 + ni, H._TAG_ENV, 1).integers(0, 2**63, size=44, dtype=np.int64)
+        value = P.partition_dp(horizon, amp, EnvironmentField(int(seeds[4]))).value
+        assert np.float64(value).tobytes() == rep.raw[f"z_N{horizon}"][chunk + 4].tobytes()
+
+
+def test_partition_sweep_worker_invariance():
+    # three chunks, so two workers share them out
+    n = 2 * H._ENV_CHUNK + 10
+    f = gaussian_bump(0.5, 1.0)
+    one = H.partition_sweep(f, 16, n, 6, workers=1)
+    two = H.partition_sweep(f, 16, n, 6, workers=2)
+    assert len(one) == n
+    assert one.tobytes() == two.tobytes()
 
 
 def test_collision_experiment_identity():

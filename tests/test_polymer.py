@@ -96,13 +96,21 @@ def test_partition_with_terms_breakdown():
     assert terms.sum() == pytest.approx(P.partition_dp(6, amp, field).value, rel=1e-10)
 
 
-def test_partition_samples_distribution_matches_hashed():
-    from collisim.harness import ks_two_sample
-    amp = constant_disorder(0.2)
-    fast = P.partition_samples(32, amp, 4000, substream(3, 1))
-    hashed = P.partition_many(32, amp, child_seeds(4, 4000, 1))
-    res = ks_two_sample(fast, hashed)
-    assert res.pvalue > 0.001
+def _replayed_seeds(rng, n_replicas):
+    # the field seeds partition_samples draws from the same generator state
+    return rng.integers(0, 2**63, size=n_replicas, dtype=np.int64)
+
+
+def test_partition_samples_are_hashed_fields():
+    # every sample is the partition function of a named field, bit for bit
+    horizon = 1024
+    amp = P.scaled_disorder(_wavy_amplitude(1.0), horizon ** (-0.25))
+    got = P.partition_samples(horizon, amp, 40, substream(3, 1))
+    seeds = _replayed_seeds(substream(3, 1), 40)
+    assert got.tobytes() == P.partition_many(horizon, amp, seeds).tobytes()
+    for i in (0, 17, 39):
+        value = P.partition_dp(horizon, amp, EnvironmentField(int(seeds[i]))).value
+        assert np.float64(value).tobytes() == got[i].tobytes()
 
 
 def test_partition_mean_one_and_positive():
@@ -207,16 +215,13 @@ def test_narrow_band_matches_enumeration(monkeypatch):
         terms = P.chaos_terms(horizon, 1.0, amp, field)
         assert terms.sum() == pytest.approx(want, abs=1e-13)
 
-    # replay the generator's full-row draws to get each replica's signs
-    reps = 3
-    got = P.partition_samples(horizon, amp, reps, substream(12, 1))
-    replay = substream(12, 1)
-    flips = [None] + [replay.integers(0, 2, size=(reps, n + 1), dtype=np.int8)
-                      for n in range(1, horizon + 1)]
-    for r in range(reps):
-        def sign_at(n, sites, r=r):
-            return np.where(flips[n][r, (sites + n) // 2] == 1, 1.0, -1.0)
-        assert got[r] == pytest.approx(_weights_over(paths, prob, amp, sign_at), abs=1e-13)
+    # the sampler's rows are the fields of the seeds it draws
+    got = P.partition_samples(horizon, amp, 3, substream(12, 1))
+    replayed = _replayed_seeds(substream(12, 1), 3)
+    assert got.tobytes() == P.partition_many(horizon, amp, replayed).tobytes()
+    for seed, value in zip(replayed, got):
+        want = _weights_over(paths, prob, amp, EnvironmentField(int(seed)).omega_at)
+        assert value == pytest.approx(want, abs=1e-13)
 
     # with no disorder z_N is the probability of staying in the band, and
     # the dropped mass sits under the reported tail bound (B = 7 at N = 14)
