@@ -168,6 +168,10 @@ def validate(cfg: dict) -> dict:
         raise ConfigError(f"harness.env_budget: must be null or a positive integer, "
                           f"got {budget!r}")
     hz["max_order"] = _int_at_least(hz["max_order"], "harness.max_order", 1)
+    if hz["max_order"] > 99:
+        # kernels_check keys order n as (seed, 5, n) and CLT rung i as
+        # (seed, 5, 100 + i): order 100 would reuse rung 0's stream
+        raise ConfigError(f"harness.max_order: must be <= 99, got {hz['max_order']}")
     hz["norm_samples"] = _int_at_least(hz["norm_samples"], "harness.norm_samples", 2)
     hz["clt_budget"] = _int_at_least(hz["clt_budget"], "harness.clt_budget",
                                      CLT_MIN_BUDGET)

@@ -21,14 +21,15 @@ from .environment import (ContinuumAmplitude, DisorderFunction, EnvironmentField
                           disorder_from_function)
 from .polymer import band_tail_bound, partition_samples, scaled_disorder
 from .rngs import substream
-from .walks import positions_from_steps
-# No experiment calls sample_ensemble, detect_collisions, integrate or
-# collision_weights: they are imported only because perfbench/tracer.py wraps
-# these names here and Tracer.install fails if one is missing. For the same
-# reason collisim.polymer keeps integrate and collisim.walks keeps substream.
+from .walks import walk_positions
+# No experiment calls sample_ensemble, positions_from_steps, detect_collisions,
+# integrate or collision_weights: they are imported only because
+# perfbench/tracer.py wraps these names here and Tracer.install fails if one is
+# missing. For the same reason collisim.polymer keeps integrate and
+# collisim.walks keeps substream.
 from .collisions import detect_collisions, integrate  # noqa: F401
 from .polymer import collision_weights  # noqa: F401
-from .walks import sample_ensemble  # noqa: F401
+from .walks import positions_from_steps, sample_ensemble  # noqa: F401
 
 # purpose tags for seed derivation (keep stable across versions)
 _TAG_WALKS = 1
@@ -175,9 +176,8 @@ def collision_statistics(k: int, horizon: int, f: TestFunction, n_replicas: int,
     def run(chunk_spec):
         idx, start, size = chunk_spec
         rng = substream(master_seed, _TAG_WALKS, idx)
-        steps = rng.integers(0, 2, size=(size, k, horizon), dtype=np.int8) * 2 - 1
         # walk-major: pos[i, s] is walk i at slot s = replica * horizon + (time - 1)
-        walks = positions_from_steps(np.ascontiguousarray(steps.transpose(1, 0, 2)))
+        walks = np.ascontiguousarray(walk_positions(rng, (size, k), horizon).transpose(1, 0, 2))
         pos = walks.reshape(k, size * horizon)
         # a cell is visited through its lowest-indexed (lead) walk; below[i]
         # marks the slots where a lower walk shares walk i's position
@@ -249,9 +249,8 @@ def local_time_counts(horizon: int, n_replicas: int, master_seed: int,
 
     def run(chunk_spec):
         idx, start, size = chunk_spec
-        rng = substream(master_seed, _TAG_WALKS, idx)
-        steps = rng.integers(0, 2, size=(size, horizon), dtype=np.int8) * 2 - 1
-        return (positions_from_steps(steps) == 0).sum(axis=1).astype(float)
+        walks = walk_positions(substream(master_seed, _TAG_WALKS, idx), (size,), horizon)
+        return (walks == 0).sum(axis=1).astype(float)
 
     parts = _map_chunks(run, _chunk_ranges(n_replicas, chunk), workers)
     return np.concatenate(parts)

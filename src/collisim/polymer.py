@@ -22,6 +22,7 @@ from .rngs import splitmix64
 from .walks import WalkEnsemble
 
 BAND_SIGMAS = 8.0
+_ROW_BLOCK = 256  # environments per transfer pass in partition_many
 
 
 @dataclass(frozen=True)
@@ -110,9 +111,13 @@ def _hashed_signs(s0, n: int, z: np.ndarray) -> np.ndarray:
 
 def partition_many(horizon: int, amplitude: DisorderFunction, seeds) -> np.ndarray:
     """Partition function values for a batch of environment seeds, one row
-    each in the transfer state; disorder signs are hashed on demand."""
-    seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))[:, None]
-    return _transfer(horizon, amplitude, np.ones(len(seeds)), seeds)
+    each in the transfer state; disorder signs are hashed on demand. Rows
+    are independent, so running them in blocks of _ROW_BLOCK (which keeps the
+    per-step hash arrays in cache) gives the same values bit for bit."""
+    seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
+    blocks = np.split(seeds, range(_ROW_BLOCK, len(seeds), _ROW_BLOCK))
+    return np.concatenate([_transfer(horizon, amplitude, np.ones(len(b)), b[:, None])
+                           for b in blocks])
 
 
 def partition_samples(horizon: int, amplitude: DisorderFunction, n_replicas: int,

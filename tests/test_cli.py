@@ -65,6 +65,7 @@ def test_bad_env_budget_named(tmp_path, capsys, budget):
     ("tightness", {"walks": {"m_ladder": [2, "x"]}}, "walks.m_ladder"),
     ("kernels-check", {"harness": {"clt_budget": 5000}}, "harness.clt_budget"),
     ("kernels-check", {"harness": {"max_order": 0}}, "harness.max_order"),
+    ("kernels-check", {"harness": {"max_order": 100}}, "harness.max_order"),
     ("kernels-check", {"harness": {"norm_samples": 1}}, "harness.norm_samples"),
     ("chaos", {"chaos": {"replicas": 1}}, "chaos.replicas"),
     ("collisions", {"harness": {"sigma": math.nan}}, "harness.sigma"),

@@ -263,6 +263,19 @@ def test_partition_dp_is_a_partition_many_row():
         assert np.float64(value).tobytes() == batch[i].tobytes()
 
 
+def test_partition_many_blocks_are_bit_identical():
+    # rows are independent: 600 seeds run as blocks of 256, 256 and 88 give
+    # the bytes of one 600-row transfer pass and of three separate calls
+    horizon = 100
+    amp = P.scaled_disorder(_wavy_amplitude(1.0), horizon ** (-0.25))
+    seeds = child_seeds(11, 600, 0)
+    got = P.partition_many(horizon, amp, seeds)
+    one_pass = P._transfer(horizon, amp, np.ones(600), seeds[:, None])
+    assert got.tobytes() == one_pass.tobytes()
+    per_block = [P.partition_many(horizon, amp, seeds[lo:lo + 256]) for lo in (0, 256, 512)]
+    assert got.tobytes() == np.concatenate(per_block).tobytes()
+
+
 @pytest.mark.parametrize("horizon,k", [(4, 4), (3, 5)])
 def test_exact_bridge_by_enumeration(horizon, k):
     # E_env[z^k] = E_walks[prod_n (1 + X_n)] as an exact identity: both

@@ -44,6 +44,37 @@ def test_walk_invariants(horizon, seed):
     assert np.all((idx + path.positions) % 2 == 0)
 
 
+@pytest.mark.parametrize("lead", [(7,), (13, 3)])
+@pytest.mark.parametrize("horizon", [1, 5, 8, 17, 1024])
+def test_walk_positions_match_integer_steps(lead, horizon):
+    # the kernel reads the top bit of each raw byte; integers(0, 2, int8)
+    # draws the same bit, so the positions agree bit for bit (also where the
+    # step count is not a multiple of the 8 steps in a word)
+    got = W.walk_positions(substream(5, 1, horizon), lead, horizon)
+    steps = substream(5, 1, horizon).integers(0, 2, size=lead + (horizon,), dtype=np.int8)
+    want = W.positions_from_steps(steps * 2 - 1)
+    assert got.shape == want.shape
+    assert got.dtype == np.int16
+    assert np.array_equal(got, want)
+
+
+class _AllUpBits:
+    def random_raw(self, size):
+        return np.full(size, 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
+
+
+class _AllUpRng:
+    bit_generator = _AllUpBits()
+
+
+@pytest.mark.parametrize("horizon, dtype", [(32767, np.int16), (32768, np.int32)])
+def test_walk_positions_reach_the_horizon_without_wrapping(horizon, dtype):
+    # every raw bit set: every step is +1, so S_n = n up to the int16 limit
+    got = W.walk_positions(_AllUpRng(), (3,), horizon)
+    assert got.dtype == dtype
+    assert np.array_equal(got, np.broadcast_to(np.arange(1, horizon + 1), (3, horizon)))
+
+
 def test_enumerate_paths_small():
     pos, prob = oracles.enumerate_paths(1)
     assert prob == 0.5
