@@ -65,7 +65,6 @@ def test_bad_env_budget_named(tmp_path, capsys, budget):
     ("tightness", {"walks": {"m_ladder": [2, "x"]}}, "walks.m_ladder"),
     ("kernels-check", {"harness": {"clt_budget": 5000}}, "harness.clt_budget"),
     ("kernels-check", {"harness": {"max_order": 0}}, "harness.max_order"),
-    ("kernels-check", {"harness": {"max_order": 100}}, "harness.max_order"),
     ("kernels-check", {"harness": {"norm_samples": 1}}, "harness.norm_samples"),
     ("chaos", {"chaos": {"replicas": 1}}, "chaos.replicas"),
     ("collisions", {"harness": {"sigma": math.nan}}, "harness.sigma"),
@@ -80,6 +79,7 @@ def test_bad_env_budget_named(tmp_path, capsys, budget):
     ("expmoment", {"run": {"seed": -1}}, "run.seed"),
     ("expmoment", {"run": {"seed": 2**64}}, "run.seed"),
     ("expmoment", {"run": {"seed": True}}, "run.seed"),
+    ("kernels-check", {"harness": {"max_order": 100}}, "harness.max_order"),
 ])
 def test_bad_config_value_named(tmp_path, capsys, command, doc, field):
     cfg = write_cfg(tmp_path, doc)
