@@ -30,6 +30,8 @@ __all__ = [
     "estimate_Z_moments",
 ]
 
+_TAIL_TERMS = 400  # dropped orders summed by chaos_tail_bound
+
 
 class GridResolutionError(ValueError):
     """Raised when the time mesh cannot order the requested chain length."""
@@ -69,10 +71,11 @@ class WhiteNoiseGrid:
         return replace(self, time_cells=2 * self.time_cells, dx=self.dx / 2.0)
 
 
-def chaos_tail_bound(sup_amplitude: float, order: int, max_terms: int = 400) -> float:
+def chaos_tail_bound(sup_amplitude: float, order: int) -> float:
     """L2 bound on the dropped tail: sum_{n > order} s^(2n) ||rho_n||_2^2."""
     s2 = sup_amplitude * sup_amplitude
-    return float(sum(s2**n * rho_chain_norm_sq(n) for n in range(order + 1, order + 1 + max_terms)))
+    return float(sum(s2**n * rho_chain_norm_sq(n)
+                     for n in range(order + 1, order + 1 + _TAIL_TERMS)))
 
 
 def _fast_len(n: int) -> int:
@@ -115,15 +118,14 @@ def _propagate(v: np.ndarray, kernel_fft: np.ndarray) -> np.ndarray:
 
 
 def simulate_Z_batch(a: ContinuumAmplitude, grid: WhiteNoiseGrid, order: int,
-                     master_seed: int, n_replicas: int, kernel_fft: np.ndarray | None = None,
-                     replica_offset: int = 0) -> np.ndarray:
+                     master_seed: int, n_replicas: int, replica_offset: int = 0) -> np.ndarray:
     """(n_replicas, order+1) per-order chaos terms, term_0 = 1.
 
-    Replica r draws its cell Gaussians from substream(master_seed, r), so
-    batching is invisible to results. Each order after the first is one
-    FFT convolution (``_propagate``): O(TX log(TX)) per order and replica,
-    exact up to rounding. ``kernel_fft`` is ``_kernel_fft(grid)``, passed in
-    to share it across batches.
+    Replica r draws its cell Gaussians from
+    substream(master_seed, replica_offset + r), so batching is invisible to
+    results. Each order after the first is one FFT convolution
+    (``_propagate``): O(TX log(TX)) per order and replica, exact up to
+    rounding.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -139,7 +141,7 @@ def simulate_Z_batch(a: ContinuumAmplitude, grid: WhiteNoiseGrid, order: int,
     terms[:, 0] = 1.0
     if order == 0:
         return terms
-    kern = kernel_fft if kernel_fft is not None else _kernel_fft(grid)
+    kern = _kernel_fft(grid)
     sigma = math.sqrt(grid.dt * grid.dx)
     for r in range(n_replicas):
         rng = substream(master_seed, replica_offset + r)
@@ -184,8 +186,7 @@ class ZMomentReport:
 
 
 def estimate_Z_moments(a: ContinuumAmplitude, grid: WhiteNoiseGrid, order: int,
-                       k: int, n_replicas: int, master_seed: int,
-                       batch: int = 128) -> ZMomentReport:
+                       k: int, n_replicas: int, master_seed: int) -> ZMomentReport:
     """Monte-Carlo moments of the simulated chaos value on the given grid and
     one refinement; the refined estimates are the headline numbers and the
     coarse-vs-refined drift is the discretization diagnostic.
@@ -197,25 +198,15 @@ def estimate_Z_moments(a: ContinuumAmplitude, grid: WhiteNoiseGrid, order: int,
     signs = (-1.0) ** np.arange(order + 1)
     exponents = np.arange(1, k + 1)
     levels = []
-    z_fine = np.empty(n_replicas)
     for li, g in enumerate((grid, grid.refined())):
-        kern = _kernel_fft(g)
-        vals = np.empty((n_replicas, k))
-        done = 0
-        while done < n_replicas:
-            size = min(batch, n_replicas - done)
-            terms = simulate_Z_batch(a, g, order, master_seed, size,
-                                     kernel_fft=kern, replica_offset=li * n_replicas + done)
-            plus = terms.sum(axis=1)
-            minus = (terms * signs[None, :]).sum(axis=1)
-            vals[done : done + size] = (
-                plus[:, None] ** exponents[None, :] + minus[:, None] ** exponents[None, :]
-            ) / 2.0
-            if li == 1:
-                z_fine[done : done + size] = plus
-            done += size
-        levels.append((vals.mean(axis=0), vals.std(axis=0, ddof=1) / math.sqrt(n_replicas)))
-    (coarse_m, _), (fine_m, fine_se) = levels
+        terms = simulate_Z_batch(a, g, order, master_seed, n_replicas,
+                                 replica_offset=li * n_replicas)
+        plus = terms.sum(axis=1)
+        minus = (terms * signs[None, :]).sum(axis=1)
+        vals = (plus[:, None] ** exponents[None, :] + minus[:, None] ** exponents[None, :]) / 2.0
+        levels.append((vals.mean(axis=0), vals.std(axis=0, ddof=1) / math.sqrt(n_replicas),
+                       plus))
+    (coarse_m, _, _), (fine_m, fine_se, z_fine) = levels
     return ZMomentReport(
         moments=fine_m,
         stderrs=fine_se,

@@ -29,6 +29,7 @@ COMMANDS = (
     "collisions", "partition", "chaos", "duality", "expmoment",
     "tightness", "convergence", "kernels-check", "ustat-check",
 )
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # about 709.78: exp of more is inf
 
 DEFAULT_CONFIG = {
     "run": {
@@ -49,13 +50,6 @@ DEFAULT_CONFIG = {
         "sigma": 1.0,
         "beta": 1.0,
         "with_chaos_target": False,
-        "thresholds": {
-            "gap_factor": 2.0,
-            "plateau_sigma": 3.0,
-            "tail_prob": 0.01,
-            "norm_tol_rel": 0.01,
-            "moment_sigma": 3.0,
-        },
         "env_budget": 2_000_000,
         "norm_samples": 1_000_000,
         "clt_budget": 120_000,
@@ -160,8 +154,6 @@ def validate(cfg: dict) -> dict:
         raise ConfigError("harness.sigma: must be > 0")
     if hz["beta"] < 0:
         raise ConfigError("harness.beta: must be >= 0")
-    for field, value in hz["thresholds"].items():
-        hz["thresholds"][field] = _parse(float, value, f"harness.thresholds.{field}")
     budget = hz["env_budget"]
     if budget is not None and (isinstance(budget, bool) or not isinstance(budget, int)
                                or budget < 1):
@@ -194,6 +186,28 @@ def validate(cfg: dict) -> dict:
     return cfg
 
 
+def check_exponents(command: str, cfg: dict) -> None:
+    """Reject, before any sampling, a config whose samples can overflow exp
+    at the largest rung N. Each bound is pathwise."""
+    n = cfg["walks"]["n_ladder"][-1]
+    if command == "duality":
+        # f <= max(alpha, 0) and each time holds at most binom(k, 2) colliding
+        # pairs, so Pi_N(f)/sqrt N <= binom(k, 2) sqrt(N) max(alpha, 0). A cell of
+        # m walks has 1 + x = ((1+t)^m + (1-t)^m)/2 <= exp(binom(m, 2) t^2) with
+        # t^2 = max(f, 0)/sqrt N, so log prod(1+X) <= Pi_N(max(f, 0))/sqrt N obeys
+        # the same bound.
+        field, scale = "alpha", math.comb(cfg["walks"]["k"], 2) * math.sqrt(n)
+    elif command == "expmoment":
+        # a walk is at 0 only at even times: beta L_N/sqrt N <= beta (N // 2)/sqrt N
+        field, scale = "beta", (n // 2) / math.sqrt(n)
+    else:
+        return
+    value = cfg["harness"][field]
+    if scale * max(value, 0.0) > _LOG_FLOAT_MAX:
+        raise ConfigError(f"harness.{field}: exp can overflow at N={n}; need "
+                          f"{field} <= {_LOG_FLOAT_MAX / scale:.6g}, got {value!r}")
+
+
 def load_config(args: argparse.Namespace) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if args.config:
@@ -217,7 +231,9 @@ def load_config(args: argparse.Namespace) -> dict:
         cfg["run"]["workers"] = args.workers
     if args.raw:
         cfg["run"]["raw"] = True
-    return validate(cfg)
+    cfg = validate(cfg)
+    check_exponents(args.command, cfg)
+    return cfg
 
 
 def _test_function(cfg):
@@ -235,15 +251,12 @@ def _chaos_target_summary(cfg, f):
     rep = estimate_Z_moments(harness.sqrt_amplitude(f, 2.0), grid, int(ch["order"]), k,
                              int(ch["replicas"]), cfg["run"]["seed"] + 99)
     mean, se = float(rep.moments[k - 1]), float(rep.stderrs[k - 1])
-    return harness.MonteCarloSummary(
-        rep.n_replicas, mean, se, (mean - harness._Z99 * se, mean + harness._Z99 * se))
+    return harness.MonteCarloSummary(rep.n_replicas, mean, se)
 
 
 def dispatch(command: str, cfg: dict) -> harness.ExperimentReport:
     run, walks, hz, ch = cfg["run"], cfg["walks"], cfg["harness"], cfg["chaos"]
-    seed = run["seed"]
-    workers = run["workers"]
-    thresholds = hz["thresholds"]
+    seed, workers = run["seed"], run["workers"]
     f = _test_function(cfg)
     if command == "collisions":
         return harness.collision_experiment(walks["k"], walks["n_ladder"][-1],
@@ -251,34 +264,27 @@ def dispatch(command: str, cfg: dict) -> harness.ExperimentReport:
     if command == "partition":
         return harness.partition_experiment(
             walks["n_ladder"], walks["k"], f, run["env_replicas"], seed, workers,
-            plateau_sigma=thresholds["plateau_sigma"], env_budget=hz["env_budget"])
+            env_budget=hz["env_budget"])
     if command == "chaos":
-        return harness.chaos_experiment(
-            ch["gamma"], ch["time_cells"], ch["dx"], ch["cutoff"], ch["order"],
-            ch["replicas"], seed, moment_sigma=thresholds["moment_sigma"])
+        return harness.chaos_experiment(ch["gamma"], ch["time_cells"], ch["dx"],
+                                        ch["cutoff"], ch["order"], ch["replicas"], seed)
     if command == "duality":
-        chaos_target = None
-        if hz["with_chaos_target"]:
-            chaos_target = _chaos_target_summary(cfg, f)
+        chaos_target = _chaos_target_summary(cfg, f) if hz["with_chaos_target"] else None
         return harness.duality_experiment(
             walks["k"], f, walks["n_ladder"], run["replicas"], run["env_replicas"],
-            seed, workers, chaos_target=chaos_target,
-            gap_factor=thresholds["gap_factor"])
+            seed, workers, chaos_target=chaos_target)
     if command == "expmoment":
         return harness.exponential_moment_probe(
-            hz["beta"], walks["n_ladder"], run["replicas"], seed, workers,
-            plateau_sigma=thresholds["plateau_sigma"])
+            hz["beta"], walks["n_ladder"], run["replicas"], seed, workers)
     if command == "tightness":
-        return harness.tightness_probe(
-            walks["k"], walks["n_ladder"], walks["m_ladder"], run["replicas"],
-            seed, workers, tail_prob=thresholds["tail_prob"])
+        return harness.tightness_probe(walks["k"], walks["n_ladder"], walks["m_ladder"],
+                                       run["replicas"], seed, workers)
     if command == "convergence":
         return harness.convergence_study(
             walks["k"], f, walks["n_ladder"], run["replicas"], seed, workers)
     if command == "kernels-check":
         return harness.kernels_check(
-            hz["max_order"], hz["norm_samples"], walks["n_ladder"], hz["clt_budget"],
-            seed, norm_tol_rel=thresholds["norm_tol_rel"])
+            hz["max_order"], hz["norm_samples"], walks["n_ladder"], hz["clt_budget"], seed)
     if command == "ustat-check":
         return harness.ustat_check(walks["n_ladder"][0], max(run["replicas"], 1000), seed)
     raise ConfigError(f"command: unknown command {command!r}")

@@ -4,7 +4,7 @@ verification experiments.
 Every experiment is a pure function of (config, master seed): replicate r of
 purpose tag p draws from a stream derived from (seed, p, chunk), so reruns
 and worker counts cannot change results. Verdicts are computed from the
-statistics stored in the report tables; thresholds live in the config.
+statistics stored in the report tables, at the fixed tolerances below.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ _TAG_ENV = 2
 _TAG_MC = 5
 
 _ENV_CHUNK = 256  # environments per partition_sweep chunk: a few MB of transfer state
+_LOCAL_TIME_CHUNK = 2048  # walks per local_time_counts chunk; fixes the chunk streams
 
 
 class NonFiniteSample(RuntimeError):
@@ -48,13 +49,22 @@ class MonteCarloSummary:
     n: int
     mean: float
     stderr: float
-    ci99: tuple[float, float]
+
+    @property
+    def ci99(self) -> tuple[float, float]:
+        return (self.mean - _Z99 * self.stderr, self.mean + _Z99 * self.stderr)
 
     def overlaps(self, other: "MonteCarloSummary") -> bool:
         return self.ci99[0] <= other.ci99[1] and other.ci99[0] <= self.ci99[1]
 
 
 _Z99 = 2.576
+# verdict tolerances
+_GAP_FACTOR = 2.0      # duality: the |a-b| gap shrinks at least this much end to end
+_PLATEAU_SIGMA = 3.0   # expmoment, partition: final two rungs agree in combined stderr
+_TAIL_PROB = 0.01      # tightness: the largest-m tail probability stays below this
+_NORM_TOL_REL = 0.01   # kernels-check: relative error of the sampled chain norms
+_MOMENT_SIGMA = 3.0    # chaos: E[Z^2] against the series, in stderr
 
 
 def summarize(values) -> MonteCarloSummary:
@@ -64,7 +74,7 @@ def summarize(values) -> MonteCarloSummary:
     n = len(values)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return MonteCarloSummary(n, mean, stderr, (mean - _Z99 * stderr, mean + _Z99 * stderr))
+    return MonteCarloSummary(n, mean, stderr)
 
 
 @dataclass(frozen=True)
@@ -244,7 +254,7 @@ def partition_sweep(f: TestFunction, horizon: int, n_replicas: int, master_seed:
 
 
 def local_time_counts(horizon: int, n_replicas: int, master_seed: int,
-                      workers: int = 1, chunk: int = 2048) -> np.ndarray:
+                      workers: int = 1) -> np.ndarray:
     """Zero counts of single walks up to the horizon (integer-valued samples)."""
 
     def run(chunk_spec):
@@ -252,7 +262,7 @@ def local_time_counts(horizon: int, n_replicas: int, master_seed: int,
         walks = walk_positions(substream(master_seed, _TAG_WALKS, idx), (size,), horizon)
         return (walks == 0).sum(axis=1).astype(float)
 
-    parts = _map_chunks(run, _chunk_ranges(n_replicas, chunk), workers)
+    parts = _map_chunks(run, _chunk_ranges(n_replicas, _LOCAL_TIME_CHUNK), workers)
     return np.concatenate(parts)
 
 
@@ -262,8 +272,7 @@ def local_time_counts(horizon: int, n_replicas: int, master_seed: int,
 
 def duality_experiment(k: int, f: TestFunction, n_ladder, n_walk_replicas: int,
                        n_env_replicas: int, master_seed: int, workers: int = 1,
-                       chaos_target: MonteCarloSummary | None = None,
-                       gap_factor: float = 2.0) -> ExperimentReport:
+                       chaos_target: MonteCarloSummary | None = None) -> ExperimentReport:
     """Three estimates per ladder horizon: (a) E[exp(Pi_N(f)/sqrt N)] and
     (b) E[prod(1+X)] over walks, (c) E[z_N^k] over environments; the (b)=(c)
     bridge is an exact identity, the (a)-(b) gap shrinks along the ladder."""
@@ -302,9 +311,9 @@ def duality_experiment(k: int, f: TestFunction, n_ladder, n_walk_replicas: int,
         shrink = gaps[0] / gaps[-1] if gaps[-1] > 0 else math.inf
         verdicts.append(Verdict(
             "asymptotic-gap-shrinks",
-            shrink >= gap_factor,
+            shrink >= _GAP_FACTOR,
             f"|a-b| gaps {['%.5f' % g for g in gaps]}: end-to-end factor {shrink:.2f} "
-            f">= {gap_factor}",
+            f">= {_GAP_FACTOR}",
         ))
     if chaos_target is not None:
         a_last = rows[-1]["exp_pi"]
@@ -318,7 +327,7 @@ def duality_experiment(k: int, f: TestFunction, n_ladder, n_walk_replicas: int,
             f"(err {err:.5f} <= tol {tol:.5f})",
         ))
     cfg = {"k": k, "n_ladder": n_ladder, "walk_replicas": n_walk_replicas,
-           "env_replicas": n_env_replicas, "gap_factor": gap_factor}
+           "env_replicas": n_env_replicas, "gap_factor": _GAP_FACTOR}
     return ExperimentReport("duality", cfg, {"ladder": rows}, verdicts, raw)
 
 
@@ -334,9 +343,9 @@ def _sum_dict(s: MonteCarloSummary) -> dict:
 
 
 def exponential_moment_probe(beta: float, n_ladder, n_replicas: int, master_seed: int,
-                             workers: int = 1, plateau_sigma: float = 3.0) -> ExperimentReport:
+                             workers: int = 1) -> ExperimentReport:
     """E[exp(beta N^(-1/2) local time)] along the ladder; verdict: finite
-    everywhere and the final two rungs agree within plateau_sigma stderr."""
+    everywhere and the final two rungs agree within _PLATEAU_SIGMA stderr."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
     n_ladder = list(n_ladder)
@@ -351,7 +360,7 @@ def exponential_moment_probe(beta: float, n_ladder, n_replicas: int, master_seed
                         "every ladder estimate is finite")]
     if len(rows) >= 2:
         a, b = rows[-2], rows[-1]
-        tol = plateau_sigma * math.hypot(a["stderr"], b["stderr"])
+        tol = _PLATEAU_SIGMA * math.hypot(a["stderr"], b["stderr"])
         verdicts.append(Verdict(
             "plateau",
             abs(a["mean"] - b["mean"]) <= tol,
@@ -363,7 +372,7 @@ def exponential_moment_probe(beta: float, n_ladder, n_replicas: int, master_seed
 
 
 def tightness_probe(k: int, n_ladder, m_ladder, n_replicas: int, master_seed: int,
-                    workers: int = 1, tail_prob: float = 0.01) -> ExperimentReport:
+                    workers: int = 1) -> ExperimentReport:
     """Tail probabilities of the rescaled total mass and the rescaled sup of
     the walks, over an (N, m) grid."""
     n_ladder, m_ladder = list(n_ladder), list(m_ladder)
@@ -386,14 +395,14 @@ def tightness_probe(k: int, n_ladder, m_ladder, n_replicas: int, master_seed: in
                 bool(np.all(np.diff(sup_over_n_mass) <= 0)),
                 f"sup_N P(mass/sqrt N > m) over m={m_ladder}: {sup_over_n_mass.tolist()}"),
         Verdict("mass-tail-small",
-                bool(sup_over_n_mass[-1] < tail_prob),
-                f"largest m tail {sup_over_n_mass[-1]:.5f} < {tail_prob}"),
+                bool(sup_over_n_mass[-1] < _TAIL_PROB),
+                f"largest m tail {sup_over_n_mass[-1]:.5f} < {_TAIL_PROB}"),
         Verdict("support-tails-decrease",
                 bool(np.all(np.diff(sup_over_n_sup) <= 0)),
                 f"sup_N P(max|S|/sqrt N > m): {sup_over_n_sup.tolist()}"),
         Verdict("support-tail-small",
-                bool(sup_over_n_sup[-1] < tail_prob),
-                f"largest m tail {sup_over_n_sup[-1]:.5f} < {tail_prob}"),
+                bool(sup_over_n_sup[-1] < _TAIL_PROB),
+                f"largest m tail {sup_over_n_sup[-1]:.5f} < {_TAIL_PROB}"),
     ]
     cfg = {"k": k, "n_ladder": n_ladder, "m_ladder": m_ladder, "replicas": n_replicas}
     return ExperimentReport("tightness", cfg,
@@ -488,7 +497,7 @@ def convergence_study(k: int, f: TestFunction, n_ladder, n_replicas: int,
 
 
 def partition_experiment(n_ladder, k: int, f: TestFunction, n_env_replicas: int,
-                         master_seed: int, workers: int = 1, plateau_sigma: float = 3.0,
+                         master_seed: int, workers: int = 1,
                          env_budget: int | None = None) -> ExperimentReport:
     """Mean-one, positivity, and k-th moment plateau of the partition
     function at intermediate-disorder scale with A_N = sqrt(f).
@@ -520,7 +529,7 @@ def partition_experiment(n_ladder, k: int, f: TestFunction, n_env_replicas: int,
     ]
     if len(rows) >= 2:
         a, b = rows[-2]["moment_k"], rows[-1]["moment_k"]
-        tol = plateau_sigma * math.hypot(a["stderr"], b["stderr"])
+        tol = _PLATEAU_SIGMA * math.hypot(a["stderr"], b["stderr"])
         verdicts.append(Verdict(
             "moment-plateau",
             abs(a["mean"] - b["mean"]) <= tol,
@@ -555,8 +564,7 @@ def collision_experiment(k: int, horizon: int, n_replicas: int, master_seed: int
 
 
 def chaos_experiment(gamma: float, time_cells: int, dx: float, cutoff: float,
-                     order: int, n_replicas: int, master_seed: int,
-                     moment_sigma: float = 3.0) -> ExperimentReport:
+                     order: int, n_replicas: int, master_seed: int) -> ExperimentReport:
     """Simulated chaos value at constant amplitude against the closed-form
     second-moment series, after one grid refinement."""
     from .chaos import WhiteNoiseGrid, estimate_Z_moments, second_moment_series
@@ -572,7 +580,7 @@ def chaos_experiment(gamma: float, time_cells: int, dx: float, cutoff: float,
         Verdict("mean-one", abs(m1 - 1.0) <= 4.0 * se1,
                 f"E[Z]={m1:.4f}±{se1:.4f} within 4 stderr of 1"),
         Verdict("second-moment",
-                abs(m2 - target) <= moment_sigma * se2,
+                abs(m2 - target) <= _MOMENT_SIGMA * se2,
                 f"E[Z^2]={m2:.4f}±{se2:.4f} vs series {target:.4f} "
                 f"(drift diagnostic {rep.refinement_drift[1]:.4f})"),
     ]
@@ -591,7 +599,7 @@ def chaos_experiment(gamma: float, time_cells: int, dx: float, cutoff: float,
 
 
 def kernels_check(max_order: int, norm_samples: int, clt_ladder, clt_budget: int,
-                  master_seed: int, norm_tol_rel: float = 0.01) -> ExperimentReport:
+                  master_seed: int) -> ExperimentReport:
     """Closed-form chain norms against importance sampling, and the local
     CLT L2 distance ladder."""
     from .kernels import chain_norm_sq_mc, local_clt_l2_error, rho_chain_norm_sq
@@ -603,7 +611,7 @@ def kernels_check(max_order: int, norm_samples: int, clt_ladder, clt_budget: int
         est = chain_norm_sq_mc(n, norm_samples, rng)
         closed = rho_chain_norm_sq(n)
         rel = abs(est.value - closed) / closed
-        norm_ok &= rel <= norm_tol_rel
+        norm_ok &= rel <= _NORM_TOL_REL
         rows.append({"n": n, "closed_form": closed, "mc_estimate": est.value,
                      "stderr": est.stderr, "rel_err": rel})
     clt_ladder = list(clt_ladder)
@@ -622,7 +630,7 @@ def kernels_check(max_order: int, norm_samples: int, clt_ladder, clt_budget: int
         prev = (dist, dist_se)
     verdicts = [
         Verdict("norms-match", norm_ok,
-                f"IS norm estimates within {norm_tol_rel:.0%} of closed form "
+                f"IS norm estimates within {_NORM_TOL_REL:.0%} of closed form "
                 f"for n <= {max_order}"),
         Verdict("clt-ladder-decreases", ladder_ok,
                 "L2 distance strictly decreases beyond 2 combined stderr: "

@@ -26,6 +26,9 @@ POINT_BUDGET = 1_000_000
 #: fewest proposal nodes local_clt_l2_error accepts
 CLT_MIN_BUDGET = 10_000
 
+#: proposal draws per importance-sampling chunk; the chunking fixes the stream
+_IS_BATCH = 1 << 18
+
 
 class QuadratureError(ValueError):
     """Raised when an integrand evaluates non-finitely on a rectangle."""
@@ -218,26 +221,25 @@ def sample_chain_proposal(n: int, size: int, rng: np.random.Generator):
     return times, xs, log_qt + log_qx
 
 
-def _importance_mean(h_over_q: np.ndarray) -> ImportanceEstimate:
-    m = float(h_over_q.mean())
-    s = float(h_over_q.std(ddof=1) / math.sqrt(len(h_over_q)))
-    return ImportanceEstimate(m, s, len(h_over_q))
-
-
-def chain_norm_sq_mc(n: int, budget: int, rng: np.random.Generator, batch: int = 1 << 18) -> ImportanceEstimate:
-    """Importance-sampled ||rho_n||_2^2 (independent check of the closed form)."""
+def _importance_sample(n: int, budget: int, rng: np.random.Generator, h) -> ImportanceEstimate:
+    """Mean of h(t, x)^2 / q over budget proposal draws, in _IS_BATCH chunks."""
     chunks = []
-    done = 0
-    while done < budget:
-        size = min(batch, budget - done)
-        t, x, logq = sample_chain_proposal(n, size, rng)
-        rho = chain_density_gaussian_batch(t, x)
-        chunks.append(rho * rho * np.exp(-logq))
-        done += size
-    return _importance_mean(np.concatenate(chunks))
+    for done in range(0, budget, _IS_BATCH):
+        t, x, logq = sample_chain_proposal(n, min(_IS_BATCH, budget - done), rng)
+        values = h(t, x)
+        chunks.append(values * values * np.exp(-logq))
+    ratios = np.concatenate(chunks)
+    return ImportanceEstimate(float(ratios.mean()),
+                              float(ratios.std(ddof=1) / math.sqrt(len(ratios))), len(ratios))
 
 
-def local_clt_l2_error(n: int, horizon: int, budget: int, rng: np.random.Generator, batch: int = 1 << 18) -> ImportanceEstimate:
+def chain_norm_sq_mc(n: int, budget: int, rng: np.random.Generator) -> ImportanceEstimate:
+    """Importance-sampled ||rho_n||_2^2 (independent check of the closed form)."""
+    return _importance_sample(n, budget, rng, chain_density_gaussian_batch)
+
+
+def local_clt_l2_error(n: int, horizon: int, budget: int,
+                       rng: np.random.Generator) -> ImportanceEstimate:
     """Estimate of ||rho_n - N^(n/2) p^N_n||_2^2 with a standard error.
 
     Report is the squared distance; take sqrt for the L2 distance. The
@@ -245,15 +247,6 @@ def local_clt_l2_error(n: int, horizon: int, budget: int, rng: np.random.Generat
     """
     if budget < CLT_MIN_BUDGET:
         raise ValueError(f"budget must be >= {CLT_MIN_BUDGET} nodes")
-    chunks = []
-    done = 0
     scale = float(horizon) ** (n / 2.0)
-    while done < budget:
-        size = min(batch, budget - done)
-        t, x, logq = sample_chain_proposal(n, size, rng)
-        rho = chain_density_gaussian_batch(t, x)
-        pn = discrete_kernel_pNn_batch(t, x, horizon)
-        diff = rho - scale * pn
-        chunks.append(diff * diff * np.exp(-logq))
-        done += size
-    return _importance_mean(np.concatenate(chunks))
+    return _importance_sample(n, budget, rng, lambda t, x: (
+        chain_density_gaussian_batch(t, x) - scale * discrete_kernel_pNn_batch(t, x, horizon)))

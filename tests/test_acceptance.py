@@ -2,8 +2,8 @@
 tolerance, with a printed pass/fail line each.
 
 Run `pytest -v tests/test_acceptance.py` (add -s to stream the lines live).
-The full module takes about 2 minutes on two cores (124 s, of which
-criterion 10 is 62 s, criterion 11 is 36 s and criterion 9 is 5-6 s).
+The full module takes about 2 minutes on two cores (107 s, of which
+criterion 10 is 69 s, criterion 11 is 15 s and criterion 9 is 5 s).
 """
 
 import math
@@ -166,8 +166,7 @@ def test_criterion_07_exact_moment_bridge():
 
 def test_criterion_08_asymptotic_duality():
     started = time.perf_counter()
-    rep = H.duality_experiment(3, BUMP, [64, 256, 1024, 4096], 10_000, 0, 1012,
-                               gap_factor=2.0)
+    rep = H.duality_experiment(3, BUMP, [64, 256, 1024, 4096], 10_000, 0, 1012)
     gaps = [row["gap_ab"] for row in rep.tables["ladder"]]
     verdict = [v for v in rep.verdicts if v.name == "asymptotic-gap-shrinks"][0]
     elapsed = time.perf_counter() - started

@@ -80,6 +80,12 @@ def test_bad_env_budget_named(tmp_path, capsys, budget):
     ("expmoment", {"run": {"seed": 2**64}}, "run.seed"),
     ("expmoment", {"run": {"seed": True}}, "run.seed"),
     ("kernels-check", {"harness": {"max_order": 100}}, "harness.max_order"),
+    # verdict tolerances are fixed in collisim.harness, not configurable
+    ("partition", {"harness": {"thresholds": {"plateau_sigma": 100.0}}}, "harness.thresholds"),
+    # finite parameters whose exponentials overflow at the largest rung
+    ("duality", {"harness": {"alpha": 1e4}, "walks": {"k": 2, "n_ladder": [64, 256]}},
+     "harness.alpha"),
+    ("expmoment", {"harness": {"beta": 1000}, "walks": {"n_ladder": [64, 256]}}, "harness.beta"),
 ])
 def test_bad_config_value_named(tmp_path, capsys, command, doc, field):
     cfg = write_cfg(tmp_path, doc)
