@@ -29,7 +29,6 @@ COMMANDS = (
     "collisions", "partition", "chaos", "duality", "expmoment",
     "tightness", "convergence", "kernels-check", "ustat-check",
 )
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # about 709.78: exp of more is inf
 
 DEFAULT_CONFIG = {
     "run": {
@@ -187,9 +186,11 @@ def validate(cfg: dict) -> dict:
 
 
 def check_exponents(command: str, cfg: dict) -> None:
-    """Reject, before any sampling, a config whose samples can overflow exp
-    at the largest rung N. Each bound is pathwise."""
+    """Reject, before any sampling, a config whose R samples 0 < x <= exp(E) at
+    the largest rung N can overflow summarize: their squared deviations sum to at
+    most R exp(2 E), so E <= log(float max / R)/2. Each bound on E is pathwise."""
     n = cfg["walks"]["n_ladder"][-1]
+    limit = math.log(sys.float_info.max / cfg["run"]["replicas"]) / 2
     if command == "duality":
         # f <= max(alpha, 0) and each time holds at most binom(k, 2) colliding
         # pairs, so Pi_N(f)/sqrt N <= binom(k, 2) sqrt(N) max(alpha, 0). A cell of
@@ -203,9 +204,9 @@ def check_exponents(command: str, cfg: dict) -> None:
     else:
         return
     value = cfg["harness"][field]
-    if scale * max(value, 0.0) > _LOG_FLOAT_MAX:
+    if scale * max(value, 0.0) > limit:
         raise ConfigError(f"harness.{field}: exp can overflow at N={n}; need "
-                          f"{field} <= {_LOG_FLOAT_MAX / scale:.6g}, got {value!r}")
+                          f"{field} <= {limit / scale:.6g}, got {value!r}")
 
 
 def load_config(args: argparse.Namespace) -> dict:

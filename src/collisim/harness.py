@@ -65,15 +65,16 @@ _PLATEAU_SIGMA = 3.0   # expmoment, partition: final two rungs agree in combined
 _TAIL_PROB = 0.01      # tightness: the largest-m tail probability stays below this
 _NORM_TOL_REL = 0.01   # kernels-check: relative error of the sampled chain norms
 _MOMENT_SIGMA = 3.0    # chaos: E[Z^2] against the series, in stderr
+_MEAN_SIGMA = 4.0      # chaos, partition, ustat-check: a sampled mean against its exact value
 
 
 def summarize(values) -> MonteCarloSummary:
     values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteSample("non-finite replicate value")
     n = len(values)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    if not (math.isfinite(mean) and math.isfinite(stderr)):
+        raise NonFiniteSample("a replicate, or the sum or squares of the replicates, is not finite")
     return MonteCarloSummary(n, mean, stderr)
 
 
@@ -139,10 +140,8 @@ class ExperimentReport:
         }
 
     def lines(self) -> list[str]:
-        out = [f"== {self.name} =="]
-        for v in self.verdicts:
-            out.append(f"[{'PASS' if v.passed else 'FAIL'}] {v.name}: {v.detail}")
-        return out
+        return [f"== {self.name} =="] + [
+            f"[{'PASS' if v.passed else 'FAIL'}] {v.name}: {v.detail}" for v in self.verdicts]
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +519,7 @@ def partition_experiment(n_ladder, k: int, f: TestFunction, n_env_replicas: int,
         s_mean = summarize(vals)
         s_k = summarize(vals**k)
         all_positive = all_positive and bool(np.all(vals > 0.0))
-        mean_one = mean_one and abs(s_mean.mean - 1.0) <= 4.0 * s_mean.stderr
+        mean_one = mean_one and abs(s_mean.mean - 1.0) <= _MEAN_SIGMA * s_mean.stderr
         rows.append({"N": horizon, "replicas": reps, "mean": _sum_dict(s_mean),
                      "moment_k": _sum_dict(s_k), "band_tail_bound": band_tail_bound(horizon)})
     verdicts = [
@@ -577,7 +576,7 @@ def chaos_experiment(gamma: float, time_cells: int, dx: float, cutoff: float,
     m2, se2 = float(rep.moments[1]), float(rep.stderrs[1])
     m1, se1 = float(rep.moments[0]), float(rep.stderrs[0])
     verdicts = [
-        Verdict("mean-one", abs(m1 - 1.0) <= 4.0 * se1,
+        Verdict("mean-one", abs(m1 - 1.0) <= _MEAN_SIGMA * se1,
                 f"E[Z]={m1:.4f}±{se1:.4f} within 4 stderr of 1"),
         Verdict("second-moment",
                 abs(m2 - target) <= _MOMENT_SIGMA * se2,
@@ -664,7 +663,7 @@ def ustat_check(horizon: int, n_replicas: int, master_seed: int) -> ExperimentRe
         UStatSpec(Integrand(g2, 2, support_radius, True), horizon, amp, field),
     ]
     suite = ustat_moment_suite(specs, n_replicas, master_seed)
-    mean_ok = all(abs(m) <= 4.0 * se for m, se in zip(suite.means, suite.mean_stderrs))
+    mean_ok = all(abs(m) <= _MEAN_SIGMA * se for m, se in zip(suite.means, suite.mean_stderrs))
     # L2 bound with c = sup A = 1 and ||g||_2^2 over the touched window
     bounds = []
     for spec in specs:
@@ -673,7 +672,7 @@ def ustat_check(horizon: int, n_replicas: int, master_seed: int) -> ExperimentRe
         bounds.append(float(horizon ** (1.5 * n) * norm))
     var_ok = all(v <= b * 1.05 for v, b in zip(suite.variances, bounds))
     cov, cov_se = suite.cross[(0, 1)]
-    cross_ok = abs(cov) <= 4.0 * cov_se
+    cross_ok = abs(cov) <= _MEAN_SIGMA * cov_se
     verdicts = [
         Verdict("zero-mean", mean_ok,
                 f"means {suite.means.tolist()} within 4 stderr of 0"),

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -86,6 +87,10 @@ def test_bad_env_budget_named(tmp_path, capsys, budget):
     ("duality", {"harness": {"alpha": 1e4}, "walks": {"k": 2, "n_ladder": [64, 256]}},
      "harness.alpha"),
     ("expmoment", {"harness": {"beta": 1000}, "walks": {"n_ladder": [64, 256]}}, "harness.beta"),
+    # a config section set to a non-object
+    ("expmoment", {"walks": 5}, "walks: must be an object"),
+    # each sample is finite, but the squares in the stderr of 10,000 of them overflow
+    ("expmoment", {"harness": {"beta": 88}, "walks": {"n_ladder": [64, 256]}}, "harness.beta"),
 ])
 def test_bad_config_value_named(tmp_path, capsys, command, doc, field):
     cfg = write_cfg(tmp_path, doc)
@@ -103,6 +108,22 @@ def test_bad_config_value_named(tmp_path, capsys, command, doc, field):
 def test_null_env_budget_accepted():
     cfg = cli._merge(cli.DEFAULT_CONFIG, {"run": {"seed": 1}, "harness": {"env_budget": None}})
     assert cli.validate(cfg)["harness"]["env_budget"] is None
+
+
+@pytest.mark.parametrize("command, field, scale", [
+    ("expmoment", "beta", 128 / 16),  # (N // 2)/sqrt N at N = 256
+    ("duality", "alpha", 3 * 16),     # binom(3, 2) sqrt N at N = 256
+])
+def test_exponent_bound_edges(command, field, scale):
+    limit = (math.log(sys.float_info.max) - math.log(10_000)) / 2 / scale
+    for value, ok in ((limit * 0.999, True), (limit * 1.001, False)):
+        cfg = cli.validate(cli._merge(cli.DEFAULT_CONFIG, {
+            "run": {"seed": 1}, "walks": {"n_ladder": [64, 256]}, "harness": {field: value}}))
+        if ok:
+            cli.check_exponents(command, cfg)
+        else:
+            with pytest.raises(cli.ConfigError, match=f"harness.{field}"):
+                cli.check_exponents(command, cfg)
 
 
 def test_coarse_chaos_grid_named(tmp_path, capsys):

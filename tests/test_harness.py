@@ -24,6 +24,13 @@ def test_summarize_rejects_nonfinite():
         H.summarize([1.0, float("nan"), 2.0])
 
 
+@pytest.mark.parametrize("values", [[1e308, 1e308], [0.0, 1e200]])
+def test_summarize_rejects_overflowing_mean_or_stderr(values):
+    # finite samples whose sum (first) or squared deviations (second) overflow
+    with pytest.raises(H.NonFiniteSample):
+        H.summarize(values)
+
+
 def test_ks_identical_samples():
     xs = np.arange(100, dtype=float)
     res = H.ks_two_sample(xs, xs)
