@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .rngs import HASH_VERSION, mix3
+from .rngs import HASH_VERSION, cell_signs, splitmix64
 
 __all__ = [
     "EnvironmentField",
@@ -35,8 +35,8 @@ class EnvironmentField:
 
     def omega_at(self, n, z):
         """+-1 at cell (n, z); vectorized over array-valued n, z."""
-        h = mix3(self.seed, n, z)
-        sign = 1 - 2 * (h & np.uint64(1)).astype(np.int64)
+        s0 = splitmix64(np.asarray(self.seed, dtype=np.int64).astype(np.uint64))
+        sign = cell_signs(s0, n, z).astype(np.int64)
         if np.isscalar(n) and np.isscalar(z):
             return int(sign)
         return sign

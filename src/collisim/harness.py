@@ -19,6 +19,7 @@ from scipy.special import kolmogorov
 from .collisions import TestFunction, constant_fn, gaussian_bump
 from .environment import (ContinuumAmplitude, DisorderFunction, EnvironmentField,
                           disorder_from_function)
+from .kernels import gauss_legendre_grid
 from .polymer import band_tail_bound, partition_samples, scaled_disorder
 from .rngs import substream
 from .walks import walk_positions
@@ -38,6 +39,7 @@ _TAG_MC = 5
 
 _ENV_CHUNK = 256  # environments per partition_sweep chunk: a few MB of transfer state
 _LOCAL_TIME_CHUNK = 2048  # walks per local_time_counts chunk; fixes the chunk streams
+_WALK_CHUNK = 512  # replicas per collision_statistics chunk below the 32 MB cap
 
 
 class NonFiniteSample(RuntimeError):
@@ -161,7 +163,7 @@ def _map_chunks(fn, ranges, workers: int):
 
 
 def collision_statistics(k: int, horizon: int, f: TestFunction, n_replicas: int,
-                         master_seed: int, workers: int = 1, chunk: int = 512) -> dict:
+                         master_seed: int, workers: int = 1) -> dict:
     """Per-replicate collision functionals for k walks of the given horizon.
 
     Returns arrays: pi_f, pi_prime_f, mass, distinct_mass, t_sum, prod_x,
@@ -175,7 +177,7 @@ def collision_statistics(k: int, horizon: int, f: TestFunction, n_replicas: int,
     if k < 2:
         raise ValueError("k must be >= 2")
     # keep the per-chunk (replicas x horizon) work arrays around 32 MB
-    chunk = max(32, min(chunk, (1 << 22) // max(horizon, 1)))
+    chunk = max(32, min(_WALK_CHUNK, (1 << 22) // max(horizon, 1)))
     sqrt_n = math.sqrt(horizon)
     times = np.arange(1, horizon + 1, dtype=float) / horizon
     # even_binom[m, j-1] = binom(m, 2j), the coefficient of theta^(2j)
@@ -693,19 +695,7 @@ def _window_l2_norm_sq(spec) -> float:
     g = spec.integrand
     n = g.order
     r = g.support_radius
-    u, w = np.polynomial.legendre.leggauss(24)
-    t_nodes = 0.5 + 0.5 * u
-    t_w = 0.5 * w
-    x_nodes = r * u
-    x_w = r * w
-    grids = np.meshgrid(*([t_nodes] * n + [x_nodes] * n), indexing="ij")
-    pts = np.stack([grid.reshape(-1) for grid in grids], axis=1)
-    vals = np.asarray(g(pts[:, :n], pts[:, n:]), dtype=float) ** 2
-    weight = np.ones(len(pts))
-    wlists = [t_w] * n + [x_w] * n
-    for ax, wl in enumerate(wlists):
-        shape = [1] * (2 * n)
-        shape[ax] = len(wl)
-        weight = weight * np.broadcast_to(
-            wl.reshape(shape), [len(t_nodes)] * n + [len(x_nodes)] * n).reshape(-1)
-    return float((vals * weight).sum())
+    offs, weight = gauss_legendre_grid(24, 2 * n)
+    # the t axes map [-1, 1] onto [0, 1] (Jacobian 1/2), the x axes onto [-r, r]
+    vals = np.asarray(g(0.5 + 0.5 * offs[:, :n], r * offs[:, n:]), dtype=float) ** 2
+    return float((vals * (weight * (0.5 * r) ** n)).sum())

@@ -7,6 +7,7 @@ comb times a power of two is an exact dyadic float.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -115,6 +116,14 @@ def discrete_kernel_pNn_batch(times: np.ndarray, xs: np.ndarray, horizon: int) -
     return np.where(inside & ordered, vals, 0.0)
 
 
+def gauss_legendre_grid(nodes: int, dims: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor Gauss-Legendre rule on [-1, 1]^dims: the (nodes^dims, dims)
+    points and their product weights, multiplied axis by axis in order."""
+    u, w = np.polynomial.legendre.leggauss(nodes)
+    points = np.stack(np.meshgrid(*([u] * dims), indexing="ij"), axis=-1).reshape(-1, dims)
+    return points, functools.reduce(np.multiply.outer, [w] * dims).reshape(-1)
+
+
 def block_average_cells(g, i: np.ndarray, z: np.ndarray, horizon: int, nodes: int = 4) -> np.ndarray:
     """Block averages for a batch of m lattice cells (i, z), each an (m, n)
     array; vectorized g sweeps over row chunks of at most POINT_BUDGET
@@ -122,24 +131,17 @@ def block_average_cells(g, i: np.ndarray, z: np.ndarray, horizon: int, nodes: in
     i = np.atleast_2d(np.asarray(i, dtype=np.int64))
     z = np.atleast_2d(np.asarray(z, dtype=np.int64))
     m, n = i.shape
-    u, w = np.polynomial.legendre.leggauss(nodes)
-    half_w = w / 2.0
 
     t_mid = (i - 0.5) / horizon
     t_half = 0.5 / horizon
     x_mid = z / math.sqrt(horizon)
     x_half = 1.0 / math.sqrt(horizon)
 
-    # grid over the 2n quadrature dimensions
-    grids = np.meshgrid(*([u] * (2 * n)), indexing="ij")
-    weights = np.ones_like(grids[0])
-    for ax in range(2 * n):
-        shape = [1] * (2 * n)
-        shape[ax] = nodes
-        weights = weights * half_w.reshape(shape)
-    npts = nodes ** (2 * n)
-    offs = np.stack([grid.reshape(-1) for grid in grids], axis=1)  # (npts, 2n)
-    wflat = weights.reshape(-1)
+    # the rule over the 2n quadrature dimensions; halving each axis's
+    # weights (an average over the rectangle) is exact
+    offs, wflat = gauss_legendre_grid(nodes, 2 * n)
+    wflat = wflat * 0.5 ** (2 * n)
+    npts = len(wflat)
 
     out = np.empty(m)
     rows = max(1, POINT_BUDGET // npts)

@@ -18,7 +18,7 @@ import numpy as np
 # integrate is not called here; perfbench/tracer.py wraps the name (see harness.py)
 from .collisions import detect_collisions, integrate  # noqa: F401
 from .environment import DisorderFunction, EnvironmentField
-from .rngs import splitmix64
+from .rngs import cell_signs, splitmix64
 from .walks import WalkEnsemble
 
 BAND_SIGMAS = 8.0
@@ -87,7 +87,7 @@ def _transfer(horizon: int, amplitude: DisorderFunction, start, seeds,
         np.add(buf[:, moved:moved + width], buf[:, moved + 1:moved + width + 1], out=cur)
         z = 2 * (lo + np.arange(width, dtype=np.int64)) - n
         a = np.asarray(amplitude(np.full_like(z, n), z), dtype=float)
-        omega = _hashed_signs(s0, n, z)
+        omega = cell_signs(s0, n, z)
         if beta is None:
             # 0.5 + (0.5 a) omega is 0.5 +- 0.5 a bit for bit
             omega *= 0.5 * a
@@ -100,13 +100,6 @@ def _transfer(horizon: int, amplitude: DisorderFunction, start, seeds,
             cur[1:] += cur[:-1] * (beta * a * omega)
         buf, nxt = nxt, buf
     return buf[:, 1:width + 1].sum(axis=1)
-
-
-def _hashed_signs(s0, n: int, z: np.ndarray) -> np.ndarray:
-    """omega(n, z) = +-1.0 from the lowest cell-hash bit, for staged seed(s) s0."""
-    with np.errstate(over="ignore"):
-        h = splitmix64(splitmix64(s0 ^ np.uint64(n)) ^ z.astype(np.uint64))
-    return 1.0 - 2.0 * (h & np.uint64(1)).astype(np.float64)
 
 
 def partition_many(horizon: int, amplitude: DisorderFunction, seeds) -> np.ndarray:

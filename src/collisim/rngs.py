@@ -5,8 +5,9 @@ Two primitives shared by every stochastic module:
 * ``substream(master_seed, *key)`` derives an independent ``numpy`` generator
   from a master seed and an integer key path, so replica r always sees the
   same stream regardless of execution order or worker count.
-* ``splitmix64`` / ``mix3`` hash integer lattice coordinates to uint64, used
-  for the Rademacher environment (O(1) memory instead of materialized arrays).
+* ``cell_signs(s0, n, z)`` hashes lattice cells to the +-1 Rademacher
+  environment for staged seeds ``s0 = splitmix64(seed)`` (O(1) memory
+  instead of materialized arrays). It is the only place a field is hashed.
 
 The hash identity recorded in output manifests is ``HASH_VERSION``.
 """
@@ -33,18 +34,17 @@ def splitmix64(x):
     return x
 
 
-def mix3(seed, a, b):
-    """Hash the triple (seed, a, b) to uint64; a and b may be arrays.
+def cell_signs(s0, n, z) -> np.ndarray:
+    """omega(n, z) = +-1.0 from the lowest bit of the cell hash
+    splitmix64(splitmix64(s0 ^ n) ^ z), for staged seed(s) s0 = splitmix64(seed).
 
-    Signed inputs are folded through their two's-complement uint64 image, so
-    negative lattice sites are valid counters.
+    s0, n and z broadcast. Signed n and z are folded through their
+    two's-complement uint64 image, so negative lattice sites are valid counters.
     """
-    ua = np.asarray(a, dtype=np.int64).astype(np.uint64)
-    ub = np.asarray(b, dtype=np.int64).astype(np.uint64)
-    useed = np.uint64(np.int64(seed))
-    with np.errstate(over="ignore"):
-        h = splitmix64(splitmix64(splitmix64(useed) ^ ua) ^ ub)
-    return h
+    un = np.asarray(n, dtype=np.int64).astype(np.uint64)
+    uz = np.asarray(z, dtype=np.int64).astype(np.uint64)
+    h = splitmix64(splitmix64(s0 ^ un) ^ uz)
+    return 1.0 - 2.0 * (h & np.uint64(1)).astype(np.float64)
 
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:

@@ -19,9 +19,12 @@ import numpy as np
 
 from .environment import DisorderFunction, EnvironmentField
 from .kernels import block_average_cells
-from .rngs import child_seeds
+from .rngs import cell_signs, child_seeds, splitmix64
 
 CELL_BUDGET = 100_000_000
+
+#: environment fields per sign matrix in evaluate_table
+_SEED_BLOCK = 256
 
 
 class ComplexityGuardError(ValueError):
@@ -51,14 +54,22 @@ class UStatSpec:
 
 @dataclass(frozen=True)
 class CellTable:
-    """Seed-independent part of a U-statistic: tuple cells and their
-    block-average times amplitude weights."""
+    """Seed-independent part of a U-statistic: the window's cells once, the
+    kept tuples as indices into them, and one block-average times amplitude
+    weight per kept tuple."""
 
-    times: np.ndarray    # (m, n)
-    sites: np.ndarray    # (m, n)
-    weights: np.ndarray  # (m,) block-averaged g times prod A
-    prefactor: float     # 2^(n/2) times n! when reduced to ordered tuples
+    cell_times: np.ndarray  # (c,)
+    cell_sites: np.ndarray  # (c,)
+    tuples: np.ndarray      # (m, n) cell indices
+    weights: np.ndarray     # (m,) block-averaged g times prod A
+    prefactor: float        # 2^(n/2) times n! when reduced to ordered tuples
     order: int
+
+    def weight_tensor(self) -> np.ndarray:
+        """The weights on the dense (c,)*n grid of cell tuples, 0 off the kept ones."""
+        dense = np.zeros((len(self.cell_times),) * self.order)
+        dense[tuple(self.tuples.T)] = self.weights
+        return dense
 
 
 def _site_range(horizon: int, radius: float) -> int:
@@ -86,70 +97,50 @@ def build_cell_table(spec: UStatSpec) -> CellTable:
     if n_cells**n > CELL_BUDGET:
         raise ComplexityGuardError(
             f"{n_cells}^{n} tuple cells exceed the {CELL_BUDGET:.0e} budget")
-    if g.symmetric:
-        idx = np.arange(n_cells)
-        if n == 1:
-            tuples = idx[:, None]
-        else:
-            # ordered time tuples: distinct times in increasing order; the
-            # full distinct-tuple sum is n! times this (integrand symmetry)
-            grids = np.meshgrid(*([idx] * n), indexing="ij")
-            flat = np.stack([grid.reshape(-1) for grid in grids], axis=1)
-            t_cols = ci[flat]
-            keep = np.all(np.diff(t_cols, axis=1) > 0, axis=1)
-            tuples = flat[keep]
-        prefactor = 2.0 ** (n / 2.0) * math.factorial(n)
-    else:
-        grids = np.meshgrid(*([np.arange(n_cells)] * n), indexing="ij")
-        flat = np.stack([grid.reshape(-1) for grid in grids], axis=1)
-        t_cols = ci[flat]
-        if n == 1:
-            keep = np.ones(len(flat), dtype=bool)
-        else:
-            keep = np.ones(len(flat), dtype=bool)
-            for a, b in itertools.combinations(range(n), 2):
-                keep &= t_cols[:, a] != t_cols[:, b]
-        tuples = flat[keep]
-        prefactor = 2.0 ** (n / 2.0)
-    times = ci[tuples]
-    sites = cz[tuples]
+    flat = np.indices((n_cells,) * n).reshape(n, -1).T
+    # tuples of distinct times; a symmetric integrand keeps the increasing
+    # ones only, and the full distinct-tuple sum is n! times theirs
+    t_cols = ci[flat] if g.symmetric else np.sort(ci[flat], axis=1)
+    tuples = flat[np.all(np.diff(t_cols, axis=1) > 0, axis=1)]
+    prefactor = 2.0 ** (n / 2.0) * (math.factorial(n) if g.symmetric else 1)
+    times, sites = ci[tuples], cz[tuples]
     gbar = block_average_cells(g, times, sites, spec.horizon)
     amp = np.asarray(spec.amplitude(times, sites), dtype=float)
-    weights = gbar * amp.prod(axis=1)
-    return CellTable(times, sites, weights, prefactor, n)
+    return CellTable(ci, cz, tuples, gbar * amp.prod(axis=1), prefactor, n)
 
 
-def evaluate_table(table: CellTable, field: EnvironmentField) -> float:
-    signs = field.omega_at(table.times, table.sites)
-    prod = np.asarray(signs, dtype=float).prod(axis=1)
-    return float(table.prefactor * (table.weights * prod).sum())
+def evaluate_table(table: CellTable, seeds) -> np.ndarray:
+    """S^N_n(g) for each environment seed. Each cell is hashed once per field,
+    and the (fields, cells) sign matrix is contracted with the weight tensor
+    one tuple slot at a time, _SEED_BLOCK fields per pass."""
+    seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
+    n_cells = len(table.cell_times)
+    dense = table.weight_tensor().reshape(n_cells, -1)
+    out = np.empty(len(seeds))
+    for b0 in range(0, len(seeds), _SEED_BLOCK):
+        s0 = splitmix64(seeds[b0:b0 + _SEED_BLOCK, None].astype(np.uint64))
+        signs = cell_signs(s0, table.cell_times, table.cell_sites)
+        acc = signs @ dense
+        for _ in range(table.order - 1):
+            acc = np.einsum("fc,fck->fk", signs, acc.reshape(len(signs), n_cells, -1))
+        out[b0:b0 + len(signs)] = table.prefactor * acc[:, 0]
+    return out
 
 
 def u_statistic(spec: UStatSpec) -> float:
     """Exact order-n statistic for the given integrand, amplitude, and
     environment field."""
-    return evaluate_table(build_cell_table(spec), spec.field)
+    return float(evaluate_table(build_cell_table(spec), spec.field.seed)[0])
 
 
 def exact_second_moment(spec: UStatSpec) -> float:
     """E over environments of S^N_n(g)^2, by the surviving sign pairings:
     tuples whose cell sets coincide, i.e. permutations of one another."""
-    g = spec.integrand
-    n = g.order
     table = build_cell_table(spec)
-    if g.symmetric:
-        # E[S^2] = 2^n n!^2 sum over ordered tuples of w^2
-        return float(2.0**n * math.factorial(n) ** 2 * (table.weights**2).sum())
-    lookup = {}
-    for row, (ts, zs) in enumerate(zip(table.times, table.sites)):
-        lookup[tuple(zip(ts.tolist(), zs.tolist()))] = row
-    total = 0.0
-    for row, (ts, zs) in enumerate(zip(table.times, table.sites)):
-        cells = list(zip(ts.tolist(), zs.tolist()))
-        for perm in itertools.permutations(range(n)):
-            other = lookup[tuple(cells[p] for p in perm)]
-            total += table.weights[row] * table.weights[other]
-    return float(2.0**n * total)
+    dense = table.weight_tensor()
+    pairings = sum(float(np.vdot(dense, dense.transpose(perm)))
+                   for perm in itertools.permutations(range(table.order)))
+    return table.prefactor**2 * pairings
 
 
 @dataclass(frozen=True)
@@ -166,20 +157,16 @@ class MomentSuite:
 def ustat_moment_suite(specs, n_replicas: int, master_seed: int) -> MomentSuite:
     """Sample moments of several U-statistics over shared environment seeds.
 
-    The block-average tables are seed-independent, so each replica costs one
-    sign sweep per spec. Cross entries hold sample covariances between
-    distinct specs (uncorrelated across orders in the limit law).
+    The block-average tables are seed-independent, so each spec costs one
+    table and one sign contraction over all replica seeds. Cross entries hold
+    sample covariances between distinct specs (uncorrelated across orders in
+    the limit law).
     """
     if n_replicas < 1000:
         raise ValueError("moment suite needs at least 1e3 replicas")
     specs = list(specs)
-    tables = [build_cell_table(s) for s in specs]
     seeds = child_seeds(master_seed, n_replicas, 71)
-    values = np.empty((len(specs), n_replicas))
-    for r, seed in enumerate(seeds):
-        fld = EnvironmentField(int(seed))
-        for si, table in enumerate(tables):
-            values[si, r] = evaluate_table(table, fld)
+    values = np.array([evaluate_table(build_cell_table(s), seeds) for s in specs])
     means = values.mean(axis=1)
     mean_se = values.std(axis=1, ddof=1) / math.sqrt(n_replicas)
     variances = values.var(axis=1, ddof=1)

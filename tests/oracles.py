@@ -170,3 +170,21 @@ def jitter(values, rng: np.random.Generator) -> np.ndarray:
     distribution-equality-preserving under the null."""
     values = np.asarray(values, dtype=float)
     return values + rng.uniform(0.0, 1.0, size=values.shape)
+
+
+def second_moment_by_pairings(table) -> float:
+    """E[S^2] of an asymmetric-kind U-statistic table, pairing each kept
+    tuple with every permutation of its cells by a dict lookup: the sign
+    products of two tuples have mean 1 exactly when their cell sets coincide."""
+    times = table.cell_times[table.tuples]
+    sites = table.cell_sites[table.tuples]
+    lookup = {}
+    for row, (ts, zs) in enumerate(zip(times, sites)):
+        lookup[tuple(zip(ts.tolist(), zs.tolist()))] = row
+    total = 0.0
+    for row, (ts, zs) in enumerate(zip(times, sites)):
+        cells = list(zip(ts.tolist(), zs.tolist()))
+        for perm in itertools.permutations(range(table.order)):
+            other = lookup[tuple(cells[p] for p in perm)]
+            total += table.weights[row] * table.weights[other]
+    return float(2.0**table.order * total)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
 from collisim.environment import (
+    HASH_VERSION,
     ContinuumAmplitude,
     DisorderFunction,
     EnvironmentField,
@@ -14,6 +15,7 @@ from collisim.environment import (
     constant_disorder,
     disorder_from_function,
 )
+from collisim.polymer import partition_dp
 from oracles import cell_of
 
 
@@ -25,6 +27,23 @@ def test_omega_deterministic_and_signed():
     other = EnvironmentField(12346)
     grid_n, grid_z = np.meshgrid(np.arange(1, 200), np.arange(-50, 50), indexing="ij")
     assert np.any(field.omega_at(grid_n, grid_z) != other.omega_at(grid_n, grid_z))
+
+
+def test_field_golden_values():
+    # recorded under splitmix64/v1: a change to any value below changes the
+    # field every report was computed on, and must come with a new HASH_VERSION
+    assert HASH_VERSION == "splitmix64/v1"
+    cases = [(1, 1, 1, 1), (1, 2, -2, -1), (12345, 7, -5, -1), (12345, 64, 40, 1),
+             (98765, 1, -1, 1), (271828, 1000, -1000, -1),
+             (2**63 - 1, 3, -1, -1), (2**63 - 1, 100, -99, 1)]
+    for seed, n, z, sign in cases:
+        assert EnvironmentField(seed).omega_at(n, z) == sign, (seed, n, z)
+    n = np.arange(1, 17)
+    z = np.where(n % 2 == 1, -n, n)
+    assert EnvironmentField(2**63 - 1).omega_at(n, z).tolist() == [
+        1, 1, -1, 1, 1, -1, -1, 1, 1, 1, 1, -1, 1, 1, 1, -1]
+    value = partition_dp(16, constant_disorder(0.3), EnvironmentField(2**63 - 1)).value
+    assert value == pytest.approx(1.3585038560017524, rel=1e-13)
 
 
 def test_omega_empirical_mean_bound():

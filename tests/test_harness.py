@@ -96,11 +96,12 @@ def _measure_oracle(k, horizon, f, n_replicas, seed, chunk):
     return ref
 
 
-def test_collision_statistics_match_measure_oracle():
+def test_collision_statistics_match_measure_oracle(monkeypatch):
     horizon, n_replicas, chunk, seed = 32, 150, 64, 99
+    monkeypatch.setattr(H, "_WALK_CHUNK", chunk)
     f = C.TestFunction(lambda t, x: (0.3 + 0.4 * t) * np.exp(-x * x / 2.0), 0.7)
     for k in (2, 3, 4, 5):
-        stats = H.collision_statistics(k, horizon, f, n_replicas, seed, chunk=chunk)
+        stats = H.collision_statistics(k, horizon, f, n_replicas, seed)
         ref = _measure_oracle(k, horizon, f, n_replicas, seed, chunk)
         for key in ("mass", "distinct_mass", "max_abs"):
             assert np.array_equal(stats[key], ref[key]), (k, key)
@@ -140,11 +141,12 @@ def test_collision_statistics_k2_pi_equals_prime():
     assert np.all(stats["exp_pi"][free] == 1.0)
 
 
-def test_collision_statistics_worker_invariance():
+def test_collision_statistics_worker_invariance(monkeypatch):
+    monkeypatch.setattr(H, "_WALK_CHUNK", 64)
     f = gaussian_bump(0.5, 1.0)
     for k in (3, 4):
-        one = H.collision_statistics(k, 64, f, 300, 17, workers=1, chunk=64)
-        two = H.collision_statistics(k, 64, f, 300, 17, workers=2, chunk=64)
+        one = H.collision_statistics(k, 64, f, 300, 17, workers=1)
+        two = H.collision_statistics(k, 64, f, 300, 17, workers=2)
         assert one.keys() == two.keys()
         for key in one:
             assert np.array_equal(one[key], two[key]), (k, key)

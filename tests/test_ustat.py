@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from collisim import ustat as U
 from collisim.environment import DisorderFunction, EnvironmentField, constant_disorder
 from collisim.kernels import block_average_cells
+from oracles import second_moment_by_pairings
 
 
 def _indicator_box(radius):
@@ -29,37 +31,57 @@ def test_zero_integrand():
     assert U.u_statistic(spec) == 0.0
 
 
-def test_order_two_against_brute_force():
+def _box_integrand(order):
     def gfun(ts, xs):
         box = (np.abs(xs) <= 1.8).all(axis=1)
-        return np.exp(-xs[:, 0] ** 2) * (1.0 + 0.3 * np.sin(3 * ts[:, 1])) * box
+        return np.exp(-(xs**2).sum(axis=1)) * (1.0 + 0.3 * np.sin(3 * ts[:, -1]) + xs[:, 0]) * box
 
-    g = U.Integrand(gfun, 2, 1.8, False)
-    amp = DisorderFunction(lambda n, z: 1.0 + 0.2 * np.cos(np.asarray(n, dtype=float)), 1.2)
-    field = EnvironmentField(321)
+    return U.Integrand(gfun, order, 1.8, False)
+
+
+_BRUTE_AMP = DisorderFunction(lambda n, z: 1.0 + 0.2 * np.cos(np.asarray(n, dtype=float)), 1.2)
+_BRUTE_SEEDS = [321, 5, 2**63 - 1]
+
+
+def _per_field_sums(g, horizon, amp, seeds):
+    """2^(n/2) sum over tuples of distinct times and parity-matched sites of
+    the block average times prod A omega, one loop pass per field."""
+    zmax = int(g.support_radius * math.sqrt(horizon)) + 1
+    cells = [(i, z) for i in range(1, horizon + 1)
+             for z in range(-zmax, zmax + 1) if (i + z) % 2 == 0]
+    fields = [EnvironmentField(s) for s in seeds]
+    totals = np.zeros(len(seeds))
+    for tup in itertools.product(cells, repeat=g.order):
+        times = [i for i, _ in tup]
+        if len(set(times)) < g.order:
+            continue
+        sites = [z for _, z in tup]
+        gb = float(block_average_cells(g, np.array([times]), np.array([sites]), horizon, 4)[0])
+        weight = gb * math.prod(float(amp(i, z)) for i, z in tup)
+        for f, field in enumerate(fields):
+            totals[f] += weight * math.prod(field.omega_at(i, z) for i, z in tup)
+    return 2.0 ** (g.order / 2.0) * totals
+
+
+def test_order_two_against_brute_force():
     horizon = 3
-    spec = U.UStatSpec(g, horizon, amp, field)
-    value = U.u_statistic(spec)
+    g = _box_integrand(2)
+    spec = U.UStatSpec(g, horizon, _BRUTE_AMP, EnvironmentField(_BRUTE_SEEDS[0]))
+    want = _per_field_sums(g, horizon, _BRUTE_AMP, _BRUTE_SEEDS)
+    assert U.u_statistic(spec) == pytest.approx(want[0], rel=1e-12)
+    got = U.evaluate_table(U.build_cell_table(spec), _BRUTE_SEEDS)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
 
-    # independent triple loop over distinct ordered time pairs and sites
-    zmax = int(1.8 * math.sqrt(horizon)) + 1
-    total = 0.0
-    for i1 in range(1, horizon + 1):
-        for i2 in range(1, horizon + 1):
-            if i1 == i2:
-                continue
-            for z1 in range(-zmax, zmax + 1):
-                if (i1 + z1) % 2:
-                    continue
-                for z2 in range(-zmax, zmax + 1):
-                    if (i2 + z2) % 2:
-                        continue
-                    gb = float(block_average_cells(
-                        g, np.array([[i1, i2]]), np.array([[z1, z2]]), horizon, 4)[0])
-                    total += (gb * float(amp(i1, z1)) * float(amp(i2, z2))
-                              * field.omega_at(i1, z1) * field.omega_at(i2, z2))
-    total *= 2.0
-    assert value == pytest.approx(total, rel=1e-12)
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_evaluate_table_against_brute_force(order):
+    # orders 1 and 3 of the contraction: one matmul, then one einsum per order
+    horizon = 3
+    g = _box_integrand(order)
+    spec = U.UStatSpec(g, horizon, _BRUTE_AMP, EnvironmentField(_BRUTE_SEEDS[0]))
+    got = U.evaluate_table(U.build_cell_table(spec), _BRUTE_SEEDS)
+    np.testing.assert_allclose(got, _per_field_sums(g, horizon, _BRUTE_AMP, _BRUTE_SEEDS),
+                               rtol=1e-12)
 
 
 def test_symmetry_reduction_consistent():
@@ -143,6 +165,13 @@ def test_exact_second_moment_asymmetric_matches_sampling():
     suite = U.ustat_moment_suite([spec], 6000, 88)
     assert abs(suite.variances[0] + suite.means[0] ** 2 - exact) < \
         5.0 * suite.variance_stderrs[0] + 0.01 * exact
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_exact_second_moment_matches_pairing_loop(order):
+    spec = U.UStatSpec(_box_integrand(order), 3, _BRUTE_AMP, EnvironmentField(4))
+    want = second_moment_by_pairings(U.build_cell_table(spec))
+    assert U.exact_second_moment(spec) == pytest.approx(want, rel=1e-12)
 
 
 def test_moment_suite_cross_orders_uncorrelated():
