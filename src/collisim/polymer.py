@@ -6,6 +6,16 @@ replicate. The mass it drops averages to P(max_{n<=N} |S_n| > B) <=
 2 exp(-(B+1)^2 / (2N)), about 2e-14; for N <= 64 B = N and nothing is dropped.
 The chaos decomposition runs the same recursion with an order axis (exact
 when the truncation order reaches N).
+
+The recursion keeps its state cell-major, (cells, rows), so each step's
+window is one contiguous block; row-strided windows made the shift-add
+more than twice as slow per cell. The window's signs come from one
+``rngs.CellSigns`` kernel per call, whose arrays are allocated once and
+sliced to each window, so a partition step allocates no fresh
+cells x rows array: fresh ones cost page faults at every step, more or
+fewer with malloc's history. Both choices save time only. Every value is
+that of the row-major, allocating recursion bit for bit, including the
+pairwise order of the final row sums.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ import numpy as np
 # integrate is not called here; perfbench/tracer.py wraps the name (see harness.py)
 from .collisions import detect_collisions, integrate  # noqa: F401
 from .environment import DisorderFunction, EnvironmentField
-from .rngs import cell_signs, splitmix64
+from .rngs import CellSigns, splitmix64
 from .walks import WalkEnsemble
 
 BAND_SIGMAS = 8.0
@@ -65,29 +75,37 @@ def _transfer(horizon: int, amplitude: DisorderFunction, start, seeds,
 
     Rows start with weight start[r] at the origin. Step n keeps the cells
     z = -n + 2j with |z| <= B = band_halfwidth(N), j = lo..lo+width-1, in
-    columns 1..width of a double buffer. Column 0 is never written, nor is
-    the one after the window: each buffer holds every other step, and its
+    slots 1..width of a double buffer. Slot 0 is never written, nor is the
+    one after the window: each buffer holds every other step, and its
     windows never narrow. So the next shift-add reads no stale weight.
-    omega = +-1.0 is hashed on the window from the field seeds (one per row,
-    or one for all). Rows are environments with factors (1 + a omega)/2,
-    or with ``beta`` chaos orders, each factor lifting beta a omega one up.
+    omega = +-1.0 is hashed on the window from the field seeds: an array of
+    one per row, or a scalar for all rows. Rows are environments with
+    factors (1 + a omega)/2, or with ``beta`` chaos orders, each factor
+    lifting beta a omega one up.
+
+    The state is cell-major, (B + 3 slots, rows), and each window is one
+    contiguous block. The sign kernel's arrays hold (B + 1) x rows cells,
+    are allocated once per call and are sliced to each window; its output
+    array becomes the step's factors in place. The row sums read a
+    row-major copy, so each row keeps numpy's pairwise summation order.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     band = band_halfwidth(horizon)
     s0 = splitmix64(np.asarray(seeds, dtype=np.int64).astype(np.uint64))
-    buf, nxt = np.zeros((2, len(start), band + 3))
-    buf[:, 1] = start
+    buf, nxt = np.zeros((2, band + 3, len(start)))
+    buf[1] = start
+    signs = CellSigns((band + 1) * s0.size)
     lo = 0
     for n in range(1, horizon + 1):
         moved = max(0, (n - band + 1) // 2) - lo  # 0 or 1 cell to the right
         lo += moved
         width = min(n, (n + band) // 2) - lo + 1
-        cur = nxt[:, 1:width + 1]
-        np.add(buf[:, moved:moved + width], buf[:, moved + 1:moved + width + 1], out=cur)
+        cur = nxt[1:width + 1]
+        np.add(buf[moved:moved + width], buf[moved + 1:moved + width + 1], out=cur)
         z = 2 * (lo + np.arange(width, dtype=np.int64)) - n
-        a = np.asarray(amplitude(np.full_like(z, n), z), dtype=float)
-        omega = cell_signs(s0, n, z)
+        a = np.asarray(amplitude(np.full_like(z, n), z), dtype=float)[:, None]
+        omega = signs(s0, n, z[:, None])
         if beta is None:
             # 0.5 + (0.5 a) omega is 0.5 +- 0.5 a bit for bit
             omega *= 0.5 * a
@@ -95,21 +113,26 @@ def _transfer(horizon: int, amplitude: DisorderFunction, start, seeds,
             cur *= omega
         else:
             cur *= 0.5
-            # numpy materializes the RHS before adding, so every order slice
+            # numpy materializes the RHS before adding, so every order column
             # reads its predecessor's pre-bump transfer value
-            cur[1:] += cur[:-1] * (beta * a * omega)
+            cur[:, 1:] += cur[:, :-1] * (beta * a * omega)
         buf, nxt = nxt, buf
-    return buf[:, 1:width + 1].sum(axis=1)
+    return np.ascontiguousarray(buf[1:width + 1].T).sum(axis=1)
 
 
 def partition_many(horizon: int, amplitude: DisorderFunction, seeds) -> np.ndarray:
     """Partition function values for a batch of environment seeds, one row
-    each in the transfer state; disorder signs are hashed on demand. Rows
-    are independent, so running them in blocks of _ROW_BLOCK (which keeps the
-    per-step hash arrays in cache) gives the same values bit for bit."""
+    each in the transfer state; disorder signs are hashed on demand.
+
+    Rows are independent, so running them in blocks of _ROW_BLOCK gives the
+    same values bit for bit. A block of 256 rows shares each step's Python
+    and ufunc call overhead among 256 environments, and keeps each per-step
+    array (two state windows, the sign kernel's three) at (B + 1) x 256
+    eight-byte words: 0.5 MB at N=1024 and 1 MB at N=4096.
+    """
     seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
     blocks = np.split(seeds, range(_ROW_BLOCK, len(seeds), _ROW_BLOCK))
-    return np.concatenate([_transfer(horizon, amplitude, np.ones(len(b)), b[:, None])
+    return np.concatenate([_transfer(horizon, amplitude, np.ones(len(b)), b)
                            for b in blocks])
 
 

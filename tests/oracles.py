@@ -1,7 +1,8 @@
 """Brute-force oracles for the test suite: exhaustive path and chain
-enumeration, subset expansions, the scalar cell map and the return-time
-law. Each is exponential or scalar on purpose and checks a production
-kernel of collisim from an independent route.
+enumeration, subset expansions, the scalar cell map, the return-time
+law and the full 64-bit cell hash. Each is exponential, scalar or
+unoptimised on purpose and checks a production kernel of collisim from
+an independent route.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from scipy.special import gammaln
 
 from collisim.collisions import detect_collisions
 from collisim.kernels import rw_transition
+from collisim.rngs import splitmix64
 from collisim.walks import positions_from_steps
 
 #: exhaustive path enumeration is for tiny horizons only
@@ -163,6 +165,16 @@ def cell_of(t: float, x: float, horizon: int) -> tuple[int, int]:
     parity = i & 1
     q = math.ceil((u - 1.0 - parity) / 2.0)
     return i, 2 * q + parity
+
+
+def cell_signs_full_hash(s0, n, z) -> np.ndarray:
+    """The splitmix64/v1 cell sign from all 64 bits of the hash:
+    1 - 2 (splitmix64(splitmix64(s0 ^ n) ^ z) & 1), the reference for
+    rngs.cell_signs, which computes the lowest bit only."""
+    un = np.asarray(n, dtype=np.int64).astype(np.uint64)
+    uz = np.asarray(z, dtype=np.int64).astype(np.uint64)
+    h = splitmix64(splitmix64(s0 ^ un) ^ uz)
+    return 1.0 - 2.0 * (h & np.uint64(1)).astype(np.float64)
 
 
 def jitter(values, rng: np.random.Generator) -> np.ndarray:

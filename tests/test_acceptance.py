@@ -2,8 +2,8 @@
 tolerance, with a printed pass/fail line each.
 
 Run `pytest -v tests/test_acceptance.py` (add -s to stream the lines live).
-The full module takes about 2 minutes on two cores (107 s, of which
-criterion 10 is 69 s, criterion 11 is 15 s and criterion 9 is 5 s).
+The full module takes under 1.5 minutes on two cores (81 s, of which
+criterion 10 is 43 s, criterion 11 is 16 s and criterion 9 is 5 s).
 """
 
 import math

@@ -270,10 +270,38 @@ def test_partition_many_blocks_are_bit_identical():
     amp = P.scaled_disorder(_wavy_amplitude(1.0), horizon ** (-0.25))
     seeds = child_seeds(11, 600, 0)
     got = P.partition_many(horizon, amp, seeds)
-    one_pass = P._transfer(horizon, amp, np.ones(600), seeds[:, None])
+    one_pass = P._transfer(horizon, amp, np.ones(600), seeds)
     assert got.tobytes() == one_pass.tobytes()
     per_block = [P.partition_many(horizon, amp, seeds[lo:lo + 256]) for lo in (0, 256, 512)]
     assert got.tobytes() == np.concatenate(per_block).tobytes()
+
+
+# float.hex values recorded under splitmix64/v1 with the band sliding (B < N):
+# any change to the transfer's arithmetic or summation order moves a byte
+_SLIDING_BAND_PINS = {
+    256: ["0x1.eb27c38cdbf71p+0", "0x1.c063f6fc2b3e4p-1",
+          "0x1.707dea0c41e58p+1", "0x1.1dfe693729b8fp-1"],
+    1024: ["0x1.6c7cd722c50bep+0", "0x1.5a4f1299974bcp+0",
+           "0x1.3fb2db69e7a3ep-1", "0x1.372f7ffdba1c7p-1"],
+}
+
+
+@pytest.mark.parametrize("horizon", sorted(_SLIDING_BAND_PINS))
+def test_partition_many_sliding_band_pins(horizon):
+    assert P.band_halfwidth(horizon) < horizon
+    amp = P.scaled_disorder(_wavy_amplitude(1.0), horizon ** (-0.25))
+    got = P.partition_many(horizon, amp, child_seeds(13, 4, horizon))
+    assert [float(v).hex() for v in got] == _SLIDING_BAND_PINS[horizon]
+
+
+def test_chaos_terms_sliding_band_pins():
+    amp = P.scaled_disorder(_wavy_amplitude(1.0), 256 ** (-0.25))
+    field = EnvironmentField(int(child_seeds(13, 1, 7)[0]))
+    terms = P.chaos_terms(256, 1.0, amp, field, max_order=8)
+    assert [float(v).hex() for v in terms] == [
+        "0x1.ffffffffffffep-1", "-0x1.16e553dc094f5p-1", "-0x1.129103c2f0a56p-1",
+        "0x1.22f4d9ec1a57dp-2", "0x1.5092998995fd1p-3", "-0x1.399fdfa49ff70p-4",
+        "-0x1.2426dc3ad86a4p-5", "0x1.cd552031ad976p-7", "0x1.5acff8afb6f4fp-8"]
 
 
 @pytest.mark.parametrize("horizon,k", [(4, 4), (3, 5)])
