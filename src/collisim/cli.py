@@ -24,6 +24,7 @@ from . import __version__, harness, polymer
 from .collisions import gaussian_bump
 from .kernels import CLT_MIN_BUDGET
 from .rngs import HASH_VERSION
+from .ustat import MIN_REPLICAS as USTAT_MIN_REPLICAS
 
 COMMANDS = (
     "collisions", "partition", "chaos", "duality", "expmoment",
@@ -234,6 +235,9 @@ def load_config(args: argparse.Namespace) -> dict:
         cfg["run"]["raw"] = True
     cfg = validate(cfg)
     check_exponents(args.command, cfg)
+    if args.command == "ustat-check" and cfg["run"]["replicas"] < USTAT_MIN_REPLICAS:
+        raise ConfigError(f"run.replicas: ustat-check needs at least {USTAT_MIN_REPLICAS}, "
+                          f"got {cfg['run']['replicas']}")
     return cfg
 
 
@@ -287,7 +291,7 @@ def dispatch(command: str, cfg: dict) -> harness.ExperimentReport:
         return harness.kernels_check(
             hz["max_order"], hz["norm_samples"], walks["n_ladder"], hz["clt_budget"], seed)
     if command == "ustat-check":
-        return harness.ustat_check(walks["n_ladder"][0], max(run["replicas"], 1000), seed)
+        return harness.ustat_check(walks["n_ladder"][0], run["replicas"], seed)
     raise ConfigError(f"command: unknown command {command!r}")
 
 

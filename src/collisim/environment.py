@@ -21,7 +21,6 @@ __all__ = [
     "DisorderFunction",
     "ContinuumAmplitude",
     "disorder_from_function",
-    "constant_disorder",
     "cells_of",
     "HASH_VERSION",
 ]
@@ -62,11 +61,6 @@ class ContinuumAmplitude:
 
     def __call__(self, t, x):
         return self.evaluator(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
-
-
-def constant_disorder(value: float) -> DisorderFunction:
-    v = float(value)
-    return DisorderFunction(lambda n, z: np.full(np.broadcast(n, z).shape, v), abs(v))
 
 
 def disorder_from_function(a: ContinuumAmplitude, horizon: int) -> DisorderFunction:

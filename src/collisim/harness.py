@@ -17,8 +17,7 @@ import numpy as np
 from scipy.special import kolmogorov
 
 from .collisions import TestFunction, constant_fn, gaussian_bump
-from .environment import (ContinuumAmplitude, DisorderFunction, EnvironmentField,
-                          disorder_from_function)
+from .environment import ContinuumAmplitude, DisorderFunction, disorder_from_function
 from .kernels import gauss_legendre_grid
 from .polymer import band_tail_bound, partition_samples, scaled_disorder
 from .rngs import substream
@@ -645,25 +644,19 @@ def kernels_check(max_order: int, norm_samples: int, clt_ladder, clt_budget: int
 
 def ustat_check(horizon: int, n_replicas: int, master_seed: int) -> ExperimentReport:
     """Zero mean, variance bound, and cross-order uncorrelatedness of the
-    U-statistics at orders 1 and 2, for integrands supported on |x| <= 2."""
+    U-statistics at orders 1 and 2, for the product integrands
+    g = prod_j h(t_j, x_j) of the slot factor h(t, x) = exp(-x^2) 1{|x| <= 2}.
+    Each order's statistic is one pass over the times (see collisim.ustat)."""
     from .ustat import Integrand, UStatSpec, ustat_moment_suite
 
     support_radius = 2.0
 
-    def g1(ts, xs):
-        return np.exp(-xs[:, 0] ** 2) * (np.abs(xs[:, 0]) <= support_radius)
-
-    def g2(ts, xs):
-        inside = (np.abs(xs) <= support_radius).all(axis=1)
-        return np.exp(-(xs**2).sum(axis=1)) * inside
+    def h(ts, xs):
+        return np.exp(-xs**2) * (np.abs(xs) <= support_radius)
 
     amp = DisorderFunction(
         lambda n, z: 1.0 / (1.0 + 0.1 * np.abs(np.asarray(z, dtype=float))), 1.0)
-    field = EnvironmentField(master_seed)
-    specs = [
-        UStatSpec(Integrand(g1, 1, support_radius, True), horizon, amp, field),
-        UStatSpec(Integrand(g2, 2, support_radius, True), horizon, amp, field),
-    ]
+    specs = [UStatSpec(Integrand(h, n, support_radius), horizon, amp) for n in (1, 2)]
     suite = ustat_moment_suite(specs, n_replicas, master_seed)
     mean_ok = all(abs(m) <= _MEAN_SIGMA * se for m, se in zip(suite.means, suite.mean_stderrs))
     # L2 bound with c = sup A = 1 and ||g||_2^2 over the touched window
@@ -691,11 +684,11 @@ def ustat_check(horizon: int, n_replicas: int, master_seed: int) -> ExperimentRe
 
 
 def _window_l2_norm_sq(spec) -> float:
-    """Numeric ||g||_2^2 over [0,1]^n x window^n (tensor Gauss grid)."""
+    """Numeric ||g||_2^2 over [0,1]^n x window^n: the n-th power of the slot
+    factor's ||h||_2^2 on [0,1] x window (24 x 24 Gauss grid)."""
     g = spec.integrand
-    n = g.order
     r = g.support_radius
-    offs, weight = gauss_legendre_grid(24, 2 * n)
-    # the t axes map [-1, 1] onto [0, 1] (Jacobian 1/2), the x axes onto [-r, r]
-    vals = np.asarray(g(0.5 + 0.5 * offs[:, :n], r * offs[:, n:]), dtype=float) ** 2
-    return float((vals * (weight * (0.5 * r) ** n)).sum())
+    offs, weight = gauss_legendre_grid(24, 2)
+    # the t axis maps [-1, 1] onto [0, 1] (Jacobian 1/2), the x axis onto [-r, r]
+    vals = np.asarray(g.slot(0.5 + 0.5 * offs[:, 0], r * offs[:, 1]), dtype=float) ** 2
+    return float((vals * (weight * 0.5 * r)).sum()) ** g.order

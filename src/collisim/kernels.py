@@ -1,8 +1,7 @@
 """Walk and Gaussian transition kernels, chain products, block averages,
 and closed-form L2 norms of Gaussian chains.
 
-Binomials live in log-space (gammaln) except for small exact cases, where
-comb times a power of two is an exact dyadic float.
+Binomials live in log-space (gammaln).
 """
 
 from __future__ import annotations
@@ -18,9 +17,6 @@ from .environment import cells_of
 
 _LOG2 = math.log(2.0)
 
-#: exact integer binomial path stays exact in float64 up to here
-_EXACT_STEPS = 60
-
 #: quadrature points per g sweep in block_average_cells
 POINT_BUDGET = 1_000_000
 
@@ -33,17 +29,6 @@ _IS_BATCH = 1 << 18
 
 class QuadratureError(ValueError):
     """Raised when an integrand evaluates non-finitely on a rectangle."""
-
-
-def rw_transition(i: int, x: int) -> float:
-    """p(i, x) = P(S_i = x) for the simple walk; 0 off the parity cone."""
-    if i < 1:
-        raise ValueError("i must be >= 1")
-    if abs(x) > i or (i + x) % 2 != 0:
-        return 0.0
-    if i <= _EXACT_STEPS:
-        return math.ldexp(float(math.comb(i, (i + x) // 2)), -i)
-    return float(np.exp(log_rw_transition(np.array([i]), np.array([x]))[0]))
 
 
 def log_rw_transition(i: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -161,27 +146,6 @@ def rho_chain_norm_sq(n: int) -> float:
     if n < 0:
         raise ValueError("n must be >= 0")
     return float(np.exp(-n * _LOG2 - gammaln(n / 2.0 + 1.0)))
-
-
-def discrete_chain_norm_sq(n: int, horizon: int) -> float:
-    """Exact ||N^(n/2) p^N_n||_2^2 as a lattice sum.
-
-    Uses sum_z p(m, z)^2 = p(2m, 0): the squared chain collapses to
-    meeting probabilities of two independent walks, leaving
-    2^-n N^(-n/2) * sum over ordered time tuples of prod p(2 dt_j, 0).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > horizon:
-        return 0.0
-    steps = np.arange(1, horizon + 1, dtype=np.int64)
-    by_value = np.zeros(horizon + 1)
-    by_value[1:] = rw_transition_array(2 * steps, np.zeros_like(steps))
-    # n-fold convolution of the meeting pmf, truncated at total time N
-    total = by_value.copy()
-    for _ in range(n - 1):
-        total = np.convolve(total, by_value)[: horizon + 1]
-    return float(2.0 ** (-n) * horizon ** (-n / 2.0) * total.sum())
 
 
 @dataclass(frozen=True)

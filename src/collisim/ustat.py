@@ -3,45 +3,48 @@ moment checks.
 
 The order-n statistic sums, over tuples of n distinct times and parity-
 matched sites, the block-averaged integrand times the amplitude and
-disorder-sign products, scaled by 2^(n/2). Integrands must declare a
-spatial support radius: that is what keeps the sums finite, and inferring
-the support of a black-box callable is not decidable.
+disorder-sign products, scaled by 2^(n/2). Integrands are products
+g = prod_j h(t_j, x_j) of one slot factor h, so the block average of g on a
+tuple of cells is the product of the one-slot averages. With the cell weight
+w(i, z) = hbar(i, z) A(i, z) and y_i = sum_z w(i, z) omega(i, z), the
+statistic is
+
+    S_n = 2^(n/2) n! e_n(y_1, ..., y_N),
+
+where e_n sums prod_{i in I} y_i over the n-subsets I of the times. Its
+exact second moment is 2^n n!^2 e_n(v) with v_i = sum_z w(i, z)^2. One
+pass over the times costs O(N n) per field after hashing, and memory holds
+one time's window of signs for all fields.
+
+Integrands must declare a spatial support radius: that is what keeps the
+sums finite, and inferring the support of a black-box callable is not
+decidable.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .environment import DisorderFunction, EnvironmentField
+from .environment import DisorderFunction
 from .kernels import block_average_cells
-from .rngs import cell_signs, child_seeds, splitmix64
+from .rngs import CellSigns, child_seeds, splitmix64
 
-CELL_BUDGET = 100_000_000
-
-#: environment fields per sign matrix in evaluate_table
-_SEED_BLOCK = 256
-
-
-class ComplexityGuardError(ValueError):
-    """The lattice tuple count exceeds the tractability budget."""
+#: fewest replicas ustat_moment_suite accepts
+MIN_REPLICAS = 1000
 
 
 @dataclass(frozen=True)
 class Integrand:
-    """g on [0,1]^n x R^n; fn maps ((m,n) times, (m,n) positions) -> (m,)."""
+    """g(t, x) = prod_{j=1..order} h(t_j, x_j) on [0,1]^n x R^n, for a slot
+    factor h that maps arrays of times and positions elementwise."""
 
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    slot: Callable[[np.ndarray, np.ndarray], np.ndarray]
     order: int
     support_radius: float
-    symmetric: bool = False
-
-    def __call__(self, ts, xs):
-        return self.fn(np.asarray(ts, dtype=float), np.asarray(xs, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -49,27 +52,18 @@ class UStatSpec:
     integrand: Integrand
     horizon: int
     amplitude: DisorderFunction
-    field: EnvironmentField
 
 
 @dataclass(frozen=True)
 class CellTable:
-    """Seed-independent part of a U-statistic: the window's cells once, the
-    kept tuples as indices into them, and one block-average times amplitude
-    weight per kept tuple."""
+    """Seed-independent part of a U-statistic: the window's cells, grouped by
+    time, and one block-average times amplitude weight per cell."""
 
     cell_times: np.ndarray  # (c,)
     cell_sites: np.ndarray  # (c,)
-    tuples: np.ndarray      # (m, n) cell indices
-    weights: np.ndarray     # (m,) block-averaged g times prod A
-    prefactor: float        # 2^(n/2) times n! when reduced to ordered tuples
+    weights: np.ndarray     # (c,) one-slot block average of h times A
+    prefactor: float        # 2^(n/2) n!
     order: int
-
-    def weight_tensor(self) -> np.ndarray:
-        """The weights on the dense (c,)*n grid of cell tuples, 0 off the kept ones."""
-        dense = np.zeros((len(self.cell_times),) * self.order)
-        dense[tuple(self.tuples.T)] = self.weights
-        return dense
 
 
 def _site_range(horizon: int, radius: float) -> int:
@@ -93,54 +87,49 @@ def build_cell_table(spec: UStatSpec) -> CellTable:
     g = spec.integrand
     n = g.order
     ci, cz = _coordinate_cells(spec.horizon, g.support_radius)
-    n_cells = len(ci)
-    if n_cells**n > CELL_BUDGET:
-        raise ComplexityGuardError(
-            f"{n_cells}^{n} tuple cells exceed the {CELL_BUDGET:.0e} budget")
-    flat = np.indices((n_cells,) * n).reshape(n, -1).T
-    # tuples of distinct times; a symmetric integrand keeps the increasing
-    # ones only, and the full distinct-tuple sum is n! times theirs
-    t_cols = ci[flat] if g.symmetric else np.sort(ci[flat], axis=1)
-    tuples = flat[np.all(np.diff(t_cols, axis=1) > 0, axis=1)]
-    prefactor = 2.0 ** (n / 2.0) * (math.factorial(n) if g.symmetric else 1)
-    times, sites = ci[tuples], cz[tuples]
-    gbar = block_average_cells(g, times, sites, spec.horizon)
-    amp = np.asarray(spec.amplitude(times, sites), dtype=float)
-    return CellTable(ci, cz, tuples, gbar * amp.prod(axis=1), prefactor, n)
+    hbar = block_average_cells(g.slot, ci[:, None], cz[:, None], spec.horizon)
+    amp = np.asarray(spec.amplitude(ci, cz), dtype=float)
+    return CellTable(ci, cz, hbar * amp, 2.0 ** (n / 2.0) * math.factorial(n), n)
+
+
+def _subset_products(factors, order: int, shape=()) -> np.ndarray:
+    """e_order of the per-time factors, each an array of ``shape``: the sum
+    over order-subsets of times of their product, i.e. the coefficient of
+    x^order in prod_i (1 + factor_i x)."""
+    e = np.zeros(shape + (order + 1,))
+    e[..., 0] = 1.0
+    for y in factors:
+        # the right-hand side is materialized first, so every order reads its
+        # predecessor before this time's update, as a highest-first loop would
+        e[..., 1:] += e[..., :-1] * y[..., None]
+    return e[..., order]
+
+
+def _time_windows(table: CellTable):
+    """(time, cell slice) for each time, in increasing order."""
+    times, starts = np.unique(table.cell_times, return_index=True)
+    ends = np.append(starts[1:], len(table.cell_times))
+    return [(int(i), slice(a, b)) for i, a, b in zip(times, starts, ends)]
 
 
 def evaluate_table(table: CellTable, seeds) -> np.ndarray:
-    """S^N_n(g) for each environment seed. Each cell is hashed once per field,
-    and the (fields, cells) sign matrix is contracted with the weight tensor
-    one tuple slot at a time, _SEED_BLOCK fields per pass."""
+    """S^N_n(g) for each environment seed: one pass over the times hashes each
+    time's window for all fields with one sign kernel, contracts it with that
+    time's weights into y_i, and lifts e_n(y) by one time."""
     seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
-    n_cells = len(table.cell_times)
-    dense = table.weight_tensor().reshape(n_cells, -1)
-    out = np.empty(len(seeds))
-    for b0 in range(0, len(seeds), _SEED_BLOCK):
-        s0 = splitmix64(seeds[b0:b0 + _SEED_BLOCK, None].astype(np.uint64))
-        signs = cell_signs(s0, table.cell_times, table.cell_sites)
-        acc = signs @ dense
-        for _ in range(table.order - 1):
-            acc = np.einsum("fc,fck->fk", signs, acc.reshape(len(signs), n_cells, -1))
-        out[b0:b0 + len(signs)] = table.prefactor * acc[:, 0]
-    return out
-
-
-def u_statistic(spec: UStatSpec) -> float:
-    """Exact order-n statistic for the given integrand, amplitude, and
-    environment field."""
-    return float(evaluate_table(build_cell_table(spec), spec.field.seed)[0])
+    s0 = splitmix64(seeds[:, None].astype(np.uint64))
+    windows = _time_windows(table)
+    signs = CellSigns(len(seeds) * max(w.stop - w.start for _, w in windows))
+    ys = (signs(s0, i, table.cell_sites[w]) @ table.weights[w] for i, w in windows)
+    return table.prefactor * _subset_products(ys, table.order, (len(seeds),))
 
 
 def exact_second_moment(spec: UStatSpec) -> float:
-    """E over environments of S^N_n(g)^2, by the surviving sign pairings:
-    tuples whose cell sets coincide, i.e. permutations of one another."""
+    """E over environments of S^N_n(g)^2 = prefactor^2 e_n(v), with
+    v_i = sum_z w(i, z)^2: the y_i are independent, centred, of variance v_i."""
     table = build_cell_table(spec)
-    dense = table.weight_tensor()
-    pairings = sum(float(np.vdot(dense, dense.transpose(perm)))
-                   for perm in itertools.permutations(range(table.order)))
-    return table.prefactor**2 * pairings
+    vs = (np.sum(table.weights[w] ** 2) for _, w in _time_windows(table))
+    return float(table.prefactor**2 * _subset_products(vs, table.order))
 
 
 @dataclass(frozen=True)
@@ -157,13 +146,13 @@ class MomentSuite:
 def ustat_moment_suite(specs, n_replicas: int, master_seed: int) -> MomentSuite:
     """Sample moments of several U-statistics over shared environment seeds.
 
-    The block-average tables are seed-independent, so each spec costs one
-    table and one sign contraction over all replica seeds. Cross entries hold
-    sample covariances between distinct specs (uncorrelated across orders in
-    the limit law).
+    The cell tables are seed-independent, so each spec costs one table and
+    one pass over the times for all replica seeds. Cross entries hold sample
+    covariances between distinct specs (uncorrelated across orders in the
+    limit law).
     """
-    if n_replicas < 1000:
-        raise ValueError("moment suite needs at least 1e3 replicas")
+    if n_replicas < MIN_REPLICAS:
+        raise ValueError(f"moment suite needs at least {MIN_REPLICAS} replicas")
     specs = list(specs)
     seeds = child_seeds(master_seed, n_replicas, 71)
     values = np.array([evaluate_table(build_cell_table(s), seeds) for s in specs])
@@ -175,8 +164,9 @@ def ustat_moment_suite(specs, n_replicas: int, master_seed: int) -> MomentSuite:
     m4 = (centered**4).mean(axis=1)
     var_se = np.sqrt(np.maximum(m4 - variances**2, 0.0) / n_replicas)
     cross = {}
-    for a, b in itertools.combinations(range(len(specs)), 2):
-        cov = float(np.cov(values[a], values[b], ddof=1)[0, 1])
-        se = float(np.sqrt((values[a] ** 2 * values[b] ** 2).mean() / n_replicas))
-        cross[(a, b)] = (cov, se)
+    for a in range(len(specs)):
+        for b in range(a + 1, len(specs)):
+            cov = float(np.cov(values[a], values[b], ddof=1)[0, 1])
+            se = float(np.sqrt((values[a] ** 2 * values[b] ** 2).mean() / n_replicas))
+            cross[(a, b)] = (cov, se)
     return MomentSuite(means, mean_se, variances, var_se, cross, n_replicas, values)

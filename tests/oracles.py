@@ -1,8 +1,10 @@
 """Brute-force oracles for the test suite: exhaustive path and chain
 enumeration, subset expansions, the scalar cell map, the return-time
-law and the full 64-bit cell hash. Each is exponential, scalar or
-unoptimised on purpose and checks a production kernel of collisim from
-an independent route.
+law, the full 64-bit cell hash, U-statistic sign pairings, the scalar
+walk transition, the exact discrete chain norm and the constant
+amplitude. Each is exponential, scalar or unoptimised on purpose, or a
+plain reference that no experiment needs, and checks a production
+kernel of collisim from an independent route.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from collisim.collisions import detect_collisions
-from collisim.kernels import rw_transition
+from collisim.environment import DisorderFunction
+from collisim.kernels import log_rw_transition, rw_transition_array
 from collisim.rngs import splitmix64
 from collisim.walks import positions_from_steps
 
@@ -23,6 +26,9 @@ ENUMERATION_CAP = 20
 
 #: chain enumeration of the chaos terms visits every ordered time tuple
 CHAIN_ENUMERATION_CAP = 14
+
+#: exact integer binomial path stays exact in float64 up to here
+_EXACT_STEPS = 60
 
 
 class HorizonTooLarge(ValueError):
@@ -184,19 +190,54 @@ def jitter(values, rng: np.random.Generator) -> np.ndarray:
     return values + rng.uniform(0.0, 1.0, size=values.shape)
 
 
-def second_moment_by_pairings(table) -> float:
-    """E[S^2] of an asymmetric-kind U-statistic table, pairing each kept
-    tuple with every permutation of its cells by a dict lookup: the sign
-    products of two tuples have mean 1 exactly when their cell sets coincide."""
-    times = table.cell_times[table.tuples]
-    sites = table.cell_sites[table.tuples]
-    lookup = {}
-    for row, (ts, zs) in enumerate(zip(times, sites)):
-        lookup[tuple(zip(ts.tolist(), zs.tolist()))] = row
+def second_moment_by_pairings(times, sites, weights) -> float:
+    """E[S^2] for S = 2^(n/2) sum_r weights[r] prod_j omega(times[r, j], sites[r, j])
+    over enumerated (m, n) cell tuples of distinct times, pairing each tuple
+    with every permutation of its cells by a dict lookup: the sign products
+    of two tuples have mean 1 exactly when their cell sets coincide."""
+    order = times.shape[1]
+    rows = [tuple(zip(ts.tolist(), zs.tolist())) for ts, zs in zip(times, sites)]
+    lookup = {cells: row for row, cells in enumerate(rows)}
     total = 0.0
-    for row, (ts, zs) in enumerate(zip(times, sites)):
-        cells = list(zip(ts.tolist(), zs.tolist()))
-        for perm in itertools.permutations(range(table.order)):
+    for row, cells in enumerate(rows):
+        for perm in itertools.permutations(range(order)):
             other = lookup[tuple(cells[p] for p in perm)]
-            total += table.weights[row] * table.weights[other]
-    return float(2.0**table.order * total)
+            total += weights[row] * weights[other]
+    return float(2.0**order * total)
+
+
+def rw_transition(i: int, x: int) -> float:
+    """p(i, x) = P(S_i = x) for the simple walk; 0 off the parity cone."""
+    if i < 1:
+        raise ValueError("i must be >= 1")
+    if abs(x) > i or (i + x) % 2 != 0:
+        return 0.0
+    if i <= _EXACT_STEPS:
+        return math.ldexp(float(math.comb(i, (i + x) // 2)), -i)
+    return float(np.exp(log_rw_transition(np.array([i]), np.array([x]))[0]))
+
+
+def discrete_chain_norm_sq(n: int, horizon: int) -> float:
+    """Exact ||N^(n/2) p^N_n||_2^2 as a lattice sum.
+
+    Uses sum_z p(m, z)^2 = p(2m, 0): the squared chain collapses to
+    meeting probabilities of two independent walks, leaving
+    2^-n N^(-n/2) * sum over ordered time tuples of prod p(2 dt_j, 0).
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > horizon:
+        return 0.0
+    steps = np.arange(1, horizon + 1, dtype=np.int64)
+    by_value = np.zeros(horizon + 1)
+    by_value[1:] = rw_transition_array(2 * steps, np.zeros_like(steps))
+    # n-fold convolution of the meeting pmf, truncated at total time N
+    total = by_value.copy()
+    for _ in range(n - 1):
+        total = np.convolve(total, by_value)[: horizon + 1]
+    return float(2.0 ** (-n) * horizon ** (-n / 2.0) * total.sum())
+
+
+def constant_disorder(value: float) -> DisorderFunction:
+    v = float(value)
+    return DisorderFunction(lambda n, z: np.full(np.broadcast(n, z).shape, v), abs(v))

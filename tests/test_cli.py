@@ -90,7 +90,8 @@ def test_bad_env_budget_named(tmp_path, capsys, budget):
     # a config section set to a non-object
     ("expmoment", {"walks": 5}, "walks: must be an object"),
     # each sample is finite, but the squares in the stderr of 10,000 of them overflow
-    ("expmoment", {"harness": {"beta": 88}, "walks": {"n_ladder": [64, 256]}}, "harness.beta"),
+    ("expmoment", {"harness": {"beta": 88}, "walks": {"n_ladder": [64, 256]}}, "harness.beta"),    # the moment suite needs 1000 fields; a shorter run is rejected, not lengthened
+    ("ustat-check", {"run": {"replicas": 999}}, "run.replicas"),
 ])
 def test_bad_config_value_named(tmp_path, capsys, command, doc, field):
     cfg = write_cfg(tmp_path, doc)

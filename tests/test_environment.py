@@ -12,11 +12,10 @@ from collisim.environment import (
     DisorderFunction,
     EnvironmentField,
     cells_of,
-    constant_disorder,
     disorder_from_function,
 )
 from collisim.polymer import partition_dp
-from oracles import cell_of
+from oracles import cell_of, constant_disorder
 
 
 def test_omega_deterministic_and_signed():

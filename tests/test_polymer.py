@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from collisim import polymer as P
 from collisim import walks as W
-from collisim.environment import DisorderFunction, EnvironmentField, constant_disorder
+from collisim.environment import DisorderFunction, EnvironmentField
 from collisim.rngs import child_seeds, substream
 import oracles
+from oracles import constant_disorder
 
 
 def _wavy_amplitude(scale):

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collisim import walks as W
-from collisim.kernels import rw_transition
 from collisim.rngs import substream
 import oracles
+from oracles import rw_transition
 
 
 def test_empty_walk():
