@@ -13,6 +13,7 @@ import argparse
 import copy
 import json
 import math
+import resource
 import sys
 import time
 from datetime import datetime, timezone
@@ -295,6 +296,13 @@ def dispatch(command: str, cfg: dict) -> harness.ExperimentReport:
     raise ConfigError(f"command: unknown command {command!r}")
 
 
+def peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MB (2^20 bytes).
+    ru_maxrss counts KiB on Linux and bytes on macOS."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
+
+
 def write_outputs(report: harness.ExperimentReport, cfg: dict, command: str,
                   elapsed: float, to_stdout: bool) -> Path:
     out_dir = Path(cfg["run"]["out"])
@@ -308,6 +316,7 @@ def write_outputs(report: harness.ExperimentReport, cfg: dict, command: str,
     manifest = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "elapsed_seconds": elapsed,
+        "peak_rss_mb": peak_rss_mb(),
         "command": command,
         "seed": cfg["run"]["seed"],
         "artifact_version": __version__,

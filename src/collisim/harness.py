@@ -37,8 +37,12 @@ _TAG_ENV = 2
 _TAG_MC = 5
 
 _ENV_CHUNK = 256  # environments per partition_sweep chunk: a few MB of transfer state
-_LOCAL_TIME_CHUNK = 2048  # walks per local_time_counts chunk; fixes the chunk streams
-_WALK_CHUNK = 512  # replicas per collision_statistics chunk below the 32 MB cap
+# Chunks fix the walk streams: chunk idx draws from (seed, _TAG_WALKS, idx).
+# Blocks bound memory: a chunk is drawn from its stream in blocks of about
+# _BLOCK_STEPS walk-steps, and no block changes a bit (see _walk_blocks).
+_LOCAL_TIME_CHUNK = 2048  # walks per local_time_counts chunk
+_WALK_CHUNK = 512  # most replicas per collision_statistics chunk
+_BLOCK_STEPS = 1 << 18  # walk-steps per block: at most about 3 MB of arrays
 
 
 class NonFiniteSample(RuntimeError):
@@ -161,6 +165,18 @@ def _map_chunks(fn, ranges, workers: int):
     return [fn(r) for r in ranges]
 
 
+def _walk_blocks(rng: np.random.Generator, size: int, shape: tuple, horizon: int):
+    """Yield (start, positions) for replicas start.. of a chunk of size
+    replicas, each positions of shape (block, *shape, horizon), drawn one
+    block after another from rng. A block is a multiple of 8 replicas, so
+    every block but the ragged last covers a multiple of 8 steps and the
+    blocks reproduce walk_positions(rng, (size, *shape), horizon) bit for bit."""
+    steps = math.prod(shape) * horizon
+    block = max(8, _BLOCK_STEPS // max(steps, 1) // 8 * 8)
+    for start in range(0, size, block):
+        yield start, walk_positions(rng, (min(block, size - start),) + shape, horizon)
+
+
 def collision_statistics(k: int, horizon: int, f: TestFunction, n_replicas: int,
                          master_seed: int, workers: int = 1) -> dict:
     """Per-replicate collision functionals for k walks of the given horizon.
@@ -172,10 +188,15 @@ def collision_statistics(k: int, horizon: int, f: TestFunction, n_replicas: int,
     weight binom(m, 2) in Pi_N, weight 1 in Pi'_N, and the site factor
     1 + sum_{j>=1} binom(m, 2j) theta^(2j) of 1 + X_n, with
     theta^2 = max(f, 0)/sqrt(N). Distinct cells at one time multiply.
+
+    Chunk idx holds min(_WALK_CHUNK, 2^22 / N) replicas (at least 32) and
+    draws from the stream (master_seed, _TAG_WALKS, idx), in blocks from
+    _walk_blocks. Every output is per replica, and each replica's sums run
+    in the same order inside a block as inside a whole chunk, so the blocks
+    change no bit.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    # keep the per-chunk (replicas x horizon) work arrays around 32 MB
     chunk = max(32, min(_WALK_CHUNK, (1 << 22) // max(horizon, 1)))
     sqrt_n = math.sqrt(horizon)
     times = np.arange(1, horizon + 1, dtype=float) / horizon
@@ -183,11 +204,10 @@ def collision_statistics(k: int, horizon: int, f: TestFunction, n_replicas: int,
     even_binom = np.array([[math.comb(m, 2 * j) for j in range(1, k // 2 + 1)]
                            for m in range(k + 1)], dtype=float)
 
-    def run(chunk_spec):
-        idx, start, size = chunk_spec
-        rng = substream(master_seed, _TAG_WALKS, idx)
+    def block_stats(block):
         # walk-major: pos[i, s] is walk i at slot s = replica * horizon + (time - 1)
-        walks = np.ascontiguousarray(walk_positions(rng, (size, k), horizon).transpose(1, 0, 2))
+        size = block.shape[0]
+        walks = np.ascontiguousarray(block.transpose(1, 0, 2))
         pos = walks.reshape(k, size * horizon)
         # a cell is visited through its lowest-indexed (lead) walk; below[i]
         # marks the slots where a lower walk shares walk i's position
@@ -231,7 +251,13 @@ def collision_statistics(k: int, horizon: int, f: TestFunction, n_replicas: int,
             "pair_hits": pair_hits,
         }
 
-    parts = _map_chunks(run, _chunk_ranges(n_replicas, chunk), workers)
+    def run(chunk_spec):
+        idx, start, size = chunk_spec
+        rng = substream(master_seed, _TAG_WALKS, idx)
+        return [block_stats(block) for _, block in _walk_blocks(rng, size, (k,), horizon)]
+
+    parts = [p for blocks in _map_chunks(run, _chunk_ranges(n_replicas, chunk), workers)
+             for p in blocks]
     merged = {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
     merged["pi_scaled"] = merged["pi_f"] / sqrt_n
     merged["exp_pi"] = np.exp(merged["pi_scaled"])
@@ -256,14 +282,16 @@ def partition_sweep(f: TestFunction, horizon: int, n_replicas: int, master_seed:
 def local_time_counts(horizon: int, n_replicas: int, master_seed: int,
                       workers: int = 1) -> np.ndarray:
     """Zero counts of single walks up to the horizon (integer-valued samples)."""
+    counts = np.empty(n_replicas)
 
     def run(chunk_spec):
         idx, start, size = chunk_spec
-        walks = walk_positions(substream(master_seed, _TAG_WALKS, idx), (size,), horizon)
-        return (walks == 0).sum(axis=1).astype(float)
+        rng = substream(master_seed, _TAG_WALKS, idx)
+        for lo, walks in _walk_blocks(rng, size, (), horizon):
+            counts[start + lo:start + lo + len(walks)] = np.count_nonzero(walks == 0, axis=1)
 
-    parts = _map_chunks(run, _chunk_ranges(n_replicas, _LOCAL_TIME_CHUNK), workers)
-    return np.concatenate(parts)
+    _map_chunks(run, _chunk_ranges(n_replicas, _LOCAL_TIME_CHUNK), workers)
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,11 @@ POINT_BUDGET = 1_000_000
 #: fewest proposal nodes local_clt_l2_error accepts
 CLT_MIN_BUDGET = 10_000
 
-#: proposal draws per importance-sampling chunk; the chunking fixes the stream
+#: proposal draws per importance-sampling chunk; the chunks fix the stream
 _IS_BATCH = 1 << 18
+
+#: proposal draws per block inside a chunk; the blocks bound memory
+_IS_BLOCK = 1 << 14
 
 
 class QuadratureError(ValueError):
@@ -167,11 +170,23 @@ _PROPOSAL_XSCALE_SQ = 0.75
 _T3_LOG_NORM = math.log(2.0 / (math.pi * math.sqrt(3.0)))
 
 
-def sample_chain_proposal(n: int, size: int, rng: np.random.Generator):
-    """Draw (t, x, log q) from the tempered chain proposal on the simplex."""
+def _proposal_gaps(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """(size, n) Dirichlet time gaps of the chain proposal, drawn in blocks of
+    _IS_BLOCK rows; Generator.dirichlet draws row by row, so the blocks
+    equal one call."""
     alpha = np.full(n + 1, _PROPOSAL_ALPHA)
     alpha[-1] = 1.0
-    gaps = rng.dirichlet(alpha, size=size)[:, :n]
+    gaps = np.empty((size, n))
+    for lo in range(0, size, _IS_BLOCK):
+        hi = min(lo + _IS_BLOCK, size)
+        gaps[lo:hi] = rng.dirichlet(alpha, size=hi - lo)[:, :n]
+    return gaps
+
+
+def _proposal_points(gaps: np.ndarray, rng: np.random.Generator):
+    """(t, x, log q) for given time gaps: the Student-t(3) increments are
+    drawn row-major from rng, so consecutive row blocks equal one call."""
+    n = gaps.shape[1]
     gaps = np.maximum(gaps, 1e-300)
     times = np.cumsum(gaps, axis=1)
     log_qt = (
@@ -180,21 +195,31 @@ def sample_chain_proposal(n: int, size: int, rng: np.random.Generator):
         + (_PROPOSAL_ALPHA - 1.0) * np.log(gaps).sum(axis=1)
     )
     scale = np.sqrt(_PROPOSAL_XSCALE_SQ * gaps)
-    u = rng.standard_t(3, size=(size, n))
+    u = rng.standard_t(3, size=gaps.shape)
     incr = u * scale
     log_qx = (_T3_LOG_NORM - 2.0 * np.log1p(u * u / 3.0) - np.log(scale)).sum(axis=1)
     xs = np.cumsum(incr, axis=1)
     return times, xs, log_qt + log_qx
 
 
+def sample_chain_proposal(n: int, size: int, rng: np.random.Generator):
+    """Draw (t, x, log q) from the tempered chain proposal on the simplex:
+    every gap first, then every increment."""
+    return _proposal_points(_proposal_gaps(n, size, rng), rng)
+
+
 def _importance_sample(n: int, budget: int, rng: np.random.Generator, h) -> ImportanceEstimate:
-    """Mean of h(t, x)^2 / q over budget proposal draws, in _IS_BATCH chunks."""
-    chunks = []
+    """Mean of h(t, x)^2 / q over budget proposal draws. Each _IS_BATCH chunk
+    draws its gaps, then its increments block by block, so only one block's
+    points are held at a time and the draws equal sample_chain_proposal's
+    over the whole chunk."""
+    ratios = np.empty(budget)
     for done in range(0, budget, _IS_BATCH):
-        t, x, logq = sample_chain_proposal(n, min(_IS_BATCH, budget - done), rng)
-        values = h(t, x)
-        chunks.append(values * values * np.exp(-logq))
-    ratios = np.concatenate(chunks)
+        gaps = _proposal_gaps(n, min(_IS_BATCH, budget - done), rng)
+        for lo in range(0, len(gaps), _IS_BLOCK):
+            t, x, logq = _proposal_points(gaps[lo:lo + _IS_BLOCK], rng)
+            values = h(t, x)
+            ratios[done + lo:done + lo + len(values)] = values * values * np.exp(-logq)
     return ImportanceEstimate(float(ratios.mean()),
                               float(ratios.std(ddof=1) / math.sqrt(len(ratios))), len(ratios))
 

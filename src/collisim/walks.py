@@ -99,6 +99,13 @@ def walk_positions(rng: np.random.Generator, lead: tuple, horizon: int) -> np.nd
     runs over words. Positions are int16 for N < 2^15, else int32; the
     arithmetic wraps modulo the dtype width, which is exact because every
     returned |S_n| <= N fits.
+
+    A call draws ceil(prod(lead) N / 8) words and drops the unused bytes of
+    the last one. So successive calls on one generator reproduce the
+    positions of a single call whenever every call but the last covers a
+    multiple of 8 steps; the harness draws its chunks in such blocks. Its
+    outputs are per replica, each summed in the same order within a block
+    as within the whole chunk, so the blocks change no bit.
     """
     lead = tuple(lead)
     rows = math.prod(lead)

@@ -1,8 +1,9 @@
 """Brute-force oracles for the test suite: exhaustive path and chain
 enumeration, subset expansions, the scalar cell map, the return-time
 law, the full 64-bit cell hash, U-statistic sign pairings, the scalar
-walk transition, the exact discrete chain norm and the constant
-amplitude. Each is exponential, scalar or unoptimised on purpose, or a
+walk transition, the exact discrete chain norm, the constant
+amplitude, and the whole-chunk bodies of the walk and importance-sampling
+kernels. Each is exponential, scalar or unoptimised on purpose, or a
 plain reference that no experiment needs, and checks a production
 kernel of collisim from an independent route.
 """
@@ -15,11 +16,13 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
+from collisim import harness as H
+from collisim import kernels as K
 from collisim.collisions import detect_collisions
 from collisim.environment import DisorderFunction
 from collisim.kernels import log_rw_transition, rw_transition_array
-from collisim.rngs import splitmix64
-from collisim.walks import positions_from_steps
+from collisim.rngs import splitmix64, substream
+from collisim.walks import positions_from_steps, walk_positions
 
 #: exhaustive path enumeration is for tiny horizons only
 ENUMERATION_CAP = 20
@@ -241,3 +244,110 @@ def discrete_chain_norm_sq(n: int, horizon: int) -> float:
 def constant_disorder(value: float) -> DisorderFunction:
     v = float(value)
     return DisorderFunction(lambda n, z: np.full(np.broadcast(n, z).shape, v), abs(v))
+
+
+# ---------------------------------------------------------------------------
+# whole-chunk kernels: each chunk's working set built at once
+
+
+def local_time_counts_whole_chunk(horizon: int, n_replicas: int, master_seed: int) -> np.ndarray:
+    """harness.local_time_counts with every chunk's positions drawn in one call."""
+
+    def run(chunk_spec):
+        idx, start, size = chunk_spec
+        walks = walk_positions(substream(master_seed, H._TAG_WALKS, idx), (size,), horizon)
+        return (walks == 0).sum(axis=1).astype(float)
+
+    return np.concatenate([run(r) for r in H._chunk_ranges(n_replicas, H._LOCAL_TIME_CHUNK)])
+
+
+def collision_statistics_whole_chunk(k: int, horizon: int, f, n_replicas: int,
+                                     master_seed: int) -> dict:
+    """harness.collision_statistics with every chunk's (k, replicas x horizon)
+    work arrays built at once."""
+    chunk = max(32, min(H._WALK_CHUNK, (1 << 22) // max(horizon, 1)))
+    sqrt_n = math.sqrt(horizon)
+    times = np.arange(1, horizon + 1, dtype=float) / horizon
+    even_binom = np.array([[math.comb(m, 2 * j) for j in range(1, k // 2 + 1)]
+                           for m in range(k + 1)], dtype=float)
+
+    def run(chunk_spec):
+        idx, start, size = chunk_spec
+        rng = substream(master_seed, H._TAG_WALKS, idx)
+        walks = np.ascontiguousarray(walk_positions(rng, (size, k), horizon).transpose(1, 0, 2))
+        pos = walks.reshape(k, size * horizon)
+        below = np.zeros((k - 1, size * horizon), dtype=bool)
+        pair_hits = np.zeros(size, dtype=np.int64)
+        slots, occ, sites = [], [], []
+        for i in range(k - 1):
+            above = pos[i + 1:] == pos[i]
+            pair_hits += above.reshape(k - 1 - i, size, horizon).sum(axis=(0, 2))
+            s = np.flatnonzero(above.any(axis=0) > below[i])
+            below[i + 1:] |= above[:k - 2 - i]
+            slots.append(s)
+            occ.append(1 + above[:, s].sum(axis=0))
+            sites.append(pos[i, s])
+        seg = np.cumsum([0] + [len(s) for s in slots])
+        slot, occ = np.concatenate(slots), np.concatenate(occ)
+        ridx, nidx = np.divmod(slot, horizon)
+        fv = np.asarray(f(times[nidx], np.concatenate(sites) / sqrt_n), dtype=float)
+        pair = even_binom[occ, 0]
+        theta2 = np.maximum(fv, 0.0) / sqrt_n
+        x_cell = np.zeros_like(theta2)
+        for j in range(k // 2, 0, -1):
+            x_cell = (x_cell + even_binom[occ, j - 1]) * theta2
+        x_mat = np.zeros(size * horizon)
+        for lo, hi in zip(seg[:-1], seg[1:]):
+            s, xc = slot[lo:hi], x_cell[lo:hi]
+            x = x_mat[s]
+            x_mat[s] = x + xc + x * xc
+        x_mat = x_mat.reshape(size, horizon)
+        return {
+            "pi_f": np.bincount(ridx, pair * fv, minlength=size),
+            "mass": np.bincount(ridx, pair, minlength=size),
+            "t_sum": x_mat.sum(axis=1),
+            "prod_x": np.prod(1.0 + x_mat, axis=1),
+            "pi_prime_f": np.bincount(ridx, fv, minlength=size),
+            "max_abs": np.maximum(walks.max(axis=(0, 2)), -walks.min(axis=(0, 2))) / sqrt_n,
+            "distinct_mass": np.bincount(ridx, minlength=size).astype(float),
+            "pair_hits": pair_hits,
+        }
+
+    parts = [run(r) for r in H._chunk_ranges(n_replicas, chunk)]
+    merged = {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
+    merged["pi_scaled"] = merged["pi_f"] / sqrt_n
+    merged["exp_pi"] = np.exp(merged["pi_scaled"])
+    return merged
+
+
+def sample_chain_proposal_whole_chunk(n: int, size: int, rng: np.random.Generator):
+    """kernels.sample_chain_proposal with one dirichlet and one standard_t call."""
+    alpha = np.full(n + 1, K._PROPOSAL_ALPHA)
+    alpha[-1] = 1.0
+    gaps = rng.dirichlet(alpha, size=size)[:, :n]
+    gaps = np.maximum(gaps, 1e-300)
+    times = np.cumsum(gaps, axis=1)
+    log_qt = (
+        gammaln(n * K._PROPOSAL_ALPHA + 1.0)
+        - n * gammaln(K._PROPOSAL_ALPHA)
+        + (K._PROPOSAL_ALPHA - 1.0) * np.log(gaps).sum(axis=1)
+    )
+    scale = np.sqrt(K._PROPOSAL_XSCALE_SQ * gaps)
+    u = rng.standard_t(3, size=(size, n))
+    incr = u * scale
+    log_qx = (K._T3_LOG_NORM - 2.0 * np.log1p(u * u / 3.0) - np.log(scale)).sum(axis=1)
+    xs = np.cumsum(incr, axis=1)
+    return times, xs, log_qt + log_qx
+
+
+def importance_sample_whole_chunk(n: int, budget: int, rng: np.random.Generator, h):
+    """kernels._importance_sample with every _IS_BATCH chunk drawn and
+    weighted at once."""
+    chunks = []
+    for done in range(0, budget, K._IS_BATCH):
+        t, x, logq = sample_chain_proposal_whole_chunk(n, min(K._IS_BATCH, budget - done), rng)
+        values = h(t, x)
+        chunks.append(values * values * np.exp(-logq))
+    ratios = np.concatenate(chunks)
+    return K.ImportanceEstimate(float(ratios.mean()),
+                                float(ratios.std(ddof=1) / math.sqrt(len(ratios))), len(ratios))

@@ -152,6 +152,11 @@ def test_hex_seed_accepted(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 0xBEEF
     assert manifest["hash_function"] == "splitmix64/v1"
+    # the run's peak RSS so far, in MB; the in-process run never exceeds
+    # this process's peak, and the report stays free of it
+    assert 0.0 < manifest["peak_rss_mb"] <= cli.peak_rss_mb()
+    assert manifest["peak_rss_mb"] > 10.0
+    assert "peak_rss_mb" not in (out / "report.json").read_text()
 
 
 def test_duality_zero_function_all_ones(tmp_path):

@@ -1,15 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from collisim import collisions as C
 from collisim import harness as H
+from collisim import kernels as K
 from collisim import polymer as P
 from collisim.collisions import constant_fn, gaussian_bump
 from collisim.environment import EnvironmentField, disorder_from_function
 from collisim.rngs import substream
-from collisim.walks import WalkEnsemble, WalkPath, positions_from_steps
+from collisim.walks import WalkEnsemble, WalkPath, positions_from_steps, walk_positions
+import oracles
 from oracles import jitter
 
 
@@ -150,6 +153,79 @@ def test_collision_statistics_worker_invariance(monkeypatch):
         assert one.keys() == two.keys()
         for key in one:
             assert np.array_equal(one[key], two[key]), (k, key)
+
+
+def _record_blocks(monkeypatch):
+    """Lead sizes of the walk_positions calls the harness makes, per stream."""
+    sizes = {}
+
+    def recording(rng, lead, horizon):
+        sizes.setdefault(rng, []).append(lead[0])
+        return walk_positions(rng, lead, horizon)
+
+    monkeypatch.setattr(H, "walk_positions", recording)
+    return sizes
+
+
+def _split_in_blocks(sizes):
+    # some chunk runs through at least 3 blocks of a multiple of 8 replicas
+    # and ends on a ragged one
+    block = max(max(s) for s in sizes.values())
+    return block % 8 == 0 and any(
+        len(s) >= 3 and s[-1] < block and set(s[:-1]) == {block} for s in sizes.values())
+
+
+def test_local_time_counts_blocks_are_bit_identical(monkeypatch):
+    # an odd horizon; the second chunk ends on a ragged block
+    horizon, n_replicas = 1001, H._LOCAL_TIME_CHUNK + 700
+    sizes = _record_blocks(monkeypatch)
+    got = H.local_time_counts(horizon, n_replicas, 13)
+    assert _split_in_blocks(sizes)
+    want = oracles.local_time_counts_whole_chunk(horizon, n_replicas, 13)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_collision_statistics_blocks_are_bit_identical(monkeypatch, k):
+    # a full 512-replica chunk, then a 300-replica one that ends on a ragged block
+    horizon, n_replicas = 999, 812
+    f = C.TestFunction(lambda t, x: (0.3 + 0.4 * t) * np.exp(-x * x / 2.0), 0.7)
+    sizes = _record_blocks(monkeypatch)
+    got = H.collision_statistics(k, horizon, f, n_replicas, 21, workers=2)
+    assert _split_in_blocks(sizes)
+    want = oracles.collision_statistics_whole_chunk(k, horizon, f, n_replicas, 21)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key].dtype == want[key].dtype, key
+        assert got[key].tobytes() == want[key].tobytes(), key
+
+
+def _traced_peak_mb(fn) -> float:
+    """Peak of the memory traced while fn runs; tracemalloc sees NumPy's
+    data buffers."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_local_time_counts_memory_is_bounded():
+    # 2048 walks of 16384 steps: whole-chunk positions and masks took 112 MB
+    assert _traced_peak_mb(lambda: H.local_time_counts(16384, 2048, 3)) < 16.0
+
+
+def test_collision_statistics_memory_is_bounded():
+    # one 512-replica chunk of 3 walks at N=1024: the whole chunk took 16 MB
+    f = gaussian_bump(0.5, 1.0)
+    assert _traced_peak_mb(lambda: H.collision_statistics(3, 1024, f, 512, 3)) < 4.0
+
+
+def test_importance_sampler_memory_is_bounded():
+    # one full 2^18-draw chunk at order 4: whole-chunk proposals took 66 MB
+    assert _traced_peak_mb(lambda: K.chain_norm_sq_mc(4, 2**18, substream(3, 4))) < 24.0
 
 
 def test_duality_experiment_zero_function():

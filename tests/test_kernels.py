@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from collisim import kernels as K
 from collisim.environment import cells_of
 from collisim.rngs import substream
+import oracles
 from oracles import discrete_chain_norm_sq, rw_transition
 
 
@@ -148,6 +149,35 @@ def test_importance_sampler_covers_discrete_kernel():
     w = (math.sqrt(horizon) * p) ** 2 * np.exp(-logq)
     exact = discrete_chain_norm_sq(1, horizon)
     assert abs(w.mean() - exact) < 5.0 * w.std(ddof=1) / math.sqrt(len(w))
+
+
+def test_chain_proposal_gap_blocks_are_bit_identical():
+    # three full gap blocks and a ragged fourth
+    size = 3 * K._IS_BLOCK + 17
+    got = K.sample_chain_proposal(2, size, substream(12, 0))
+    want = oracles.sample_chain_proposal_whole_chunk(2, size, substream(12, 0))
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+def _same_estimate(a, b):
+    return (a.value.hex(), a.stderr.hex(), a.n_samples) == (b.value.hex(), b.stderr.hex(), b.n_samples)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_importance_sampler_blocks_are_bit_identical(n):
+    # two full chunks and a ragged third, each drawn in _IS_BLOCK blocks
+    budget, horizon = 2 * K._IS_BATCH + 12345, 64
+    assert K._IS_BATCH // K._IS_BLOCK >= 3 and 12345 % K._IS_BLOCK
+    got = K.chain_norm_sq_mc(n, budget, substream(13, n))
+    want = oracles.importance_sample_whole_chunk(n, budget, substream(13, n),
+                                                 K.chain_density_gaussian_batch)
+    assert _same_estimate(got, want)
+    scale = float(horizon) ** (n / 2.0)
+    got = K.local_clt_l2_error(n, horizon, budget, substream(14, n))
+    want = oracles.importance_sample_whole_chunk(n, budget, substream(14, n), lambda t, x: (
+        K.chain_density_gaussian_batch(t, x) - scale * K.discrete_kernel_pNn_batch(t, x, horizon)))
+    assert _same_estimate(got, want)
 
 
 def test_discrete_chain_norm_sq_n2_against_direct_sum():

@@ -58,6 +58,23 @@ def test_walk_positions_match_integer_steps(lead, horizon):
     assert np.array_equal(got, want)
 
 
+@given(st.integers(min_value=1, max_value=40),
+       st.lists(st.integers(min_value=1, max_value=4), max_size=4),
+       st.integers(min_value=1, max_value=20),
+       st.sampled_from([(), (2,), (3,)]),
+       st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=60, deadline=None)
+def test_walk_positions_blocks_concatenate(horizon, eights, last, shape, seed):
+    # blocks of a multiple of 8 walks (times the shape) cover a multiple of 8
+    # steps, so drawing them one after another from one stream reproduces a
+    # single call; the last block is any size
+    sizes = [8 * e for e in eights] + [last]
+    rng = substream(seed, 1)
+    blocks = [W.walk_positions(rng, (size,) + shape, horizon) for size in sizes]
+    whole = W.walk_positions(substream(seed, 1), (sum(sizes),) + shape, horizon)
+    assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
+
 class _AllUpBits:
     def random_raw(self, size):
         return np.full(size, 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
