@@ -3,8 +3,10 @@
 Each grid cell carries an independent centered Gaussian with variance equal
 to its area; chain terms are built by a forward recursion over chaos orders
 with strict time ordering between consecutive cells (the simplex support).
-Kernels are evaluated at cell centers (midpoint rule); refinement drift is
-reported as a diagnostic rather than hidden.
+Kernels are evaluated at cell centers (midpoint rule). The scheme's own
+exact second moment (``scheme_order_variances``) measures the
+discretization bias deterministically, so one Monte-Carlo pass on one grid
+suffices.
 
 One step of the recursion is a causal space-time convolution with the heat
 kernel, which is translation-invariant on the grid, so it runs as one
@@ -176,45 +178,42 @@ def second_moment_series(gamma: float, tol: float = 1e-12) -> float:
 
 @dataclass(frozen=True)
 class ZMomentReport:
-    moments: np.ndarray        # refined-grid estimates of E[Z^j], j = 1..k
+    grid: WhiteNoiseGrid       # the sampled grid
+    moments: np.ndarray        # estimates of E[Z^j], j = 1..k
     stderrs: np.ndarray
-    coarse_moments: np.ndarray
-    refinement_drift: np.ndarray
     truncation_bound: float
     n_replicas: int
-    refined_values: np.ndarray | None = None  # per-replica Z on the fine grid
+    values: np.ndarray         # per-replica Z
 
 
 def estimate_Z_moments(a: ContinuumAmplitude, grid: WhiteNoiseGrid, order: int,
                        k: int, n_replicas: int, master_seed: int) -> ZMomentReport:
-    """Monte-Carlo moments of the simulated chaos value on the given grid and
-    one refinement; the refined estimates are the headline numbers and the
-    coarse-vs-refined drift is the discretization diagnostic.
+    """Monte-Carlo moments of the simulated chaos value on grid.refined(),
+    the grid the report carries.
+
+    Replica r draws from substream(master_seed, n_replicas + r), the key it
+    held when a coarse pass on grid took keys 0..n_replicas-1, so the
+    moments and values did not change when that pass was dropped.
 
     Each replica is an antithetic pair in the noise sign: flipping the field
     flips exactly the odd-order terms, so the mirrored value costs nothing
     and cancels the dominant odd-chaos noise in the moment estimates.
     """
+    fine = grid.refined()
+    terms = simulate_Z_batch(a, fine, order, master_seed, n_replicas,
+                             replica_offset=n_replicas)
     signs = (-1.0) ** np.arange(order + 1)
     exponents = np.arange(1, k + 1)
-    levels = []
-    for li, g in enumerate((grid, grid.refined())):
-        terms = simulate_Z_batch(a, g, order, master_seed, n_replicas,
-                                 replica_offset=li * n_replicas)
-        plus = terms.sum(axis=1)
-        minus = (terms * signs[None, :]).sum(axis=1)
-        vals = (plus[:, None] ** exponents[None, :] + minus[:, None] ** exponents[None, :]) / 2.0
-        levels.append((vals.mean(axis=0), vals.std(axis=0, ddof=1) / math.sqrt(n_replicas),
-                       plus))
-    (coarse_m, _, _), (fine_m, fine_se, z_fine) = levels
+    plus = terms.sum(axis=1)
+    minus = (terms * signs[None, :]).sum(axis=1)
+    vals = (plus[:, None] ** exponents[None, :] + minus[:, None] ** exponents[None, :]) / 2.0
     return ZMomentReport(
-        moments=fine_m,
-        stderrs=fine_se,
-        coarse_moments=coarse_m,
-        refinement_drift=np.abs(fine_m - coarse_m),
+        grid=fine,
+        moments=vals.mean(axis=0),
+        stderrs=vals.std(axis=0, ddof=1) / math.sqrt(n_replicas),
         truncation_bound=chaos_tail_bound(a.sup_bound, order),
         n_replicas=n_replicas,
-        refined_values=z_fine,
+        values=plus,
     )
 
 
@@ -224,8 +223,9 @@ def scheme_order_variances(grid: WhiteNoiseGrid, gamma: float, order: int) -> np
 
     Spatial sums over increments use the full difference grid, neglecting
     the cutoff-edge deficit (bounded by the Gaussian mass beyond the cutoff,
-    which the default cutoff makes negligible). Deterministic: separates
-    simulator correctness from discretization bias in tests.
+    which the default cutoff makes negligible). Deterministic: 1 + the sum is
+    the grid's exact E[Z^2], which separates simulator correctness from
+    discretization bias.
     """
     g2 = gamma * gamma
     dt, dx, t_cells = grid.dt, grid.dx, grid.time_cells

@@ -50,11 +50,6 @@ def log_rw_transition(i: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.where(valid, logp, -np.inf)
 
 
-def rw_transition_array(i: np.ndarray, x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return np.exp(log_rw_transition(i, x))
-
-
 def heat_kernel(t, x):
     """Standard Gaussian heat kernel exp(-x^2/2t)/sqrt(2 pi t); t > 0."""
     t_arr = np.asarray(t, dtype=float)

@@ -1,7 +1,7 @@
 """Brute-force oracles for the test suite: exhaustive path and chain
 enumeration, subset expansions, the scalar cell map, the return-time
-law, the full 64-bit cell hash, U-statistic sign pairings, the scalar
-walk transition, the exact discrete chain norm, the constant
+law, the full 64-bit cell hash, U-statistic sign pairings, the scalar and
+array walk transitions, the exact discrete chain norm, the constant
 amplitude, and the whole-chunk bodies of the walk and importance-sampling
 kernels. Each is exponential, scalar or unoptimised on purpose, or a
 plain reference that no experiment needs, and checks a production
@@ -20,7 +20,7 @@ from collisim import harness as H
 from collisim import kernels as K
 from collisim.collisions import detect_collisions
 from collisim.environment import DisorderFunction
-from collisim.kernels import log_rw_transition, rw_transition_array
+from collisim.kernels import log_rw_transition
 from collisim.rngs import splitmix64, substream
 from collisim.walks import positions_from_steps, walk_positions
 
@@ -218,6 +218,12 @@ def rw_transition(i: int, x: int) -> float:
     if i <= _EXACT_STEPS:
         return math.ldexp(float(math.comb(i, (i + x) // 2)), -i)
     return float(np.exp(log_rw_transition(np.array([i]), np.array([x]))[0]))
+
+
+def rw_transition_array(i: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """p(i, x) elementwise through the log-space kernel."""
+    with np.errstate(over="ignore"):
+        return np.exp(log_rw_transition(i, x))
 
 
 def discrete_chain_norm_sq(n: int, horizon: int) -> float:

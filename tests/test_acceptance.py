@@ -2,8 +2,9 @@
 tolerance, with a printed pass/fail line each.
 
 Run `pytest -v tests/test_acceptance.py` (add -s to stream the lines live).
-The full module takes under 1.5 minutes on two cores (81 s, of which
-criterion 10 is 43 s, criterion 11 is 16 s and criterion 9 is 5 s).
+The full module takes under 1.5 minutes on two cores (66 s, of which
+criterion 10 is 39 s, criterion 11 is 9 s, criterion 13 is 4 s and
+criterion 9 is 3 s).
 """
 
 import math
@@ -219,7 +220,7 @@ def test_criterion_12_measure_merging():
 
 def test_criterion_13_product_sum_sandwich():
     started = time.perf_counter()
-    rep = H.product_sum_property_check([64, 256, 1024], 100_000, 1017, k=3, f=BUMP)
+    rep = H.duality_experiment(3, BUMP, [64, 256, 1024], 100_000, 0, 1017)
     sandwich = [v for v in rep.verdicts if v.name == "pathwise-sandwich"][0]
     ratio = [v for v in rep.verdicts if v.name == "ratio-concentrates"][0]
     elapsed = time.perf_counter() - started

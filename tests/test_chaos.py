@@ -236,7 +236,23 @@ def test_estimate_Z_moments_second_moment_vs_series():
     # refined estimate within 3 stderr of the closed-form series
     assert abs(rep.moments[1] - target) < 3.0 * rep.stderrs[1]
     assert abs(rep.moments[0] - 1.0) < 4.0 * rep.stderrs[0]
-    assert rep.refinement_drift.shape == (2,)
+    assert rep.grid == _grid(16).refined()
+
+
+def test_estimate_Z_moments_samples_the_refined_grid_once():
+    # one pass on grid.refined(), replica r keyed (seed, n + r); the moments
+    # are the antithetic pair means of the plain batch's terms
+    a, grid, order, k, n, seed = _const_amp(0.9), _grid(8), 4, 3, 30, 77
+    rep = C.estimate_Z_moments(a, grid, order, k, n, seed)
+    terms = C.simulate_Z_batch(a, grid.refined(), order, seed, n, replica_offset=n)
+    plus = terms.sum(axis=1)
+    minus = (terms * (-1.0) ** np.arange(order + 1)).sum(axis=1)
+    exps = np.arange(1, k + 1)
+    vals = (plus[:, None] ** exps + minus[:, None] ** exps) / 2.0
+    assert rep.values.tobytes() == plus.tobytes()
+    assert rep.moments.tobytes() == vals.mean(axis=0).tobytes()
+    assert rep.stderrs.tobytes() == (vals.std(axis=0, ddof=1) / math.sqrt(n)).tobytes()
+    assert rep.grid == grid.refined() and rep.n_replicas == n
 
 
 def test_simulation_reproducible():

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from collisim import chaos as CH
 from collisim import collisions as C
 from collisim import harness as H
 from collisim import kernels as K
@@ -39,7 +40,6 @@ def test_ks_identical_samples():
     res = H.ks_two_sample(xs, xs)
     assert res.statistic == 0.0
     assert res.pvalue == pytest.approx(1.0)
-    assert "integer" in res.note
 
 
 def test_ks_power_on_shifted_normals():
@@ -275,8 +275,19 @@ def test_tightness_extreme_threshold_zero():
 
 
 def test_product_sum_polymer_family():
-    rep = H.product_sum_property_check([16, 64], 2000, 12)
-    assert rep.verdicts[0].passed, rep.verdicts[0].detail
+    rep = H.duality_experiment(3, gaussian_bump(0.5, 1.0), [16, 64], 2000, 0, 12)
+    sandwich = [v for v in rep.verdicts if v.name == "pathwise-sandwich"][0]
+    assert sandwich.passed, sandwich.detail
+    assert all(row["sandwich_holds"] for row in rep.tables["ladder"])
+
+
+def test_duality_one_rung_has_sandwich_but_no_ratio_verdict():
+    # one rung cannot show the ratio falling along the ladder
+    rep = H.duality_experiment(3, gaussian_bump(0.5, 1.0), [32], 500, 0, 8)
+    names = [v.name for v in rep.verdicts]
+    assert "pathwise-sandwich" in names
+    assert "ratio-concentrates" not in names
+    assert rep.passed, [v.detail for v in rep.verdicts if not v.passed]
 
 
 def test_convergence_study_k2_pi_equals_prime():
@@ -375,6 +386,17 @@ def test_chaos_experiment_small():
     rep = H.chaos_experiment(math.sqrt(2) * 0.5, 16, math.sqrt(1 / 16) * 0.999, 6.0,
                              5, 300, 41)
     assert rep.passed, [v.detail for v in rep.verdicts if not v.passed]
+
+
+def test_chaos_grid_second_moment_is_the_exact_scheme_value():
+    gamma, dx = math.sqrt(2) * 0.5, math.sqrt(1 / 8) * 0.999
+    rep = H.chaos_experiment(gamma, 8, dx, 6.0, 4, 40, 5)
+    sampled = CH.WhiteNoiseGrid(8, dx, 6.0).refined()
+    exact = 1.0 + float(CH.scheme_order_variances(sampled, gamma, 4).sum())
+    assert rep.tables["grid_second_moment"] == exact
+    assert "coarse_moments" not in rep.tables and "refinement_drift" not in rep.tables
+    detail = [v.detail for v in rep.verdicts if v.name == "second-moment"][0]
+    assert f"grid value {exact:.4f}" in detail
 
 
 def test_report_serialization_roundtrip():

@@ -29,7 +29,7 @@ def test_rw_transition_sums_to_one(i):
 def test_rw_transition_log_path_agrees():
     i = np.array([80, 120, 200])
     x = np.array([0, 4, -10])
-    vals = K.rw_transition_array(i, x)
+    vals = oracles.rw_transition_array(i, x)
     for iv, xv, v in zip(i, x, vals):
         exact = math.comb(int(iv), (int(iv) + int(xv)) // 2) * 2.0 ** (-float(iv))
         assert v == pytest.approx(exact, rel=1e-12)
