@@ -6,7 +6,9 @@ with strict time ordering between consecutive cells (the simplex support).
 Kernels are evaluated at cell centers (midpoint rule). The scheme's own
 exact second moment (``scheme_order_variances``) measures the
 discretization bias deterministically, so one Monte-Carlo pass on one grid
-suffices.
+suffices. Extrapolated to zero mesh over a ladder of grids
+(``extrapolated_chain_norms``), the same variances give the chain norms
+||rho_n||_2^2 with a stated error and no sampling.
 
 One step of the recursion is a causal space-time convolution with the heat
 kernel, which is translation-invariant on the grid, so it runs as one
@@ -30,9 +32,11 @@ __all__ = [
     "simulate_Z_batch",
     "second_moment_series",
     "estimate_Z_moments",
+    "extrapolated_chain_norms",
 ]
 
 _TAIL_TERMS = 400  # dropped orders summed by chaos_tail_bound
+_SCHEME_BLOCK = 1 << 17  # kernel values per block in scheme_order_variances: 1 MB
 
 
 class GridResolutionError(ValueError):
@@ -236,8 +240,14 @@ def scheme_order_variances(grid: WhiteNoiseGrid, gamma: float, order: int) -> np
           / (2.0 * math.pi * tc[:, None])).sum(axis=1) * dx
     diffs = np.arange(-2 * grid.space_cells, 2 * grid.space_cells + 1) * dx
     lags = np.arange(1, t_cells) * dt
-    s_lag = (np.exp(-(diffs[None, :] ** 2) / lags[:, None])
-             / (2.0 * math.pi * lags[:, None])).sum(axis=1) * dx
+    # per lag row; blocks of rows bound the (lags, diffs) temporaries
+    s_lag = np.empty(len(lags))
+    rows = max(1, _SCHEME_BLOCK // len(diffs))
+    for lo in range(0, len(lags), rows):
+        block = lags[lo:lo + rows, None]
+        s_lag[lo:lo + rows] = (np.exp(-(diffs[None, :] ** 2) / block)
+                               / (2.0 * math.pi * block)).sum(axis=1)
+    s_lag *= dx
     variances = np.zeros(order + 1)
     chain = s0.copy()  # weight of chains ending at each slice
     variances[1] = g2 * dt * chain.sum() if order >= 1 else 0.0
@@ -246,3 +256,42 @@ def scheme_order_variances(grid: WhiteNoiseGrid, gamma: float, order: int) -> np
         chain = np.concatenate(([0.0], np.convolve(chain, s_lag)[: t_cells - 1]))
         variances[n] = g2**n * dt**n * chain.sum()
     return variances[1:]
+
+
+#: the grids extrapolated_chain_norms fits: WhiteNoiseGrid(32, 0.175) and its
+#: refined() grids up to T = 512 (halving dx is exact in floating point)
+NORM_LADDER = tuple(WhiteNoiseGrid(32 << j, 0.175 / 2**j) for j in range(5))
+
+
+@dataclass(frozen=True)
+class ChainNormExtrapolation:
+    scheme: np.ndarray  # (grid, order): scheme_order_variances(grid, 1, max_order) per NORM_LADDER grid
+    values: np.ndarray  # ||rho_n||_2^2 for n = 1..max_order, extrapolated to zero mesh
+    errors: np.ndarray  # stated error: |values - the same fit without the finest grid|
+
+
+def _value_at_zero(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """At x = 0, the polynomial of degree len(x) - 1 through the points
+    (x_j, y_j), for each column of y (Lagrange form)."""
+    weights = np.array([np.prod([xm / (xm - xj) for m, xm in enumerate(x) if m != j])
+                        for j, xj in enumerate(x)])
+    return weights @ y
+
+
+def extrapolated_chain_norms(max_order: int) -> ChainNormExtrapolation:
+    """||rho_n||_2^2 for n = 1..max_order from the exact unit-amplitude scheme
+    variances on the NORM_LADDER grids, by Richardson extrapolation in
+    h^(1/2) (h = dt): c0 + sum_k c_k h^(k/2) through every grid, read at
+    h = 0. The stated error is the gap to the fit that drops the finest grid.
+    Deterministic; the five grids take well under a second."""
+    if max_order < 1:
+        raise ValueError("max_order must be >= 1")
+    coarsest = NORM_LADDER[0]
+    if coarsest.dt >= 1.0 / max_order:
+        raise GridResolutionError(
+            f"dt={coarsest.dt} cannot time-order chains of length {max_order}")
+    scheme = np.array([scheme_order_variances(grid, 1.0, max_order) for grid in NORM_LADDER])
+    root_h = np.sqrt([grid.dt for grid in NORM_LADDER])
+    values = _value_at_zero(root_h, scheme)
+    errors = np.abs(values - _value_at_zero(root_h[:-1], scheme[:-1]))
+    return ChainNormExtrapolation(scheme, values, errors)

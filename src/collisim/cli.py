@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, harness, polymer
+from .chaos import NORM_LADDER
 from .collisions import gaussian_bump
 from .kernels import CLT_MIN_BUDGET
 from .rngs import HASH_VERSION
@@ -161,10 +162,14 @@ def validate(cfg: dict) -> dict:
         raise ConfigError(f"harness.env_budget: must be null or a positive integer, "
                           f"got {budget!r}")
     hz["max_order"] = _int_at_least(hz["max_order"], "harness.max_order", 1)
-    if hz["max_order"] > 99:
-        # kernels_check keys order n as (seed, 5, n) and CLT rung i as
-        # (seed, 5, 100 + i): order 100 would reuse rung 0's stream
-        raise ConfigError(f"harness.max_order: must be <= 99, got {hz['max_order']}")
+    coarsest = NORM_LADDER[0].time_cells
+    if hz["max_order"] >= coarsest:
+        # kernels_check extrapolates the chain norms from a grid ladder whose
+        # coarsest grid must time-order chains of length max_order
+        raise ConfigError(f"harness.max_order: must be < {coarsest} (the chain-norm "
+                          f"ladder's coarsest grid has {coarsest} time cells), "
+                          f"got {hz['max_order']}")
+    # still validated, since perfbench's frozen configs set it; no subcommand reads it
     hz["norm_samples"] = _int_at_least(hz["norm_samples"], "harness.norm_samples", 2)
     hz["clt_budget"] = _int_at_least(hz["clt_budget"], "harness.clt_budget",
                                      CLT_MIN_BUDGET)
@@ -289,8 +294,7 @@ def dispatch(command: str, cfg: dict) -> harness.ExperimentReport:
         return harness.convergence_study(
             walks["k"], f, walks["n_ladder"], run["replicas"], seed, workers)
     if command == "kernels-check":
-        return harness.kernels_check(
-            hz["max_order"], hz["norm_samples"], walks["n_ladder"], hz["clt_budget"], seed)
+        return harness.kernels_check(hz["max_order"], walks["n_ladder"], hz["clt_budget"], seed)
     if command == "ustat-check":
         return harness.ustat_check(walks["n_ladder"][0], run["replicas"], seed)
     raise ConfigError(f"command: unknown command {command!r}")

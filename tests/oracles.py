@@ -2,10 +2,11 @@
 enumeration, subset expansions, the scalar cell map, the return-time
 law, the full 64-bit cell hash, U-statistic sign pairings, the scalar and
 array walk transitions, the exact discrete chain norm, the constant
-amplitude, and the whole-chunk bodies of the walk and importance-sampling
-kernels. Each is exponential, scalar or unoptimised on purpose, or a
-plain reference that no experiment needs, and checks a production
-kernel of collisim from an independent route.
+amplitude, the whole-chunk bodies of the walk and importance-sampling
+kernels, and the local-CLT distance by adaptive 2-D quadrature. Each is
+exponential, scalar or unoptimised on purpose, or a plain reference that
+no experiment needs, and checks a production kernel of collisim from an
+independent route.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.special import gammaln
 
 from collisim import harness as H
@@ -357,3 +359,26 @@ def importance_sample_whole_chunk(n: int, budget: int, rng: np.random.Generator,
     ratios = np.concatenate(chunks)
     return K.ImportanceEstimate(float(ratios.mean()),
                                 float(ratios.std(ddof=1) / math.sqrt(len(ratios))), len(ratios))
+
+
+def local_clt_distance_sq_dense(horizon: int, reach: float = 10.0) -> float:
+    """||rho_1 - sqrt(N) p^N_1||_2^2 by adaptive 2-D quadrature of the squared
+    difference over every lattice cell that meets |x| <= reach, in the
+    coordinates (s = sqrt(t), x); rho_1 has squared mass below 1e-40 beyond
+    reach = 10. Slow; for N of 1 or 2."""
+    root_n = math.sqrt(horizon)
+    total = 0.0
+    for i in range(1, horizon + 1):
+        s_lo, s_hi = math.sqrt((i - 1) / horizon), math.sqrt(i / horizon)
+        zmax = math.ceil(reach * root_n) + 1
+        for z in range(-zmax - (zmax + i) % 2, zmax + 1, 2):
+            h = root_n * rw_transition(i, z) / 2.0
+            x_lo, x_hi = (z - 1) / root_n, (z + 1) / root_n
+
+            def row(s, h=h, x_lo=x_lo, x_hi=x_hi):
+                def sq(x):
+                    return (math.exp(-x * x / (2 * s * s)) / math.sqrt(2 * math.pi) / s - h) ** 2
+                return 2.0 * s * quad(sq, x_lo, x_hi, epsabs=1e-14, epsrel=1e-12, limit=200)[0]
+
+            total += quad(row, s_lo, s_hi, epsabs=1e-14, epsrel=1e-12, limit=200)[0]
+    return total

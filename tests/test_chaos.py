@@ -261,3 +261,40 @@ def test_simulation_reproducible():
 
     assert replica(4).tolist() == replica(4).tolist()
     assert replica(4).tolist() != replica(5).tolist()
+
+
+def test_norm_ladder_refines_the_base_grid():
+    grid = C.WhiteNoiseGrid(32, 0.175)
+    for rung in C.NORM_LADDER:
+        assert rung == grid
+        grid = grid.refined()
+    assert C.NORM_LADDER[-1].time_cells == 512
+
+
+def test_extrapolated_chain_norms_fit_the_exact_scheme():
+    fit = C.extrapolated_chain_norms(6)
+    for rung, row in zip(C.NORM_LADDER, fit.scheme):
+        assert row.tobytes() == C.scheme_order_variances(rung, 1.0, 6).tobytes()
+    for n in range(1, 7):
+        closed = rho_chain_norm_sq(n)
+        err = abs(fit.values[n - 1] - closed)
+        assert err <= fit.errors[n - 1], n
+        assert err <= 1e-3 * closed, n
+
+
+def test_extrapolated_chain_norms_resolution_guard():
+    assert len(C.extrapolated_chain_norms(31).values) == 31
+    with pytest.raises(C.GridResolutionError):
+        C.extrapolated_chain_norms(32)
+    with pytest.raises(ValueError):
+        C.extrapolated_chain_norms(0)
+
+
+def test_scheme_variances_blocks_are_bit_identical(monkeypatch):
+    # the finest ladder grid splits its 511 lags into blocks; one block is
+    # the whole (lags, diffs) array
+    grid = C.NORM_LADDER[-1]
+    assert grid.time_cells * (4 * grid.space_cells + 1) > 3 * C._SCHEME_BLOCK
+    blocked = C.scheme_order_variances(grid, 0.8, 5)
+    monkeypatch.setattr(C, "_SCHEME_BLOCK", 1 << 40)
+    assert blocked.tobytes() == C.scheme_order_variances(grid, 0.8, 5).tobytes()

@@ -92,6 +92,8 @@ def test_bad_env_budget_named(tmp_path, capsys, budget):
     # each sample is finite, but the squares in the stderr of 10,000 of them overflow
     ("expmoment", {"harness": {"beta": 88}, "walks": {"n_ladder": [64, 256]}}, "harness.beta"),    # the moment suite needs 1000 fields; a shorter run is rejected, not lengthened
     ("ustat-check", {"run": {"replicas": 999}}, "run.replicas"),
+    # the chain-norm ladder's coarsest grid (T=32) time-orders chains of length <= 31
+    ("kernels-check", {"harness": {"max_order": 32}}, "harness.max_order"),
 ])
 def test_bad_config_value_named(tmp_path, capsys, command, doc, field):
     cfg = write_cfg(tmp_path, doc)
@@ -109,6 +111,21 @@ def test_bad_config_value_named(tmp_path, capsys, command, doc, field):
 def test_null_env_budget_accepted():
     cfg = cli._merge(cli.DEFAULT_CONFIG, {"run": {"seed": 1}, "harness": {"env_budget": None}})
     assert cli.validate(cfg)["harness"]["env_budget"] is None
+
+
+def test_max_order_edge_accepted():
+    # the largest order the chain-norm ladder's coarsest grid can time-order
+    cfg = cli._merge(cli.DEFAULT_CONFIG, {"run": {"seed": 1}, "harness": {"max_order": 31}})
+    assert cli.validate(cfg)["harness"]["max_order"] == 31
+
+
+def test_kernels_check_report_leaves_norm_samples_out(tmp_path):
+    report = json.loads(_tiny_report(tmp_path, "kernels-check", "kc"))
+    assert set(report["config"]) == {"max_order", "clt_ladder", "clt_budget"}
+    assert set(report["tables"]["norms"][0]) == {"n", "closed_form", "extrapolated",
+                                                 "stated_error", "rel_err"}
+    assert set(report["tables"]["clt"][0]) == {"N", "distance", "d2", "band_tail_bound",
+                                               "sampled_d2", "sampled_stderr"}
 
 
 @pytest.mark.parametrize("command, field, scale", [

@@ -373,8 +373,59 @@ def test_collision_experiment_flags_bad_replicate(monkeypatch, k):
 
 
 def test_kernels_check_small():
-    rep = H.kernels_check(2, 120_000, [16, 64, 256], 60_000, 31)
+    rep = H.kernels_check(2, [16, 64, 256], 60_000, 31)
     assert rep.passed, [v.detail for v in rep.verdicts if not v.passed]
+    assert [v.name for v in rep.verdicts] == ["norms-match", "clt-rate", "clt-sampler-matches"]
+
+
+def test_kernels_check_tables_hold_exact_and_sampled_values():
+    seed, ladder, budget = 8, [16, 64, 256], 20_000
+    rep = H.kernels_check(3, ladder, budget, seed)
+    fit = CH.extrapolated_chain_norms(3)
+    for n, row in enumerate(rep.tables["norms"], start=1):
+        assert row["closed_form"] == K.rho_chain_norm_sq(n)
+        assert row["extrapolated"] == fit.values[n - 1]
+        assert row["stated_error"] == fit.errors[n - 1]
+        assert row["rel_err"] <= 1e-3
+    for ni, (row, horizon) in enumerate(zip(rep.tables["clt"], ladder)):
+        exact = K.local_clt_distance_sq(horizon)
+        assert (row["N"], row["d2"], row["band_tail_bound"]) == (horizon, exact.value,
+                                                                  exact.tail_bound)
+        assert row["distance"] == math.sqrt(exact.value)
+        # the sampled rows read the streams (seed, 5, 100 + rung), bit for bit
+        est = K.local_clt_l2_error(1, horizon, budget, substream(seed, 5, 100 + ni))
+        assert row["sampled_d2"].hex() == est.value.hex()
+        assert row["sampled_stderr"].hex() == est.stderr.hex()
+    assert "norm_samples" not in rep.config
+
+
+def test_kernels_check_one_rung_has_no_rate_verdict():
+    rep = H.kernels_check(1, [64], 10_000, 3)
+    assert [v.name for v in rep.verdicts] == ["norms-match", "clt-sampler-matches"]
+
+
+def test_kernels_check_fails_a_closed_form_off_by_two_percent(monkeypatch):
+    closed = K.rho_chain_norm_sq
+    monkeypatch.setattr(K, "rho_chain_norm_sq", lambda n: 1.02 * closed(n))
+    rep = H.kernels_check(2, [16, 64], 10_000, 31)
+    assert {v.name for v in rep.verdicts if not v.passed} == {"norms-match"}
+
+
+def test_kernels_check_fails_a_stated_error_above_tolerance():
+    # n=10: the fit misses by 0.7% but can only state 7.5%, so the match is not shown
+    rep = H.kernels_check(10, [16, 64], 10_000, 31)
+    row = rep.tables["norms"][-1]
+    assert row["rel_err"] <= H._NORM_TOL_REL < row["stated_error"] / row["closed_form"]
+    assert {v.name for v in rep.verdicts if not v.passed} == {"norms-match"}
+
+
+def test_kernels_check_fails_a_wrong_rate_ladder(monkeypatch):
+    exact = K.local_clt_distance_sq
+    # a distance that falls like N^(-1/2) instead of N^(-1/4)
+    monkeypatch.setattr(K, "local_clt_distance_sq", lambda horizon: K.BandedValue(
+        exact(horizon).value / math.sqrt(horizon), 0.0))
+    rep = H.kernels_check(2, [16, 64, 256], 10_000, 31)
+    assert "clt-rate" in {v.name for v in rep.verdicts if not v.passed}
 
 
 def test_ustat_check_small():
@@ -397,6 +448,22 @@ def test_chaos_grid_second_moment_is_the_exact_scheme_value():
     assert "coarse_moments" not in rep.tables and "refinement_drift" not in rep.tables
     detail = [v.detail for v in rep.verdicts if v.name == "second-moment"][0]
     assert f"grid value {exact:.4f}" in detail
+
+
+def test_chaos_second_moment_verdict_reads_the_grid_value(monkeypatch):
+    gamma, dx = math.sqrt(2) * 0.5, math.sqrt(1 / 8) * 0.999
+    rep = H.chaos_experiment(gamma, 8, dx, 6.0, 4, 40, 5)
+    assert rep.tables["series_bias"] == rep.tables["series_target"] - rep.tables["grid_second_moment"]
+    assert rep.tables["series_bias"] > 0.0
+    # a wrong series moves only the reported bias, not the verdict
+    monkeypatch.setattr(CH, "second_moment_series", lambda g: 100.0)
+    moved = H.chaos_experiment(gamma, 8, dx, 6.0, 4, 40, 5)
+    assert [v.passed for v in moved.verdicts] == [v.passed for v in rep.verdicts] == [True, True]
+    assert moved.tables["series_bias"] == 100.0 - rep.tables["grid_second_moment"]
+    # a wrong grid value fails it
+    monkeypatch.setattr(CH, "scheme_order_variances", lambda *a: np.array([10.0]))
+    wrong = H.chaos_experiment(gamma, 8, dx, 6.0, 4, 40, 5)
+    assert {v.name for v in wrong.verdicts if not v.passed} == {"second-moment"}
 
 
 def test_report_serialization_roundtrip():

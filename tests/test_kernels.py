@@ -235,3 +235,39 @@ def test_transition_parity_and_support(i, x):
         assert p == 0.0
     else:
         assert p > 0.0
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 16, 256, 1024])
+def test_local_clt_distance_converged_in_nodes(monkeypatch, horizon):
+    got = K.local_clt_distance_sq(horizon).value
+    monkeypatch.setattr(K, "CLT_NODES", 32)
+    assert abs(got - K.local_clt_distance_sq(horizon).value) <= 1e-10
+
+
+@pytest.mark.parametrize("horizon", [1, 2])
+def test_local_clt_distance_matches_dense_quadrature(horizon):
+    got = K.local_clt_distance_sq(horizon)
+    assert got.tail_bound == 0.0
+    assert abs(got.value - oracles.local_clt_distance_sq_dense(horizon)) <= 1e-10
+
+
+@pytest.mark.parametrize("horizon, seed", [(16, 31), (64, 32), (256, 33)])
+def test_local_clt_distance_matches_importance_sampler(horizon, seed):
+    exact = K.local_clt_distance_sq(horizon).value
+    est = K.local_clt_l2_error(1, horizon, 120_000, substream(seed, 0))
+    assert abs(est.value - exact) <= 4.0 * est.stderr, (est, exact)
+
+
+def test_local_clt_distance_frozen_value_at_4096():
+    # the deterministic oracle value that test_local_clt_frozen_value_at_4096 cites
+    assert math.sqrt(K.local_clt_distance_sq(4096).value) == pytest.approx(0.080531, abs=5e-7)
+
+
+def test_local_clt_distance_band_drops_within_tail_bound(monkeypatch):
+    # at N=256 the band keeps |z| <= 128; the whole cone changes only rounding
+    banded = K.local_clt_distance_sq(256)
+    assert 0.0 < banded.tail_bound < 1e-20
+    monkeypatch.setattr(K, "band_halfwidth", lambda horizon: horizon)
+    cone = K.local_clt_distance_sq(256)
+    assert cone.tail_bound == 0.0
+    assert abs(banded.value - cone.value) <= banded.tail_bound + 1e-15
