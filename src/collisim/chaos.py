@@ -117,9 +117,12 @@ def _propagate(v: np.ndarray, kernel_fft: np.ndarray) -> np.ndarray:
     """w[t, x] = sum_{s<t} sum_y v[s, y] G(t-s, x-y) for a (T, X) field v."""
     t_cells, x_cells = v.shape
     shape = (kernel_fft.shape[0], _fast_len(2 * x_cells - 1))
-    full = np.fft.irfft2(np.fft.rfft2(v, s=shape) * kernel_fft, s=shape)
+    # the two inverse transforms of irfft2(., s=shape), bit for bit, with the
+    # last one run on the kept time rows only
+    rows = np.fft.ifft(np.fft.rfft2(v, s=shape) * kernel_fft, n=shape[0], axis=0)[1:t_cells]
     w = np.zeros_like(v)
-    w[1:] = full[1:t_cells, x_cells - 1 : 2 * x_cells - 1]  # no chain ends in slice 0
+    # no chain ends in slice 0
+    w[1:] = np.fft.irfft(rows, n=shape[1], axis=1)[:, x_cells - 1 : 2 * x_cells - 1]
     return w
 
 

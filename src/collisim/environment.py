@@ -1,9 +1,11 @@
 """Rademacher disorder field and lattice amplitude fields.
 
 The environment omega(n, z) is a deterministic counter-based hash of
-(seed, n, z): the lowest hash bit picks the sign, so +-1 are exactly
-balanced over the hash codomain. Every polymer sample hashes one such
-field on the transfer band only (O(N^{3/2}) signs) and stores none.
+(seed, n, z) (``rngs``, splitmix64/v2): one hash bit picks the sign, so +-1
+are exactly balanced over the hash codomain, and one 64-bit word carries
+the signs of 64 neighbouring sites of a step. Every polymer sample hashes
+one such field on the transfer band only (about N^{3/2} / 64 words) and
+stores none.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ class EnvironmentField:
     seed: int
 
     def omega_at(self, n, z):
-        """+-1 at cell (n, z); vectorized over array-valued n, z."""
+        """+-1 at cell (n, z); vectorized over array-valued n, z. An off-parity
+        cell (z + n odd) reads the sign of (n, z - 1), as in ``rngs``."""
         s0 = splitmix64(np.asarray(self.seed, dtype=np.int64).astype(np.uint64))
         sign = cell_signs(s0, n, z).astype(np.int64)
         if np.isscalar(n) and np.isscalar(z):

@@ -31,7 +31,7 @@ import numpy as np
 
 from .environment import DisorderFunction
 from .kernels import block_average_cells
-from .rngs import CellSigns, child_seeds, splitmix64
+from .rngs import child_seeds, splitmix64, step_keys, window_bits
 
 #: fewest replicas ustat_moment_suite accepts
 MIN_REPLICAS = 1000
@@ -113,14 +113,20 @@ def _time_windows(table: CellTable):
 
 
 def evaluate_table(table: CellTable, seeds) -> np.ndarray:
-    """S^N_n(g) for each environment seed: one pass over the times hashes each
-    time's window for all fields with one sign kernel, contracts it with that
+    """S^N_n(g) for each environment seed: one pass over the times reads each
+    time's window of sign bits for all fields, contracts the signs with that
     time's weights into y_i, and lifts e_n(y) by one time."""
     seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
-    s0 = splitmix64(seeds[:, None].astype(np.uint64))
-    windows = _time_windows(table)
-    signs = CellSigns(len(seeds) * max(w.stop - w.start for _, w in windows))
-    ys = (signs(s0, i, table.cell_sites[w]) @ table.weights[w] for i, w in windows)
+    s0 = splitmix64(seeds.astype(np.uint64))
+
+    def y(i, cells):
+        keys = step_keys(s0, i)
+        sites = (table.cell_sites[cells] + i) >> 1
+        lo = int(sites.min())
+        bits = window_bits(keys, lo, int(sites.max()) - lo + 1)
+        return table.weights[cells] @ (1.0 - 2.0 * bits[sites - lo])
+
+    ys = (y(i, w) for i, w in _time_windows(table))
     return table.prefactor * _subset_products(ys, table.order, (len(seeds),))
 
 

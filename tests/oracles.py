@@ -1,6 +1,7 @@
 """Brute-force oracles for the test suite: exhaustive path and chain
 enumeration, subset expansions, the scalar cell map, the return-time
-law, the full 64-bit cell hash, U-statistic sign pairings, the scalar and
+law, the splitmix64/v1 cell hash and transfer, the splitmix64/v2 sign in
+Python integers, U-statistic sign pairings, the scalar and
 array walk transitions, the exact discrete chain norm, the constant
 amplitude, the whole-chunk bodies of the walk and importance-sampling
 kernels, and the local-CLT distance by adaptive 2-D quadrature. Each is
@@ -178,14 +179,77 @@ def cell_of(t: float, x: float, horizon: int) -> tuple[int, int]:
     return i, 2 * q + parity
 
 
-def cell_signs_full_hash(s0, n, z) -> np.ndarray:
-    """The splitmix64/v1 cell sign from all 64 bits of the hash:
-    1 - 2 (splitmix64(splitmix64(s0 ^ n) ^ z) & 1), the reference for
-    rngs.cell_signs, which computes the lowest bit only."""
+def cell_signs_v1(s0, n, z) -> np.ndarray:
+    """The splitmix64/v1 cell sign, one full hash per cell:
+    1 - 2 (splitmix64(splitmix64(s0 ^ n) ^ z) & 1), the field every report
+    before splitmix64/v2 was computed on."""
     un = np.asarray(n, dtype=np.int64).astype(np.uint64)
     uz = np.asarray(z, dtype=np.int64).astype(np.uint64)
     h = splitmix64(splitmix64(s0 ^ un) ^ uz)
     return 1.0 - 2.0 * (h & np.uint64(1)).astype(np.float64)
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64_int(x: int) -> int:
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def cell_sign_v2(seed: int, n: int, z: int) -> int:
+    """The splitmix64/v2 sign of one cell in Python integers: site
+    j = floor((z + n) / 2) of the wrapped 64-bit sum, bit j mod 64 of
+    splitmix64(splitmix64(splitmix64(seed) ^ n) ^ floor(j / 64)), with every
+    signed integer taken mod 2^64. The reference for rngs.cell_signs and
+    rngs.window_bits."""
+    total = (n + z) & _MASK64
+    site = (total - (1 << 64) if total >> 63 else total) >> 1
+    key = _splitmix64_int(_splitmix64_int(seed & _MASK64) ^ (n & _MASK64))
+    word = _splitmix64_int(key ^ ((site >> 6) & _MASK64))
+    return 1 - 2 * ((word >> (site & 63)) & 1)
+
+
+def field_v1(seed: int):
+    """omega(n, z) of the field ``seed`` under splitmix64/v1, as +-1.0."""
+    s0 = splitmix64(np.asarray(seed, dtype=np.int64).astype(np.uint64))
+    return lambda n, z: cell_signs_v1(s0, n, z)
+
+
+def transfer_reference(horizon: int, amplitude, omega, start=(1.0,), beta=None) -> np.ndarray:
+    """polymer._transfer for one field as the plain recursion: row-major
+    state allocated at every step, the amplitude evaluated per step, and
+    +-1 signs from ``omega(n, z)`` on each step's window. Rows start with
+    weight start[r] at the origin. Factors are 0.5 + (0.5 a) omega; with
+    ``beta`` the rows are chaos orders, each lifting (beta a) omega one up.
+    With field_v1 this is the splitmix64/v1 transfer bit for bit; with
+    EnvironmentField.omega_at it is the v2 reference."""
+    from collisim.polymer import band_halfwidth
+
+    band = band_halfwidth(horizon)
+    state = np.zeros((len(start), band + 2))
+    state[:, 0] = start
+    lo = 0
+    for n in range(1, horizon + 1):
+        moved = max(0, (n - band + 1) // 2) - lo
+        lo += moved
+        width = min(n, (n + band) // 2) - lo + 1
+        # column k holds site lo + k; a zero column stands left of site lo
+        padded = np.concatenate([np.zeros((len(start), 1)), state], axis=1)
+        new = np.zeros_like(state)
+        new[:, :width] = padded[:, moved:moved + width] + padded[:, moved + 1:moved + width + 1]
+        z = 2 * (lo + np.arange(width, dtype=np.int64)) - n
+        a = np.asarray(amplitude(np.full_like(z, n), z), dtype=float)
+        signs = np.asarray(omega(np.full_like(z, n), z), dtype=float)
+        if beta is None:
+            new[:, :width] *= 0.5 + (0.5 * a) * signs
+        else:
+            new[:, :width] *= 0.5
+            new[1:, :width] += new[:-1, :width] * (beta * a * signs)
+        state = new
+    return np.ascontiguousarray(state[:, :width]).sum(axis=1)
 
 
 def jitter(values, rng: np.random.Generator) -> np.ndarray:

@@ -2,9 +2,9 @@
 tolerance, with a printed pass/fail line each.
 
 Run `pytest -v tests/test_acceptance.py` (add -s to stream the lines live).
-The full module takes under 1.5 minutes on two cores (66 s, of which
-criterion 10 is 39 s, criterion 11 is 9 s, criterion 13 is 4 s and
-criterion 9 is 3 s).
+The full module takes about a minute on two cores (50-60 s, of which
+criterion 10 is 17-26 s, criterion 11 is 7-12 s, criterion 2 is 3-6 s and
+criterion 13 is 3-5 s).
 """
 
 import math

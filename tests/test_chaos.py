@@ -114,6 +114,24 @@ def test_fft_propagation_does_not_wrap(time_cells, dx, cutoff):
         assert np.all(np.abs(w - expected) <= atol), (s, y, np.abs(w - expected).max())
 
 
+@pytest.mark.parametrize("refinements", [0, 1, 2])
+def test_propagate_is_the_irfft2_formula_bit_for_bit(refinements):
+    # the CLI grid (T=32, dx=0.175) and its refinements T=64 and T=128:
+    # _propagate runs irfft2's two inverse transforms, the last on the kept
+    # rows only, and must give irfft2(rfft2(v) * kernel) byte for byte
+    grid = C.WhiteNoiseGrid(32, 0.175)
+    for _ in range(refinements):
+        grid = grid.refined()
+    t_cells, x_cells = grid.time_cells, grid.space_cells
+    kern = C._kernel_fft(grid)
+    v = substream(77, refinements).standard_normal((t_cells, x_cells))
+    shape = (kern.shape[0], C._fast_len(2 * x_cells - 1))
+    full = np.fft.irfft2(np.fft.rfft2(v, s=shape) * kern, s=shape)
+    want = np.zeros_like(v)
+    want[1:] = full[1:t_cells, x_cells - 1:2 * x_cells - 1]
+    assert C._propagate(v, kern).tobytes() == want.tobytes()
+
+
 def test_mean_one_over_seeds():
     terms = C.simulate_Z_batch(_const_amp(math.sqrt(2) * 0.5), _grid(16), 4, 1000, 1000)
     vals = terms.sum(axis=1)

@@ -168,7 +168,7 @@ def test_hex_seed_accepted(tmp_path):
     assert code == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 0xBEEF
-    assert manifest["hash_function"] == "splitmix64/v1"
+    assert manifest["hash_function"] == "splitmix64/v2"
     # the run's peak RSS so far, in MB; the in-process run never exceeds
     # this process's peak, and the report stays free of it
     assert 0.0 < manifest["peak_rss_mb"] <= cli.peak_rss_mb()
@@ -256,7 +256,7 @@ def test_raw_csv_emitted(tmp_path):
     assert files, "raw CSVs expected"
     text = files[0].read_text().splitlines()
     assert text[0].startswith("# collisim=")
-    assert "hash=splitmix64/v1" in text[0]
+    assert "hash=splitmix64/v2" in text[0]
     assert len(text) == 2 + 50
 
 

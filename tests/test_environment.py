@@ -15,6 +15,7 @@ from collisim.environment import (
     disorder_from_function,
 )
 from collisim.polymer import partition_dp
+import oracles
 from oracles import cell_of, constant_disorder
 
 
@@ -29,20 +30,46 @@ def test_omega_deterministic_and_signed():
 
 
 def test_field_golden_values():
-    # recorded under splitmix64/v1: a change to any value below changes the
-    # field every report was computed on, and must come with a new HASH_VERSION
-    assert HASH_VERSION == "splitmix64/v1"
+    # recorded under splitmix64/v1, the field of every report before v2, and
+    # asserted through the v1 oracle: its hash and its transfer
     cases = [(1, 1, 1, 1), (1, 2, -2, -1), (12345, 7, -5, -1), (12345, 64, 40, 1),
              (98765, 1, -1, 1), (271828, 1000, -1000, -1),
              (2**63 - 1, 3, -1, -1), (2**63 - 1, 100, -99, 1)]
     for seed, n, z, sign in cases:
+        assert oracles.field_v1(seed)(n, z) == sign, (seed, n, z)
+    n = np.arange(1, 17)
+    z = np.where(n % 2 == 1, -n, n)
+    assert oracles.field_v1(2**63 - 1)(n, z).tolist() == [
+        1, 1, -1, 1, 1, -1, -1, 1, 1, 1, 1, -1, 1, 1, 1, -1]
+    value = oracles.transfer_reference(16, constant_disorder(0.3), oracles.field_v1(2**63 - 1))[0]
+    assert value.hex() == "0x1.5bc6e8a10475ap+0"  # 1.3585038560017524
+
+
+def test_field_golden_values_v2():
+    # recorded under splitmix64/v2: a change to any value below changes the
+    # field every report is computed on, and must come with a new HASH_VERSION
+    assert HASH_VERSION == "splitmix64/v2"
+    cases = [(1, 1, 1, 1), (1, 2, -2, 1), (12345, 7, -5, 1), (12345, 64, 40, 1),
+             (98765, 1, -1, -1), (271828, 1000, -1000, -1),
+             (2**63 - 1, 3, -1, -1), (2**63 - 1, 100, -99, -1)]
+    for seed, n, z, sign in cases:
         assert EnvironmentField(seed).omega_at(n, z) == sign, (seed, n, z)
+        assert oracles.cell_sign_v2(seed, n, z) == sign, (seed, n, z)
     n = np.arange(1, 17)
     z = np.where(n % 2 == 1, -n, n)
     assert EnvironmentField(2**63 - 1).omega_at(n, z).tolist() == [
-        1, 1, -1, 1, 1, -1, -1, 1, 1, 1, 1, -1, 1, 1, 1, -1]
+        -1, -1, -1, -1, -1, -1, 1, 1, 1, 1, -1, -1, -1, -1, -1, 1]
     value = partition_dp(16, constant_disorder(0.3), EnvironmentField(2**63 - 1)).value
-    assert value.hex() == "0x1.5bc6e8a10475ap+0"  # 1.3585038560017524
+    assert value.hex() == "0x1.1a8bf85e94a92p-1"  # 0.5518491378264392
+
+
+def test_off_parity_cell_reads_the_cell_below():
+    # no walk visits (n, z) with z + n odd; v2 gives it the sign of (n, z - 1)
+    field = EnvironmentField(4242)
+    n = np.repeat(np.arange(1, 40), 81)
+    z = np.tile(np.arange(-40, 41), 39)
+    odd = (n + z) % 2 == 1
+    assert np.array_equal(field.omega_at(n[odd], z[odd]), field.omega_at(n[odd], z[odd] - 1))
 
 
 def test_omega_empirical_mean_bound():
@@ -72,6 +99,21 @@ def test_omega_pairwise_independence_chi2():
     ])
     _, pvalue, _, _ = chi2_contingency(table)
     assert pvalue > 0.001
+
+
+@pytest.mark.parametrize("site", [5, 63, 127, -1])
+def test_omega_neighbour_sites_independent_chi2(site):
+    # sites j and j + 1 of one step share a word (j = 5) or straddle a word
+    # boundary (j = 63, 127, and -1 | 0 below the origin): 100k steps each
+    field = EnvironmentField(2024)
+    n = np.arange(200, 100_200)
+    a = field.omega_at(n, 2 * site - n)
+    b = field.omega_at(n, 2 * (site + 1) - n)
+    table = np.array([[np.sum((a == sa) & (b == sb)) for sb in (1, -1)] for sa in (1, -1)])
+    _, pvalue, _, _ = chi2_contingency(table)
+    assert pvalue > 0.001
+    # and each site is balanced within 4 sigma
+    assert abs(a.mean()) < 4.0 / math.sqrt(len(n))
 
 
 def test_cell_of_examples():

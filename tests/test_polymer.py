@@ -275,10 +275,11 @@ def test_partition_many_blocks_are_bit_identical():
     assert got.tobytes() == one_pass.tobytes()
     per_block = [P.partition_many(horizon, amp, seeds[lo:lo + 256]) for lo in (0, 256, 512)]
     assert got.tobytes() == np.concatenate(per_block).tobytes()
+    assert P.partition_many(horizon, amp, seeds[:0]).shape == (0,)
 
 
-# float.hex values recorded under splitmix64/v1 with the band sliding (B < N):
-# any change to the transfer's arithmetic or summation order moves a byte
+# float.hex values recorded under splitmix64/v1 with the band sliding (B < N),
+# asserted through the v1 oracle: its hash and its transfer recursion
 _SLIDING_BAND_PINS = {
     256: ["0x1.eb27c38cdbf71p+0", "0x1.c063f6fc2b3e4p-1",
           "0x1.707dea0c41e58p+1", "0x1.1dfe693729b8fp-1"],
@@ -286,23 +287,95 @@ _SLIDING_BAND_PINS = {
            "0x1.3fb2db69e7a3ep-1", "0x1.372f7ffdba1c7p-1"],
 }
 
+# the same cases under splitmix64/v2: any change to the transfer's arithmetic
+# or summation order moves a byte
+_SLIDING_BAND_PINS_V2 = {
+    256: ["0x1.c351ed0179d48p-1", "0x1.3ff099ae02753p-1",
+          "0x1.49f097c942bfap+0", "0x1.709a37e24bf5cp+0"],
+    1024: ["0x1.57b81484a8a5cp+2", "0x1.fb7bd5d7b5331p-4",
+           "0x1.1592be749678cp-2", "0x1.07dd3f88a3751p-1"],
+}
+
+
+def _sliding_band_case(horizon):
+    amp = P.scaled_disorder(_wavy_amplitude(1.0), horizon ** (-0.25))
+    return amp, child_seeds(13, 4, horizon)
+
 
 @pytest.mark.parametrize("horizon", sorted(_SLIDING_BAND_PINS))
 def test_partition_many_sliding_band_pins(horizon):
     assert P.band_halfwidth(horizon) < horizon
-    amp = P.scaled_disorder(_wavy_amplitude(1.0), horizon ** (-0.25))
-    got = P.partition_many(horizon, amp, child_seeds(13, 4, horizon))
+    amp, seeds = _sliding_band_case(horizon)
+    got = [oracles.transfer_reference(horizon, amp, oracles.field_v1(int(s)))[0] for s in seeds]
     assert [float(v).hex() for v in got] == _SLIDING_BAND_PINS[horizon]
 
 
-def test_chaos_terms_sliding_band_pins():
+@pytest.mark.parametrize("horizon", sorted(_SLIDING_BAND_PINS_V2))
+def test_partition_many_sliding_band_pins_v2(horizon):
+    amp, seeds = _sliding_band_case(horizon)
+    got = P.partition_many(horizon, amp, seeds)
+    assert [float(v).hex() for v in got] == _SLIDING_BAND_PINS_V2[horizon]
+
+
+@pytest.mark.parametrize("horizon", [256, 1024])
+def test_partition_many_matches_omega_at_reference(horizon):
+    # the band slides and the windows cross 64-site words: the word-unpacking
+    # transfer equals the plain recursion on omega_at's +-1 signs bit for bit
+    amp, seeds = _sliding_band_case(horizon)
+    want = [oracles.transfer_reference(horizon, amp, EnvironmentField(int(s)).omega_at)[0]
+            for s in seeds]
+    assert P.partition_many(horizon, amp, seeds).tobytes() == np.array(want).tobytes()
+
+
+def _chaos_pin_case():
     amp = P.scaled_disorder(_wavy_amplitude(1.0), 256 ** (-0.25))
-    field = EnvironmentField(int(child_seeds(13, 1, 7)[0]))
-    terms = P.chaos_terms(256, 1.0, amp, field, max_order=8)
+    return amp, int(child_seeds(13, 1, 7)[0])
+
+
+def test_chaos_terms_sliding_band_pins():
+    amp, seed = _chaos_pin_case()
+    terms = oracles.transfer_reference(256, amp, oracles.field_v1(seed), np.r_[1.0, np.zeros(8)],
+                                       beta=1.0)
     assert [float(v).hex() for v in terms] == [
         "0x1.ffffffffffffep-1", "-0x1.16e553dc094f5p-1", "-0x1.129103c2f0a56p-1",
         "0x1.22f4d9ec1a57dp-2", "0x1.5092998995fd1p-3", "-0x1.399fdfa49ff70p-4",
         "-0x1.2426dc3ad86a4p-5", "0x1.cd552031ad976p-7", "0x1.5acff8afb6f4fp-8"]
+
+
+def test_chaos_terms_sliding_band_pins_v2():
+    amp, seed = _chaos_pin_case()
+    field = EnvironmentField(seed)
+    terms = P.chaos_terms(256, 1.0, amp, field, max_order=8)
+    assert [float(v).hex() for v in terms] == [
+        "0x1.ffffffffffffep-1", "0x1.3a12efd5ee39ap+0", "0x1.9016f3a08b000p-2",
+        "-0x1.7529e468966b0p-3", "-0x1.754f99f1862c0p-3", "-0x1.381d91d908c13p-5",
+        "0x1.0e32b9bf7c79bp-6", "0x1.6a9e2a33a1907p-7", "0x1.cb2824c969268p-10"]
+    want = oracles.transfer_reference(256, amp, field.omega_at, np.r_[1.0, np.zeros(8)], beta=1.0)
+    assert terms.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 7, 256, 300])
+def test_partition_dp_rows_of_partition_many(rows):
+    # the amplitude blocks depend on (N, B) alone, so a one-row call reads
+    # the values of every row count bit for bit, across _ROW_BLOCK splits too
+    horizon = 1024
+    wavy = P.scaled_disorder(_wavy_amplitude(1.0), horizon ** (-0.25))
+    sizes = []
+
+    def recorded(n, z):
+        sizes.append(np.size(n))
+        return wavy(n, z)
+
+    amp = DisorderFunction(recorded, wavy.sup_bound)
+    seeds = child_seeds(14, rows, 0)
+    batch = P.partition_many(horizon, amp, seeds)
+    many_sizes = sizes[:]
+    for i in sorted({0, rows // 2, rows - 1}):
+        sizes.clear()
+        value = P.partition_dp(horizon, amp, EnvironmentField(int(seeds[i]))).value
+        assert np.float64(value).tobytes() == batch[i].tobytes()
+    # every transfer pass evaluates the amplitude on the same blocks
+    assert many_sizes == sizes * -(-rows // P._ROW_BLOCK)
 
 
 @pytest.mark.parametrize("horizon,k", [(4, 4), (3, 5)])

@@ -2,46 +2,60 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collisim.rngs import HASH_VERSION, CellSigns, cell_signs, splitmix64
-from oracles import cell_signs_full_hash
+from collisim.rngs import HASH_VERSION, cell_signs, splitmix64, step_keys, window_bits
+from oracles import cell_sign_v2
 
-_INT64 = st.one_of(st.sampled_from([0, -1, 2**62, -(2**62), 2**63 - 1, -(2**63)]),
+_INT64 = st.one_of(st.sampled_from([0, -1, 63, 64, -64, -65, 2**62, -(2**62), 2**63 - 1,
+                                    -(2**63)]),
                    st.integers(-(2**63), 2**63 - 1))
 _SEEDS = st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=5)
 _CELLS = st.lists(_INT64, min_size=1, max_size=6)
-
-# one kernel reused across examples, as the transfer reuses one across steps
-_REUSED = CellSigns(64)
 
 
 def _staged(seeds):
     return splitmix64(np.asarray(seeds, dtype=np.int64).astype(np.uint64))
 
 
-def _check(s0, n, z, shape):
-    want = cell_signs_full_hash(s0, n, z)
-    assert want.shape == shape
-    for got in (cell_signs(s0, n, z), _REUSED(s0, n, z)):
-        assert got.shape == shape
-        assert got.dtype == np.float64
-        assert got.tobytes() == want.tobytes()
+def _check(seeds, s0, n, z, shape):
+    got = cell_signs(s0, n, z)
+    assert got.shape == shape
+    assert got.dtype == np.float64
+    seeds, n, z = np.broadcast_arrays(np.asarray(seeds), n, z)
+    want = [cell_sign_v2(int(s), int(a), int(b)) for s, a, b in zip(seeds.flat, n.flat, z.flat)]
+    assert got.ravel().tolist() == want
+
+
+def test_hash_version_is_v2():
+    assert HASH_VERSION == "splitmix64/v2"
 
 
 @given(_SEEDS, _CELLS, _CELLS)
 @settings(max_examples=300, deadline=None)
 def test_cell_signs_match_full_hash(seeds, ns, zs):
-    assert HASH_VERSION == "splitmix64/v1"
+    # every v2 sign against the full formula in Python integers, for the
+    # broadcast shapes the callers use, at extreme and off-parity cells
     cells = min(len(ns), len(zs))
     n = np.array(ns[:cells], dtype=np.int64)
     z = np.array(zs[:cells], dtype=np.int64)
+    seeds = np.array(seeds, dtype=np.int64)
     s0 = _staged(seeds)
     # one seed x a cell vector (EnvironmentField.omega_at)
-    _check(s0[0], n, z, (cells,))
-    # one seed for every row x a window of cells at one step (chaos orders)
-    _check(s0[:1], n[0], z[:, None], (cells, 1))
-    # (fields, 1) seeds x cells (ustat.evaluate_table)
-    _check(s0[:, None], n, z, (len(seeds), cells))
-    # (cells, 1) window x (rows,) seeds at one step (partition rows)
-    _check(s0, n[0], z[:, None], (cells, len(seeds)))
+    _check(seeds[0], s0[0], n, z, (cells,))
+    # (fields, 1) seeds x cells
+    _check(seeds[:, None], s0[:, None], n, z, (len(seeds), cells))
     # one seed, one cell
-    _check(s0[0], int(n[0]), int(z[0]), ())
+    _check(seeds[0], s0[0], int(n[0]), int(z[0]), ())
+
+
+@given(_SEEDS, st.integers(1, 2**40), st.integers(-300, 300), st.integers(1, 200))
+@settings(max_examples=200, deadline=None)
+def test_window_bits_match_cell_signs(seeds, n, lo, count):
+    # a window of consecutive sites, starting anywhere in a word and possibly
+    # below zero, reads the bits of cell_signs at z = 2 j - n
+    s0 = _staged(seeds)
+    bits = window_bits(step_keys(s0, n), lo, count)
+    assert bits.shape == (count, len(seeds))
+    assert bits.dtype == np.uint8
+    z = 2 * np.arange(lo, lo + count, dtype=np.int64) - n
+    want = cell_signs(s0[None, :], n, z[:, None])
+    assert np.array_equal(1.0 - 2.0 * bits, want)
