@@ -11,13 +11,21 @@ statistic is
 
     S_n = 2^(n/2) n! e_n(y_1, ..., y_N),
 
-where e_n sums prod_{i in I} y_i over the n-subsets I of the times. Its
-exact second moment is 2^n n!^2 e_n(v) with v_i = sum_z w(i, z)^2. One
-pass over the times costs O(N n) per field after hashing, and memory holds
-one time's window of signs for all fields.
+where e_n sums prod_{i in I} y_i over the n-subsets I of the times. The
+recursion that lifts e_n by one time carries e_1 .. e_(n-1) along, so one
+cell table and one pass over the times give S_1 .. S_n, each order with its
+own prefactor 2^(k/2) k!. The exact second moments are 2^k k!^2 e_k(v) with
+v_i = sum_z w(i, z)^2, read from the same table; at unit amplitude
+E[S_k^2] / N^(1.5 k) tends to the chaos isometry k! ||h||^(2k)
+(Caravenna, Sun and Zygouras, "Polynomial chaos and scaling limits of
+disordered systems", JEMS 2017). One pass costs O(N n) per field after
+hashing, and memory holds one time's window of signs for all fields.
 
-Integrands must declare a spatial support radius: that is what keeps the
-sums finite, and inferring the support of a black-box callable is not
+Time i's cells are the parity-matched sites z within the declared support
+window, so their sign sites j = (z + i)/2 (see ``rngs``) form one
+contiguous run: the table stores its first site and where its weights
+start. Integrands must declare a spatial support radius: that is what keeps
+the sums finite, and inferring the support of a black-box callable is not
 decidable.
 """
 
@@ -56,123 +64,118 @@ class UStatSpec:
 
 @dataclass(frozen=True)
 class CellTable:
-    """Seed-independent part of a U-statistic: the window's cells, grouped by
-    time, and one block-average times amplitude weight per cell."""
+    """Seed-independent part of the statistics of orders 1 .. order: time i's
+    cells are the sign sites first_sites[i-1] + 0, 1, ..., and their weights
+    are weights[offsets[i-1]:offsets[i]]."""
 
-    cell_times: np.ndarray  # (c,)
-    cell_sites: np.ndarray  # (c,)
-    weights: np.ndarray     # (c,) one-slot block average of h times A
-    prefactor: float        # 2^(n/2) n!
+    first_sites: np.ndarray  # (N,) sign site of each time's lowest cell
+    offsets: np.ndarray      # (N + 1,) start of each time's weights
+    weights: np.ndarray      # (c,) one-slot block average of h times A
     order: int
 
 
-def _site_range(horizon: int, radius: float) -> int:
-    return int(math.floor(radius * math.sqrt(horizon))) + 1
-
-
-def _coordinate_cells(horizon: int, radius: float):
-    """All (i, z) cells with 1 <= i <= N, z parity-matched, |z| within the
-    declared support window."""
-    zmax = _site_range(horizon, radius)
-    cells_i, cells_z = [], []
-    for i in range(1, horizon + 1):
-        start = -zmax if (zmax + i) % 2 == 0 else -zmax + 1
-        z = np.arange(start, zmax + 1, 2, dtype=np.int64)
-        cells_i.append(np.full(len(z), i, dtype=np.int64))
-        cells_z.append(z)
-    return np.concatenate(cells_i), np.concatenate(cells_z)
+def _prefactors(order: int) -> np.ndarray:
+    """2^(k/2) k! for k = 1 .. order."""
+    return np.array([2.0 ** (k / 2.0) * math.factorial(k) for k in range(1, order + 1)])
 
 
 def build_cell_table(spec: UStatSpec) -> CellTable:
     g = spec.integrand
-    n = g.order
-    ci, cz = _coordinate_cells(spec.horizon, g.support_radius)
+    zmax = int(math.floor(g.support_radius * math.sqrt(spec.horizon))) + 1
+    times = np.arange(1, spec.horizon + 1, dtype=np.int64)
+    # each time's lowest parity-matched site in [-zmax, zmax], and its count
+    z_first = np.where((zmax + times) % 2 == 0, -zmax, 1 - zmax)
+    widths = (zmax - z_first) // 2 + 1
+    offsets = np.concatenate([[0], np.cumsum(widths)])
+    ci = np.repeat(times, widths)
+    # cell k of a time lies k parity steps above the time's lowest cell
+    steps = np.arange(offsets[-1]) - np.repeat(offsets[:-1], widths)
+    cz = np.repeat(z_first, widths) + 2 * steps
     hbar = block_average_cells(g.slot, ci[:, None], cz[:, None], spec.horizon)
     amp = np.asarray(spec.amplitude(ci, cz), dtype=float)
-    return CellTable(ci, cz, hbar * amp, 2.0 ** (n / 2.0) * math.factorial(n), n)
-
-
-def _subset_products(factors, order: int, shape=()) -> np.ndarray:
-    """e_order of the per-time factors, each an array of ``shape``: the sum
-    over order-subsets of times of their product, i.e. the coefficient of
-    x^order in prod_i (1 + factor_i x)."""
-    e = np.zeros(shape + (order + 1,))
-    e[..., 0] = 1.0
-    for y in factors:
-        # the right-hand side is materialized first, so every order reads its
-        # predecessor before this time's update, as a highest-first loop would
-        e[..., 1:] += e[..., :-1] * y[..., None]
-    return e[..., order]
+    return CellTable((z_first + times) >> 1, offsets, hbar * amp, g.order)
 
 
 def _time_windows(table: CellTable):
-    """(time, cell slice) for each time, in increasing order."""
-    times, starts = np.unique(table.cell_times, return_index=True)
-    ends = np.append(starts[1:], len(table.cell_times))
-    return [(int(i), slice(a, b)) for i, a, b in zip(times, starts, ends)]
+    """(time, first sign site, weights) for each time, in increasing order."""
+    o = table.offsets
+    return ((i, int(lo), table.weights[o[i - 1]:o[i]])
+            for i, lo in enumerate(table.first_sites, 1))
+
+
+def _subset_products(factors, order: int, shape=()) -> np.ndarray:
+    """e_1 .. e_order of the per-time factors, each an array of ``shape``,
+    stacked on a leading axis: e_k sums over k-subsets of times of their
+    product, i.e. it is the coefficient of x^k in prod_i (1 + factor_i x)."""
+    e = np.zeros((order + 1,) + shape)
+    e[0] = 1.0
+    for y in factors:
+        # the right-hand side is materialized first, so every order reads its
+        # predecessor before this time's update, as a highest-first loop would
+        e[1:] += e[:-1] * y
+    return e[1:]
 
 
 def evaluate_table(table: CellTable, seeds) -> np.ndarray:
-    """S^N_n(g) for each environment seed: one pass over the times reads each
-    time's window of sign bits for all fields, contracts the signs with that
-    time's weights into y_i, and lifts e_n(y) by one time."""
+    """S^N_1(g) .. S^N_n(g) for each environment seed, shape (n, fields): one
+    pass over the times reads each time's window of sign bits for all fields,
+    contracts the signs with that time's weights into y_i, and lifts
+    e_1 .. e_n(y) by one time."""
     seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
     s0 = splitmix64(seeds.astype(np.uint64))
 
-    def y(i, cells):
-        keys = step_keys(s0, i)
-        sites = (table.cell_sites[cells] + i) >> 1
-        lo = int(sites.min())
-        bits = window_bits(keys, lo, int(sites.max()) - lo + 1)
-        return table.weights[cells] @ (1.0 - 2.0 * bits[sites - lo])
+    def y(i, lo, w):
+        # in C order: the product's summation order follows the layout, and
+        # a window inside one word comes back in Fortran order
+        bits = np.ascontiguousarray(window_bits(step_keys(s0, i), lo, len(w)))
+        return w @ (1.0 - 2.0 * bits)
 
-    ys = (y(i, w) for i, w in _time_windows(table))
-    return table.prefactor * _subset_products(ys, table.order, (len(seeds),))
+    ys = (y(i, lo, w) for i, lo, w in _time_windows(table))
+    e = _subset_products(ys, table.order, (len(seeds),))
+    return _prefactors(table.order)[:, None] * e
 
 
-def exact_second_moment(spec: UStatSpec) -> float:
-    """E over environments of S^N_n(g)^2 = prefactor^2 e_n(v), with
+def exact_second_moment(table: CellTable) -> np.ndarray:
+    """E over environments of S^N_k(g)^2 = 2^k k!^2 e_k(v) for k = 1 .. n, with
     v_i = sum_z w(i, z)^2: the y_i are independent, centred, of variance v_i."""
-    table = build_cell_table(spec)
-    vs = (np.sum(table.weights[w] ** 2) for _, w in _time_windows(table))
-    return float(table.prefactor**2 * _subset_products(vs, table.order))
+    vs = (np.sum(w**2) for _, _, w in _time_windows(table))
+    return _prefactors(table.order) ** 2 * _subset_products(vs, table.order)
 
 
 @dataclass(frozen=True)
 class MomentSuite:
+    """Sampled moments of S_1 .. S_n, indexed by order - 1, next to the exact
+    E[S_k^2]; ``cross`` maps each order pair (a, b), a < b, to the sample
+    covariance of S_a and S_b and its stderr."""
+
     means: np.ndarray
     mean_stderrs: np.ndarray
-    variances: np.ndarray
-    variance_stderrs: np.ndarray
+    second_moments: np.ndarray
+    second_moment_stderrs: np.ndarray
+    exact_second_moments: np.ndarray
     cross: dict
-    n_replicas: int
-    values: np.ndarray  # (specs, replicas) sampled statistics
+    values: np.ndarray  # (orders, replicas) sampled statistics
 
 
-def ustat_moment_suite(specs, n_replicas: int, master_seed: int) -> MomentSuite:
-    """Sample moments of several U-statistics over shared environment seeds.
-
-    The cell tables are seed-independent, so each spec costs one table and
-    one pass over the times for all replica seeds. Cross entries hold sample
-    covariances between distinct specs (uncorrelated across orders in the
-    limit law).
+def ustat_moment_suite(spec: UStatSpec, n_replicas: int, master_seed: int) -> MomentSuite:
+    """Sample moments of the U-statistics of orders 1 .. n over shared
+    environment seeds: one cell table and one pass over the times serve every
+    order and every replica. Each mean is exactly 0, so the sample mean of
+    S_k^2 estimates E[S_k^2]; the orders are uncorrelated, and cross holds
+    their sample covariances.
     """
     if n_replicas < MIN_REPLICAS:
         raise ValueError(f"moment suite needs at least {MIN_REPLICAS} replicas")
-    specs = list(specs)
-    seeds = child_seeds(master_seed, n_replicas, 71)
-    values = np.array([evaluate_table(build_cell_table(s), seeds) for s in specs])
-    means = values.mean(axis=1)
-    mean_se = values.std(axis=1, ddof=1) / math.sqrt(n_replicas)
-    variances = values.var(axis=1, ddof=1)
-    # stderr of the sample variance via the fourth central moment
-    centered = values - means[:, None]
-    m4 = (centered**4).mean(axis=1)
-    var_se = np.sqrt(np.maximum(m4 - variances**2, 0.0) / n_replicas)
+    table = build_cell_table(spec)
+    values = evaluate_table(table, child_seeds(master_seed, n_replicas, 71))
+    root = math.sqrt(n_replicas)
+    squares = values**2
     cross = {}
-    for a in range(len(specs)):
-        for b in range(a + 1, len(specs)):
+    for a in range(len(values)):
+        for b in range(a + 1, len(values)):
             cov = float(np.cov(values[a], values[b], ddof=1)[0, 1])
-            se = float(np.sqrt((values[a] ** 2 * values[b] ** 2).mean() / n_replicas))
-            cross[(a, b)] = (cov, se)
-    return MomentSuite(means, mean_se, variances, var_se, cross, n_replicas, values)
+            se = float(np.sqrt((squares[a] * squares[b]).mean() / n_replicas))
+            cross[(a + 1, b + 1)] = (cov, se)
+    return MomentSuite(values.mean(axis=1), values.std(axis=1, ddof=1) / root,
+                       squares.mean(axis=1), squares.std(axis=1, ddof=1) / root,
+                       exact_second_moment(table), cross, values)

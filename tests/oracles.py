@@ -1,7 +1,7 @@
 """Brute-force oracles for the test suite: exhaustive path and chain
 enumeration, subset expansions, the scalar cell map, the return-time
 law, the splitmix64/v1 cell hash and transfer, the splitmix64/v2 sign in
-Python integers, U-statistic sign pairings, the scalar and
+Python integers, U-statistic sign pairings and one-order passes, the scalar and
 array walk transitions, the exact discrete chain norm, the constant
 amplitude, the whole-chunk bodies of the walk and importance-sampling
 kernels, and the local-CLT distance by adaptive 2-D quadrature. Each is
@@ -24,7 +24,7 @@ from collisim import kernels as K
 from collisim.collisions import detect_collisions
 from collisim.environment import DisorderFunction
 from collisim.kernels import log_rw_transition
-from collisim.rngs import splitmix64, substream
+from collisim.rngs import cell_signs, splitmix64, substream
 from collisim.walks import positions_from_steps, walk_positions
 
 #: exhaustive path enumeration is for tiny horizons only
@@ -273,6 +273,22 @@ def second_moment_by_pairings(times, sites, weights) -> float:
             other = lookup[tuple(cells[p] for p in perm)]
             total += weights[row] * weights[other]
     return float(2.0**order * total)
+
+
+def ustat_one_order(table, seeds, order: int) -> np.ndarray:
+    """S^N_order of a ``ustat.CellTable`` for each seed, by its own pass over
+    the times: y_i contracts time i's weights with per-cell signs, then
+    e_k += e_(k-1) y_i for k = order down to 1, and S = 2^(order/2) order! e_order."""
+    seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
+    s0 = splitmix64(seeds.astype(np.uint64))
+    e = [np.ones(len(seeds))] + [np.zeros(len(seeds))] * order
+    for i, lo in enumerate(table.first_sites, 1):
+        w = table.weights[table.offsets[i - 1]:table.offsets[i]]
+        z = 2 * (lo + np.arange(len(w))) - i
+        y = w @ cell_signs(s0[None, :], i, z[:, None])
+        for k in range(order, 0, -1):
+            e[k] = e[k] + e[k - 1] * y
+    return 2.0 ** (order / 2.0) * math.factorial(order) * e[order]
 
 
 def rw_transition(i: int, x: int) -> float:

@@ -9,6 +9,7 @@ from collisim import collisions as C
 from collisim import harness as H
 from collisim import kernels as K
 from collisim import polymer as P
+from collisim import ustat as U
 from collisim.collisions import constant_fn, gaussian_bump
 from collisim.environment import EnvironmentField, disorder_from_function
 from collisim.rngs import substream
@@ -431,6 +432,35 @@ def test_kernels_check_fails_a_wrong_rate_ladder(monkeypatch):
 def test_ustat_check_small():
     rep = H.ustat_check(4, 1500, 4)
     assert rep.passed, [v.detail for v in rep.verdicts if not v.passed]
+
+
+def test_ustat_check_fails_an_exact_moment_two_percent_high(monkeypatch):
+    # 200k fields put the order-1 stderr near 0.3% of E[S_1^2]
+    rep = H.ustat_check(4, 200_000, 5)
+    assert rep.passed, [v.detail for v in rep.verdicts if not v.passed]
+    assert "variance-bound" not in {v.name for v in rep.verdicts}
+    assert len(rep.tables["exact_second_moments"]) == 2
+    exact = U.exact_second_moment
+    monkeypatch.setattr(U, "exact_second_moment", lambda table: 1.02 * exact(table))
+    rep = H.ustat_check(4, 200_000, 5)
+    assert {v.name for v in rep.verdicts if not v.passed} == {"second-moment"}
+
+
+def test_ustat_check_builds_one_table_and_sweeps_once(monkeypatch):
+    calls = {"build_cell_table": 0, "evaluate_table": 0}
+
+    def counted(name):
+        fn = getattr(U, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(U, name, counted(name))
+    H.ustat_check(16, 1000, 1)
+    assert calls == {"build_cell_table": 1, "evaluate_table": 1}
 
 
 def test_chaos_experiment_small():

@@ -3,15 +3,22 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from collisim import ustat as U
 from collisim.environment import DisorderFunction, EnvironmentField
 from collisim.kernels import block_average_cells
-from oracles import constant_disorder, second_moment_by_pairings
+from collisim.rngs import child_seeds
+from oracles import constant_disorder, second_moment_by_pairings, ustat_one_order
 
 
 def _stat(spec, seeds):
-    return U.evaluate_table(U.build_cell_table(spec), seeds)
+    """The statistic of the spec's own order, the last row of the sweep."""
+    return U.evaluate_table(U.build_cell_table(spec), seeds)[-1]
+
+
+def _exact(spec):
+    return U.exact_second_moment(U.build_cell_table(spec))[-1]
 
 
 def _indicator(radius):
@@ -123,12 +130,12 @@ def test_single_rectangle_exact_variance():
         return ((ts > 0.25) & (ts <= 0.5) & (xs > -1 / 2) & (xs <= 1 / 2)).astype(float)
 
     spec = U.UStatSpec(U.Integrand(one_cell, 1, 1.0), horizon, constant_disorder(1.0))
-    exact = U.exact_second_moment(spec)
+    exact = _exact(spec)
     assert exact == pytest.approx(2.0, rel=1e-10)
-    suite = U.ustat_moment_suite([spec], 4000, 1234)
-    # S = +-sqrt(2) exactly here, so the m4-based stderr degenerates to 0;
-    # the ddof=1 sample variance can only deviate by O(1/R)
-    assert abs(suite.variances[0] - exact) < 0.01 * exact
+    suite = U.ustat_moment_suite(spec, 4000, 1234)
+    # S = +-sqrt(2) exactly here, so the stderr of the mean of S^2
+    # degenerates to 0
+    assert abs(suite.second_moments[0] - exact) < 0.01 * exact
     assert abs(suite.means[0]) < 4.0 * suite.mean_stderrs[0] + 1e-12
 
 
@@ -138,17 +145,17 @@ def test_exact_second_moment_asymmetric_matches_sampling():
         return (xs + 2.0 * ts) * (np.abs(xs) <= 1.2)
 
     spec = U.UStatSpec(U.Integrand(h, 2, 1.2), 3, constant_disorder(0.7))
-    exact = U.exact_second_moment(spec)
-    suite = U.ustat_moment_suite([spec], 6000, 88)
-    assert abs(suite.variances[0] + suite.means[0] ** 2 - exact) < \
-        5.0 * suite.variance_stderrs[0] + 0.01 * exact
+    exact = _exact(spec)
+    suite = U.ustat_moment_suite(spec, 6000, 88)
+    assert abs(suite.second_moments[-1] - exact) < \
+        5.0 * suite.second_moment_stderrs[-1] + 0.01 * exact
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_exact_second_moment_matches_pairing_loop(order):
     times, sites, weights = _ordered_tuples(_wavy_slot, order, _BRUTE_RADIUS, 3, _BRUTE_AMP)
     want = second_moment_by_pairings(times, sites, weights)
-    assert U.exact_second_moment(_wavy_spec(order)) == pytest.approx(want, rel=1e-12)
+    assert _exact(_wavy_spec(order)) == pytest.approx(want, rel=1e-12)
 
 
 def test_order_three_at_large_horizon_matches_exact_variance():
@@ -156,33 +163,57 @@ def test_order_three_at_large_horizon_matches_exact_variance():
     # rules out any enumeration, while the product form walks the times once
     spec = _wavy_spec(3, horizon=1024)
     assert len(U.build_cell_table(spec).weights) == 512 * (59 + 58)
-    suite = U.ustat_moment_suite([spec], 2000, 20261018)
-    exact = U.exact_second_moment(spec)
-    assert abs(suite.variances[0] - exact) < 5.0 * suite.variance_stderrs[0]
+    suite = U.ustat_moment_suite(spec, 2000, 20261018)
+    exact = _exact(spec)
+    assert abs(suite.second_moments[-1] - exact) < 5.0 * suite.second_moment_stderrs[-1]
 
 
 def test_moment_suite_cross_orders_uncorrelated():
     def h(ts, xs):
         return np.exp(-xs**2) * (np.abs(xs) <= 2.0)
 
-    amp = constant_disorder(1.0)
-    specs = [U.UStatSpec(U.Integrand(h, n, 2.0), 5, amp) for n in (1, 2)]
-    suite = U.ustat_moment_suite(specs, 3000, 246)
+    spec = U.UStatSpec(U.Integrand(h, 2, 2.0), 5, constant_disorder(1.0))
+    suite = U.ustat_moment_suite(spec, 3000, 246)
+    assert len(suite.means) == 2
     for m, se in zip(suite.means, suite.mean_stderrs):
         assert abs(m) < 4.0 * se
-    cov, cov_se = suite.cross[(0, 1)]
+    cov, cov_se = suite.cross[(1, 2)]
     assert abs(cov) < 4.0 * cov_se
 
 
 def test_variance_scaling_bound_along_ladder():
-    # Var(N^{-3n/4} S^N_n) <= c^{2n} ||g||^2: with c = 1 and an L2-normalized
-    # integrand the normalized variance stays below ||g||^2
+    # at A = 1, E[S_n^2] / N^(1.5n) rises to the chaos isometry n! ||h||^(2n)
+    # from below, and its gap closes like 1/N
     def h(ts, xs):
-        return np.exp(-xs**2) * (np.abs(xs) <= 3)
+        return np.exp(-xs**2) * (np.abs(xs) <= 2)
 
-    norm_sq = float(np.sqrt(math.pi / 2))  # integral over t in [0,1] of e^{-2x^2}
-    g = U.Integrand(h, 1, 3.0)
-    for horizon in (4, 8, 16):
-        spec = U.UStatSpec(g, horizon, constant_disorder(1.0))
-        exact = U.exact_second_moment(spec)
-        assert exact / horizon ** 1.5 <= norm_sq * 1.001
+    # ||h||^2 over [0, 1] x R, in closed form
+    norm_sq = math.sqrt(math.pi / 2) * erf(2 * math.sqrt(2))
+    orders = np.arange(1, 4)
+    limit = np.array([math.factorial(n) * norm_sq**n for n in orders])
+    gaps = []
+    for horizon in (16, 64, 256, 1024):
+        table = U.build_cell_table(U.UStatSpec(U.Integrand(h, 3, 2.0), horizon,
+                                               constant_disorder(1.0)))
+        ratio = U.exact_second_moment(table) / (horizon ** (1.5 * orders) * limit)
+        assert np.all(ratio > 0.0) and np.all(ratio <= 1.0)
+        gaps.append(1.0 - ratio)
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert np.all(fine * 3.0 <= coarse)
+
+
+@pytest.mark.parametrize("horizon", [16, 256])
+def test_one_sweep_gives_every_order_bit_for_bit(horizon):
+    # S_1, S_2 and S_3 from one table and one pass equal three passes of
+    # their own, each on a table built for its order
+    def h(ts, xs):
+        return np.exp(-xs**2) * (1.0 + 0.5 * xs) * (np.abs(xs) <= 2.0)
+
+    amp = DisorderFunction(lambda n, z: 1.0 / (1.0 + 0.1 * np.abs(np.asarray(z, dtype=float))), 1.0)
+    seeds = child_seeds(3, 300, 71)
+    sweep = U.evaluate_table(U.build_cell_table(U.UStatSpec(U.Integrand(h, 3, 2.0), horizon, amp)),
+                             seeds)
+    assert sweep.shape == (3, len(seeds))
+    for order in (1, 2, 3):
+        table = U.build_cell_table(U.UStatSpec(U.Integrand(h, order, 2.0), horizon, amp))
+        assert sweep[order - 1].tobytes() == ustat_one_order(table, seeds, order).tobytes()
