@@ -6,6 +6,10 @@ Binomials live in log-space (gammaln). ``local_clt_distance_sq`` computes
 no sampling. The importance sampler (``chain_norm_sq_mc``,
 ``local_clt_l2_error``) serves as an independent Monte-Carlo cross-check
 of it and of the closed-form chain norms.
+
+scipy.special (gammaln, ndtr) is imported inside the functions that call
+it, so importing collisim loads numpy alone and only the commands that
+evaluate a special function pay for scipy.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, ndtr
 
 from .environment import cells_of
 from .polymer import band_halfwidth
@@ -45,6 +48,8 @@ class QuadratureError(ValueError):
 
 def log_rw_transition(i: np.ndarray, x: np.ndarray) -> np.ndarray:
     """log p(i, x) vectorized; -inf where the probability vanishes."""
+    from scipy.special import gammaln
+
     i = np.asarray(i, dtype=np.int64)
     x = np.asarray(x, dtype=np.int64)
     valid = (i >= 1) & (np.abs(x) <= i) & (((i + x) & 1) == 0)
@@ -152,6 +157,8 @@ def rho_chain_norm_sq(n: int) -> float:
     """Closed form for ||rho_n||_2^2 over the simplex: 1/(2^n Gamma(n/2+1))."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    from scipy.special import gammaln
+
     return float(np.exp(-n * _LOG2 - gammaln(n / 2.0 + 1.0)))
 
 
@@ -190,6 +197,8 @@ def _proposal_gaps(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
 def _proposal_points(gaps: np.ndarray, rng: np.random.Generator):
     """(t, x, log q) for given time gaps: the Student-t(3) increments are
     drawn row-major from rng, so consecutive row blocks equal one call."""
+    from scipy.special import gammaln
+
     n = gaps.shape[1]
     gaps = np.maximum(gaps, 1e-300)
     times = np.cumsum(gaps, axis=1)
@@ -275,6 +284,8 @@ def local_clt_distance_sq(horizon: int) -> BandedValue:
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    from scipy.special import ndtr
+
     root_n = math.sqrt(horizon)
     band = band_halfwidth(horizon)
     rows = np.arange(1, horizon + 1)

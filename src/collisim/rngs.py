@@ -76,14 +76,17 @@ def window_bits(keys, lo: int, count: int) -> np.ndarray:
 
     The words covering the window are hashed and unpacked in one call each.
     Their bytes are read little-endian and their bits in little order, so
-    bit b of word w lands at site 64 w + b.
+    bit b of word w lands at site 64 w + b. The window is always C-ordered,
+    so a reduction over it sums in the same order whether or not it crosses
+    a word boundary (a single word's bits would otherwise come back as a
+    transposed view).
     """
     first = lo >> 6
     words = sign_words(keys, np.arange(first, ((lo + count - 1) >> 6) + 1)[:, None])
     octets = words.astype("<u8", copy=False).view(np.uint8).reshape(words.shape + (8,))
     bits = np.unpackbits(octets.transpose(0, 2, 1), axis=1, bitorder="little")
     offset = lo - 64 * first
-    return bits.reshape(64 * len(words), len(keys))[offset:offset + count]
+    return np.ascontiguousarray(bits.reshape(64 * len(words), len(keys))[offset:offset + count])
 
 
 def cell_signs(s0, n, z) -> np.ndarray:

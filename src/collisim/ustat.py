@@ -125,10 +125,7 @@ def evaluate_table(table: CellTable, seeds) -> np.ndarray:
     s0 = splitmix64(seeds.astype(np.uint64))
 
     def y(i, lo, w):
-        # in C order: the product's summation order follows the layout, and
-        # a window inside one word comes back in Fortran order
-        bits = np.ascontiguousarray(window_bits(step_keys(s0, i), lo, len(w)))
-        return w @ (1.0 - 2.0 * bits)
+        return w @ (1.0 - 2.0 * window_bits(step_keys(s0, i), lo, len(w)))
 
     ys = (y(i, lo, w) for i, lo, w in _time_windows(table))
     e = _subset_products(ys, table.order, (len(seeds),))

@@ -4,10 +4,10 @@ law, the splitmix64/v1 cell hash and transfer, the splitmix64/v2 sign in
 Python integers, U-statistic sign pairings and one-order passes, the scalar and
 array walk transitions, the exact discrete chain norm, the constant
 amplitude, the whole-chunk bodies of the walk and importance-sampling
-kernels, and the local-CLT distance by adaptive 2-D quadrature. Each is
-exponential, scalar or unoptimised on purpose, or a plain reference that
-no experiment needs, and checks a production kernel of collisim from an
-independent route.
+kernels, the local-CLT distance by adaptive 2-D quadrature, and the KS
+p-value. Each is exponential, scalar or unoptimised on purpose, or a plain
+reference that no experiment needs, and checks a production kernel of
+collisim from an independent route.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.special import gammaln, kolmogorov
 
 from collisim import harness as H
 from collisim import kernels as K
@@ -257,6 +257,12 @@ def jitter(values, rng: np.random.Generator) -> np.ndarray:
     distribution-equality-preserving under the null."""
     values = np.asarray(values, dtype=float)
     return values + rng.uniform(0.0, 1.0, size=values.shape)
+
+
+def ks_pvalue(statistic: float, n: int, m: int) -> float:
+    """Asymptotic p-value of a two-sample KS statistic (harness.ks_two_sample)
+    over samples of sizes n and m: the Kolmogorov tail at sqrt(nm/(n+m)) D."""
+    return float(kolmogorov(math.sqrt(n * m / (n + m)) * statistic))
 
 
 def second_moment_by_pairings(times, sites, weights) -> float:

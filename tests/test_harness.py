@@ -38,25 +38,49 @@ def test_summarize_rejects_overflowing_mean_or_stderr(values):
 
 def test_ks_identical_samples():
     xs = np.arange(100, dtype=float)
-    res = H.ks_two_sample(xs, xs)
-    assert res.statistic == 0.0
-    assert res.pvalue == pytest.approx(1.0)
+    stat = H.ks_two_sample(xs, xs)
+    assert stat == 0.0
+    assert oracles.ks_pvalue(stat, len(xs), len(xs)) == pytest.approx(1.0)
 
 
 def test_ks_power_on_shifted_normals():
     rng = substream(3, 3)
     xs = rng.standard_normal(10_000)
     ys = rng.standard_normal(10_000) + 1.0
-    res = H.ks_two_sample(xs, ys)
-    assert res.pvalue < 1e-6
+    stat = H.ks_two_sample(xs, ys)
+    assert oracles.ks_pvalue(stat, len(xs), len(ys)) < 1e-6
 
 
 def test_ks_null_behavior():
     rng = substream(4, 4)
     xs = rng.standard_normal(5000)
     ys = rng.standard_normal(5000)
-    res = H.ks_two_sample(xs, ys)
-    assert res.pvalue > 0.01
+    stat = H.ks_two_sample(xs, ys)
+    assert oracles.ks_pvalue(stat, len(xs), len(ys)) > 0.01
+
+
+def test_ks_statistic_matches_scipy():
+    from scipy.stats import ks_2samp
+
+    rng = substream(6, 6)
+    for n, m in [(1, 1), (7, 3), (400, 250)]:
+        xs = rng.standard_normal(n)
+        ys = rng.standard_normal(m) + 0.3
+        assert H.ks_two_sample(xs, ys) == pytest.approx(ks_2samp(xs, ys).statistic, abs=1e-14)
+
+
+@pytest.mark.parametrize("stat, n, m", [(0.0, 10, 10), (0.05, 5000, 5000),
+                                        (0.2, 300, 120), (0.5, 40, 60)])
+def test_ks_pvalue_is_kolmogorov_tail(stat, n, m):
+    from scipy.special import kolmogorov
+
+    lam = math.sqrt(n * m / (n + m)) * stat
+    assert oracles.ks_pvalue(stat, n, m) == float(kolmogorov(lam))
+    if lam > 0.0:
+        # Q(lam) = 2 sum_k (-1)^(k-1) exp(-2 k^2 lam^2)
+        series = 2.0 * sum((-1) ** (k - 1) * math.exp(-2.0 * k * k * lam * lam)
+                           for k in range(1, 200))
+        assert oracles.ks_pvalue(stat, n, m) == pytest.approx(series, abs=1e-12)
 
 
 def test_jitter_preserves_integer_order():

@@ -59,3 +59,18 @@ def test_window_bits_match_cell_signs(seeds, n, lo, count):
     z = 2 * np.arange(lo, lo + count, dtype=np.int64) - n
     want = cell_signs(s0[None, :], n, z[:, None])
     assert np.array_equal(1.0 - 2.0 * bits, want)
+
+
+def test_window_bits_layout_is_c_order():
+    # one layout whether the window sits inside one 64-site word or spans
+    # several, so a product over it sums in one order; values against the
+    # v2 formula in Python integers
+    seeds = [3, -7, 2**62 + 5]
+    s0 = _staged(seeds)
+    n = 41
+    for lo, count in [(5, 40), (-64, 64), (60, 9), (-70, 200)]:
+        bits = window_bits(step_keys(s0, n), lo, count)
+        assert bits.flags.c_contiguous
+        assert bits.shape == (count, len(seeds))
+        want = [[cell_sign_v2(s, n, 2 * j - n) for s in seeds] for j in range(lo, lo + count)]
+        assert (1 - 2 * bits.astype(np.int64)).tolist() == want
