@@ -72,15 +72,15 @@ class ConfigError(ValueError):
     """Invalid configuration; message names the offending field."""
 
 
-def _merge(base: dict, override: dict, path: str = "") -> dict:
+def _merge(base: dict, override, path: str = "") -> dict:
+    if not isinstance(override, dict):
+        raise ConfigError(f"{path or 'config'}: must be an object, got {override!r}")
     out = copy.deepcopy(base)
     for key, val in override.items():
         where = f"{path}.{key}" if path else key
         if key not in out:
             raise ConfigError(f"unknown config field: {where}")
         if isinstance(out[key], dict):
-            if not isinstance(val, dict):
-                raise ConfigError(f"{where}: must be an object, got {val!r}")
             out[key] = _merge(out[key], val, where)
         else:
             out[key] = val
@@ -121,6 +121,13 @@ def _int_at_least(value, where: str, minimum: int) -> int:
     return number
 
 
+def _list(value, where: str) -> list:
+    # a string or an object would otherwise be iterated item by item
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: must be a list, got {value!r}")
+    return value
+
+
 def _require_bool(value, where: str) -> None:
     # a JSON string such as "false" would otherwise be truthy
     if not isinstance(value, bool):
@@ -140,11 +147,13 @@ def validate(cfg: dict) -> dict:
         run[field] = _int_at_least(run[field], f"run.{field}", 1)
     walks = cfg["walks"]
     walks["k"] = _int_at_least(walks["k"], "walks.k", 2)
-    ladder = [_int_at_least(n, "walks.n_ladder", 1) for n in walks["n_ladder"]]
+    ladder = [_int_at_least(n, "walks.n_ladder", 1)
+              for n in _list(walks["n_ladder"], "walks.n_ladder")]
     if not ladder or any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ConfigError("walks.n_ladder: must be a strictly increasing list")
     walks["n_ladder"] = ladder
-    mlad = [_parse(float, m, "walks.m_ladder") for m in walks["m_ladder"]]
+    mlad = [_parse(float, m, "walks.m_ladder")
+            for m in _list(walks["m_ladder"], "walks.m_ladder")]
     if not mlad or any(b <= a for a, b in zip(mlad, mlad[1:])):
         raise ConfigError("walks.m_ladder: must be a nonempty, strictly increasing list")
     walks["m_ladder"] = mlad
@@ -156,11 +165,8 @@ def validate(cfg: dict) -> dict:
         raise ConfigError("harness.sigma: must be > 0")
     if hz["beta"] < 0:
         raise ConfigError("harness.beta: must be >= 0")
-    budget = hz["env_budget"]
-    if budget is not None and (isinstance(budget, bool) or not isinstance(budget, int)
-                               or budget < 1):
-        raise ConfigError(f"harness.env_budget: must be null or a positive integer, "
-                          f"got {budget!r}")
+    if hz["env_budget"] is not None:
+        hz["env_budget"] = _int_at_least(hz["env_budget"], "harness.env_budget", 1)
     hz["max_order"] = _int_at_least(hz["max_order"], "harness.max_order", 1)
     coarsest = NORM_LADDER[0].time_cells
     if hz["max_order"] >= coarsest:
@@ -169,7 +175,7 @@ def validate(cfg: dict) -> dict:
         raise ConfigError(f"harness.max_order: must be < {coarsest} (the chain-norm "
                           f"ladder's coarsest grid has {coarsest} time cells), "
                           f"got {hz['max_order']}")
-    # still validated, since perfbench's frozen configs set it; no subcommand reads it
+    # still validated, since perfbench's frozen configs set them; no subcommand reads them
     hz["norm_samples"] = _int_at_least(hz["norm_samples"], "harness.norm_samples", 2)
     hz["clt_budget"] = _int_at_least(hz["clt_budget"], "harness.clt_budget",
                                      CLT_MIN_BUDGET)
@@ -294,7 +300,7 @@ def dispatch(command: str, cfg: dict) -> harness.ExperimentReport:
         return harness.convergence_study(
             walks["k"], f, walks["n_ladder"], run["replicas"], seed, workers)
     if command == "kernels-check":
-        return harness.kernels_check(hz["max_order"], walks["n_ladder"], hz["clt_budget"], seed)
+        return harness.kernels_check(hz["max_order"], walks["n_ladder"])
     if command == "ustat-check":
         return harness.ustat_check(walks["n_ladder"][0], run["replicas"], seed)
     raise ConfigError(f"command: unknown command {command!r}")

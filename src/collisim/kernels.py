@@ -3,9 +3,10 @@ closed-form L2 norms of Gaussian chains, and the exact local-CLT distance.
 
 Binomials live in log-space (gammaln). ``local_clt_distance_sq`` computes
 ||rho_1 - sqrt(N) p^N_1||_2^2 by a Gauss-Legendre rule per time row, with
-no sampling. The importance sampler (``chain_norm_sq_mc``,
-``local_clt_l2_error``) serves as an independent Monte-Carlo cross-check
-of it and of the closed-form chain norms.
+no sampling. No subcommand runs the importance sampler
+(``chain_norm_sq_mc``, ``local_clt_l2_error``): it is a test oracle, an
+independent Monte-Carlo check of that distance and of the closed-form
+chain norms.
 
 scipy.special (gammaln, ndtr) is imported inside the functions that call
 it, so importing collisim loads numpy alone and only the commands that

@@ -90,15 +90,20 @@ def test_bad_env_budget_named(tmp_path, capsys, budget):
     # a config section set to a non-object
     ("expmoment", {"walks": 5}, "walks: must be an object"),
     # each sample is finite, but the squares in the stderr of 10,000 of them overflow
-    ("expmoment", {"harness": {"beta": 88}, "walks": {"n_ladder": [64, 256]}}, "harness.beta"),    # the moment suite needs 1000 fields; a shorter run is rejected, not lengthened
+    ("expmoment", {"harness": {"beta": 88}, "walks": {"n_ladder": [64, 256]}}, "harness.beta"),
+    # the moment suite needs 1000 fields; a shorter run is rejected, not lengthened
     ("ustat-check", {"run": {"replicas": 999}}, "run.replicas"),
     # the chain-norm ladder's coarsest grid (T=32) time-orders chains of length <= 31
     ("kernels-check", {"harness": {"max_order": 32}}, "harness.max_order"),
+    # values of the wrong shape: a ladder that is not a list, a file that is not an object
+    ("expmoment", {"walks": {"n_ladder": 64}}, "walks.n_ladder"),
+    ("tightness", {"walks": {"m_ladder": None}}, "walks.m_ladder"),
+    ("expmoment", [{"run": {"seed": 1}}], "config"),
 ])
 def test_bad_config_value_named(tmp_path, capsys, command, doc, field):
     cfg = write_cfg(tmp_path, doc)
     # flags win over the file, so they are left out for the fields under test
-    run = doc.get("run", {})
+    run = doc.get("run", {}) if isinstance(doc, dict) else {}
     argv = [command, "--config", cfg]
     argv += [] if "seed" in run else ["--seed", "1"]
     argv += [] if "out" in run else ["--out", str(tmp_path / "o")]
@@ -108,9 +113,30 @@ def test_bad_config_value_named(tmp_path, capsys, command, doc, field):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("leaf", [f"{name}.{field}" for name, section in cli.DEFAULT_CONFIG.items()
+                                  for field in section])
+def test_every_config_field_validated(tmp_path, capsys, leaf):
+    # an object fits no leaf field, so each one must be rejected by name
+    section, field = leaf.split(".")
+    cfg = write_cfg(tmp_path, {section: {field: {}}})
+    argv = ["expmoment", "--config", cfg]
+    argv += [] if leaf == "run.seed" else ["--seed", "1"]
+    argv += [] if leaf == "run.out" else ["--out", str(tmp_path / "o")]
+    assert run_cli(argv) == 2
+    assert leaf in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_null_env_budget_accepted():
     cfg = cli._merge(cli.DEFAULT_CONFIG, {"run": {"seed": 1}, "harness": {"env_budget": None}})
     assert cli.validate(cfg)["harness"]["env_budget"] is None
+
+
+def test_integral_float_env_budget_accepted():
+    # the same integer rule as every other count: 2e6 is 2,000,000
+    cfg = cli._merge(cli.DEFAULT_CONFIG, {"run": {"seed": 1}, "harness": {"env_budget": 2e6}})
+    budget = cli.validate(cfg)["harness"]["env_budget"]
+    assert budget == 2_000_000 and isinstance(budget, int)
 
 
 def test_max_order_edge_accepted():
@@ -121,11 +147,22 @@ def test_max_order_edge_accepted():
 
 def test_kernels_check_report_leaves_norm_samples_out(tmp_path):
     report = json.loads(_tiny_report(tmp_path, "kernels-check", "kc"))
-    assert set(report["config"]) == {"max_order", "clt_ladder", "clt_budget"}
+    assert set(report["config"]) == {"max_order", "clt_ladder"}
     assert set(report["tables"]["norms"][0]) == {"n", "closed_form", "extrapolated",
                                                  "stated_error", "rel_err"}
-    assert set(report["tables"]["clt"][0]) == {"N", "distance", "d2", "band_tail_bound",
-                                               "sampled_d2", "sampled_stderr"}
+    assert set(report["tables"]["clt"][0]) == {"N", "distance", "d2", "band_tail_bound"}
+    assert [v["name"] for v in report["verdicts"]] == ["norms-match", "clt-rate"]
+
+
+def test_kernels_check_draws_no_sample(tmp_path):
+    # at the defaults, the tables and verdicts are the same for every seed
+    docs = []
+    for seed in (1, 2, 3):
+        out = tmp_path / f"kc{seed}"
+        assert run_cli(["kernels-check", "--seed", str(seed), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        docs.append((report["tables"], report["verdicts"]))
+    assert docs[0] == docs[1] == docs[2]
 
 
 @pytest.mark.parametrize("command, field, scale", [

@@ -251,7 +251,7 @@ def test_local_clt_distance_matches_dense_quadrature(horizon):
     assert abs(got.value - oracles.local_clt_distance_sq_dense(horizon)) <= 1e-10
 
 
-@pytest.mark.parametrize("horizon, seed", [(16, 31), (64, 32), (256, 33)])
+@pytest.mark.parametrize("horizon, seed", [(16, 31), (64, 32), (256, 33), (1024, 34)])
 def test_local_clt_distance_matches_importance_sampler(horizon, seed):
     exact = K.local_clt_distance_sq(horizon).value
     est = K.local_clt_l2_error(1, horizon, 120_000, substream(seed, 0))
