@@ -5,8 +5,10 @@ to its area; chain terms are built by a forward recursion over chaos orders
 with strict time ordering between consecutive cells (the simplex support).
 Kernels are evaluated at cell centers (midpoint rule). The scheme's own
 exact second moment (``scheme_order_variances``) measures the
-discretization bias deterministically, so one Monte-Carlo pass on one grid
-suffices. Extrapolated to zero mesh over a ladder of grids
+discretization bias deterministically, so one Monte-Carlo pass on the
+grid it is given suffices. ``WhiteNoiseGrid`` states each grid rule once,
+and a broken rule raises a ``GridError`` naming the parameters it reads.
+Extrapolated to zero mesh over a ladder of grids
 (``extrapolated_chain_norms``), the same variances give the chain norms
 ||rho_n||_2^2 with a stated error and no sampling.
 
@@ -39,7 +41,16 @@ _TAIL_TERMS = 400  # dropped orders summed by chaos_tail_bound
 _SCHEME_BLOCK = 1 << 17  # kernel values per block in scheme_order_variances: 1 MB
 
 
-class GridResolutionError(ValueError):
+class GridError(ValueError):
+    """A grid rule is broken; ``fields`` names the parameters the rule reads
+    (``time_cells``, ``dx``, ``cutoff`` or the chain ``order``)."""
+
+    def __init__(self, message: str, *fields: str):
+        super().__init__(message)
+        self.fields = fields
+
+
+class GridResolutionError(GridError):
     """Raised when the time mesh cannot order the requested chain length."""
 
 
@@ -52,12 +63,23 @@ class WhiteNoiseGrid:
     cutoff: float = 6.0
 
     def __post_init__(self):
-        if self.time_cells < 1 or self.dx <= 0.0 or self.cutoff <= 0.0:
-            raise ValueError("grid parameters must be positive")
+        for name in ("time_cells", "dx", "cutoff"):
+            if not getattr(self, name) > 0:
+                raise GridError(f"must be positive, got {getattr(self, name)!r}", name)
         if self.dx > math.sqrt(self.dt) + 1e-12:
-            raise ValueError("need dx <= sqrt(dt) for stable midpoint kernels")
+            raise GridError("need dx <= sqrt(dt) = sqrt(1/time_cells) for stable midpoint "
+                            "kernels", "dx", "time_cells")
         if self.space_cells < 1:
-            raise ValueError("cutoff too small for dx: the grid has no space cells")
+            raise GridError("cutoff too small for dx: the grid has no space cells "
+                            "(2 cutoff / dx rounds to 0)", "cutoff", "dx")
+
+    def check_order(self, order: int) -> None:
+        """Raise GridResolutionError unless dt < 1/order, so that the time
+        mesh can strictly order the cells of a chain of length order."""
+        if order >= 1 and self.dt >= 1.0 / order:
+            raise GridResolutionError(
+                f"dt={self.dt} cannot time-order chains of length {order}",
+                "time_cells", "order")
 
     @property
     def dt(self) -> float:
@@ -138,9 +160,7 @@ def simulate_Z_batch(a: ContinuumAmplitude, grid: WhiteNoiseGrid, order: int,
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    if order >= 1 and grid.dt >= 1.0 / order:
-        raise GridResolutionError(
-            f"dt={grid.dt} cannot time-order chains of length {order}")
+    grid.check_order(order)
     t_cells, x_cells = grid.time_cells, grid.space_cells
     tc = grid.time_centers()
     xc = grid.space_centers()
@@ -185,7 +205,6 @@ def second_moment_series(gamma: float, tol: float = 1e-12) -> float:
 
 @dataclass(frozen=True)
 class ZMomentReport:
-    grid: WhiteNoiseGrid       # the sampled grid
     moments: np.ndarray        # estimates of E[Z^j], j = 1..k
     stderrs: np.ndarray
     truncation_bound: float
@@ -195,19 +214,18 @@ class ZMomentReport:
 
 def estimate_Z_moments(a: ContinuumAmplitude, grid: WhiteNoiseGrid, order: int,
                        k: int, n_replicas: int, master_seed: int) -> ZMomentReport:
-    """Monte-Carlo moments of the simulated chaos value on grid.refined(),
-    the grid the report carries.
+    """Monte-Carlo moments of the simulated chaos value on grid.
 
     Replica r draws from substream(master_seed, n_replicas + r), the key it
-    held when a coarse pass on grid took keys 0..n_replicas-1, so the
-    moments and values did not change when that pass was dropped.
+    held when a coarse pass took keys 0..n_replicas-1 and this grid was its
+    refinement. The key stays until one typed key schema changes every
+    stream at once, so each sampled number stays bit-identical meanwhile.
 
     Each replica is an antithetic pair in the noise sign: flipping the field
     flips exactly the odd-order terms, so the mirrored value costs nothing
     and cancels the dominant odd-chaos noise in the moment estimates.
     """
-    fine = grid.refined()
-    terms = simulate_Z_batch(a, fine, order, master_seed, n_replicas,
+    terms = simulate_Z_batch(a, grid, order, master_seed, n_replicas,
                              replica_offset=n_replicas)
     signs = (-1.0) ** np.arange(order + 1)
     exponents = np.arange(1, k + 1)
@@ -215,7 +233,6 @@ def estimate_Z_moments(a: ContinuumAmplitude, grid: WhiteNoiseGrid, order: int,
     minus = (terms * signs[None, :]).sum(axis=1)
     vals = (plus[:, None] ** exponents[None, :] + minus[:, None] ** exponents[None, :]) / 2.0
     return ZMomentReport(
-        grid=fine,
         moments=vals.mean(axis=0),
         stderrs=vals.std(axis=0, ddof=1) / math.sqrt(n_replicas),
         truncation_bound=chaos_tail_bound(a.sup_bound, order),
@@ -289,10 +306,7 @@ def extrapolated_chain_norms(max_order: int) -> ChainNormExtrapolation:
     Deterministic; the five grids take well under a second."""
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    coarsest = NORM_LADDER[0]
-    if coarsest.dt >= 1.0 / max_order:
-        raise GridResolutionError(
-            f"dt={coarsest.dt} cannot time-order chains of length {max_order}")
+    NORM_LADDER[0].check_order(max_order)
     scheme = np.array([scheme_order_variances(grid, 1.0, max_order) for grid in NORM_LADDER])
     root_h = np.sqrt([grid.dt for grid in NORM_LADDER])
     values = _value_at_zero(root_h, scheme)

@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, harness, polymer
-from .chaos import NORM_LADDER
+from .chaos import (NORM_LADDER, GridError, GridResolutionError, WhiteNoiseGrid,
+                    estimate_Z_moments)
 from .collisions import gaussian_bump
 from .kernels import CLT_MIN_BUDGET
 from .rngs import HASH_VERSION
@@ -33,43 +34,118 @@ COMMANDS = (
     "tightness", "convergence", "kernels-check", "ustat-check",
 )
 
-DEFAULT_CONFIG = {
-    "run": {
-        "seed": None,          # required: reproducibility forbids wall-clock defaults
-        "out": "runs/out",
-        "replicas": 10_000,
-        "env_replicas": 2_000,
-        "workers": 1,
-        "raw": False,
-    },
-    "walks": {
-        "k": 3,
-        "n_ladder": [64, 256, 1024],
-        "m_ladder": [2, 4, 8, 16],
-    },
-    "harness": {
-        "alpha": 0.5,
-        "sigma": 1.0,
-        "beta": 1.0,
-        "with_chaos_target": False,
-        "env_budget": 2_000_000,
-        "norm_samples": 1_000_000,
-        "clt_budget": 120_000,
-        "max_order": 4,
-    },
-    "chaos": {
-        "gamma": 0.7071067811865476,
-        "time_cells": 32,
-        "dx": 0.175,
-        "cutoff": 6.0,
-        "order": 6,
-        "replicas": 1_000,
-    },
-}
-
 
 class ConfigError(ValueError):
     """Invalid configuration; message names the offending field."""
+
+
+def parse_seed(text) -> int:
+    """Seeds are U64: decimal or hex strings, or plain ints, in [0, 2**64)."""
+    if text is None:
+        raise ConfigError("run.seed: a seed is required (no wall-clock default)")
+    if isinstance(text, bool):
+        raise ConfigError(f"run.seed: must be an integer, got {text!r}")
+    try:
+        seed = text if isinstance(text, int) else int(str(text), 0)
+    except ValueError as exc:
+        raise ConfigError(f"run.seed: cannot parse {text!r} as an integer") from exc
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"run.seed: must lie in [0, 2**64), got {text!r}")
+    return seed
+
+
+# A check takes (value, "section.field") and returns the normalised value,
+# or raises a ConfigError naming the field.
+
+def _number(kind, minimum: float = -math.inf, strict: bool = False):
+    """A finite kind (int or float) >= minimum, or > minimum if strict. A JSON
+    boolean is not a number, and a fraction is rejected, not truncated."""
+    def check(value, where: str):
+        try:
+            number = kind(value)
+            finite = math.isfinite(number)  # an int beyond float range overflows
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{where}: cannot parse {value!r} as {kind.__name__}") from exc
+        if (isinstance(value, bool) or not finite or number < minimum
+                or (strict and number == minimum)
+                or (isinstance(value, float) and value != number)):
+            bound = f" {'>' if strict else '>='} {minimum}" if minimum > -math.inf else ""
+            raise ConfigError(f"{where}: must be a finite {kind.__name__}{bound}, "
+                              f"got {value!r}")
+        return number
+    return check
+
+
+def _ladder(entry):
+    """A nonempty, strictly increasing list of entry values."""
+    def check(value, where: str) -> list:
+        # a string or an object would otherwise be iterated item by item
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: must be a list, got {value!r}")
+        ladder = [entry(item, where) for item in value]
+        if not ladder or any(b <= a for a, b in zip(ladder, ladder[1:])):
+            raise ConfigError(f"{where}: must be a nonempty, strictly increasing list")
+        return ladder
+    return check
+
+
+def _optional(check):
+    return lambda value, where: None if value is None else check(value, where)
+
+
+def _flag(value, where: str) -> bool:
+    # a JSON string such as "false" would otherwise be truthy
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}: must be true or false, got {value!r}")
+    return value
+
+
+def _path(value, where: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{where}: must be a non-empty path string, got {value!r}")
+    return value
+
+
+#: every config field: its default and its check
+FIELDS = {
+    "run": {
+        # required: reproducibility forbids wall-clock defaults
+        "seed": (None, lambda value, where: parse_seed(value)),
+        "out": ("runs/out", _path),
+        "replicas": (10_000, _number(int, 1)),
+        "env_replicas": (2_000, _number(int, 1)),
+        "workers": (1, _number(int, 1)),
+        "raw": (False, _flag),
+    },
+    "walks": {
+        "k": (3, _number(int, 2)),
+        "n_ladder": ([64, 256, 1024], _ladder(_number(int, 1))),
+        "m_ladder": ([2, 4, 8, 16], _ladder(_number(float))),
+    },
+    "harness": {
+        "alpha": (0.5, _number(float)),
+        "sigma": (1.0, _number(float, 0, strict=True)),
+        "beta": (1.0, _number(float, 0)),
+        "with_chaos_target": (False, _flag),
+        "env_budget": (2_000_000, _optional(_number(int, 1))),
+        # still validated, since perfbench's frozen configs set them; no subcommand reads them
+        "norm_samples": (1_000_000, _number(int, 2)),
+        "clt_budget": (120_000, _number(int, CLT_MIN_BUDGET)),
+        "max_order": (4, _number(int, 1)),
+    },
+    "chaos": {
+        # the sampled grid is WhiteNoiseGrid(time_cells, dx, cutoff)
+        "gamma": (0.7071067811865476, _number(float)),
+        "time_cells": (64, _number(int, 1)),
+        "dx": (0.0875, _number(float)),
+        "cutoff": (6.0, _number(float)),
+        "order": (6, _number(int, 0)),
+        "replicas": (1_000, _number(int, 2)),  # the moment stderrs need two replicas
+    },
+}
+
+DEFAULT_CONFIG = {section: {name: default for name, (default, _) in fields.items()}
+                  for section, fields in FIELDS.items()}
 
 
 def _merge(base: dict, override, path: str = "") -> dict:
@@ -87,114 +163,29 @@ def _merge(base: dict, override, path: str = "") -> dict:
     return out
 
 
-def parse_seed(text) -> int:
-    """Seeds are U64: decimal or hex strings, or plain ints, in [0, 2**64)."""
-    if isinstance(text, bool):
-        raise ConfigError(f"run.seed: must be an integer, got {text!r}")
-    try:
-        seed = text if isinstance(text, int) else int(str(text), 0)
-    except ValueError as exc:
-        raise ConfigError(f"run.seed: cannot parse {text!r} as an integer") from exc
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"run.seed: must lie in [0, 2**64), got {text!r}")
-    return seed
-
-
-def _parse(kind, value, where: str):
-    """kind(value), finite, or a ConfigError naming the field."""
-    try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{where}: cannot parse {value!r} as {kind.__name__}") from exc
-    if not math.isfinite(number):
-        raise ConfigError(f"{where}: must be finite, got {value!r}")
-    return number
-
-
-def _int_at_least(value, where: str, minimum: int) -> int:
-    """value as an integer >= minimum; fractions and booleans are rejected,
-    not truncated."""
-    number = _parse(int, value, where)
-    fractional = isinstance(value, float) and value != number
-    if isinstance(value, bool) or fractional or number < minimum:
-        raise ConfigError(f"{where}: must be an integer >= {minimum}, got {value!r}")
-    return number
-
-
-def _list(value, where: str) -> list:
-    # a string or an object would otherwise be iterated item by item
-    if not isinstance(value, list):
-        raise ConfigError(f"{where}: must be a list, got {value!r}")
-    return value
-
-
-def _require_bool(value, where: str) -> None:
-    # a JSON string such as "false" would otherwise be truthy
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where}: must be true or false, got {value!r}")
+def _chaos_grid(ch: dict) -> WhiteNoiseGrid:
+    return WhiteNoiseGrid(ch["time_cells"], ch["dx"], ch["cutoff"])
 
 
 def validate(cfg: dict) -> dict:
     """Check and normalise every field, so a bad value fails before any work."""
-    run = cfg["run"]
-    if run["seed"] is None:
-        raise ConfigError("run.seed: a seed is required (no wall-clock default)")
-    run["seed"] = parse_seed(run["seed"])
-    if not isinstance(run["out"], str) or not run["out"]:
-        raise ConfigError(f"run.out: must be a non-empty path string, got {run['out']!r}")
-    _require_bool(run["raw"], "run.raw")
-    for field in ("replicas", "env_replicas", "workers"):
-        run[field] = _int_at_least(run[field], f"run.{field}", 1)
-    walks = cfg["walks"]
-    walks["k"] = _int_at_least(walks["k"], "walks.k", 2)
-    ladder = [_int_at_least(n, "walks.n_ladder", 1)
-              for n in _list(walks["n_ladder"], "walks.n_ladder")]
-    if not ladder or any(b <= a for a, b in zip(ladder, ladder[1:])):
-        raise ConfigError("walks.n_ladder: must be a strictly increasing list")
-    walks["n_ladder"] = ladder
-    mlad = [_parse(float, m, "walks.m_ladder")
-            for m in _list(walks["m_ladder"], "walks.m_ladder")]
-    if not mlad or any(b <= a for a, b in zip(mlad, mlad[1:])):
-        raise ConfigError("walks.m_ladder: must be a nonempty, strictly increasing list")
-    walks["m_ladder"] = mlad
-    hz = cfg["harness"]
-    _require_bool(hz["with_chaos_target"], "harness.with_chaos_target")
-    for field in ("alpha", "sigma", "beta"):
-        hz[field] = _parse(float, hz[field], f"harness.{field}")
-    if hz["sigma"] <= 0:
-        raise ConfigError("harness.sigma: must be > 0")
-    if hz["beta"] < 0:
-        raise ConfigError("harness.beta: must be >= 0")
-    if hz["env_budget"] is not None:
-        hz["env_budget"] = _int_at_least(hz["env_budget"], "harness.env_budget", 1)
-    hz["max_order"] = _int_at_least(hz["max_order"], "harness.max_order", 1)
-    coarsest = NORM_LADDER[0].time_cells
-    if hz["max_order"] >= coarsest:
+    for section, fields in FIELDS.items():
+        for name, (_, check) in fields.items():
+            cfg[section][name] = check(cfg[section][name], f"{section}.{name}")
+    # the grid rules, each stated once in chaos
+    try:
         # kernels_check extrapolates the chain norms from a grid ladder whose
         # coarsest grid must time-order chains of length max_order
-        raise ConfigError(f"harness.max_order: must be < {coarsest} (the chain-norm "
-                          f"ladder's coarsest grid has {coarsest} time cells), "
-                          f"got {hz['max_order']}")
-    # still validated, since perfbench's frozen configs set them; no subcommand reads them
-    hz["norm_samples"] = _int_at_least(hz["norm_samples"], "harness.norm_samples", 2)
-    hz["clt_budget"] = _int_at_least(hz["clt_budget"], "harness.clt_budget",
-                                     CLT_MIN_BUDGET)
+        NORM_LADDER[0].check_order(cfg["harness"]["max_order"])
+    except GridResolutionError as exc:
+        raise ConfigError(f"harness.max_order: {exc} on the chain-norm ladder's coarsest "
+                          f"grid ({NORM_LADDER[0].time_cells} time cells)") from exc
     ch = cfg["chaos"]
-    for field in ("gamma", "dx", "cutoff"):
-        ch[field] = _parse(float, ch[field], f"chaos.{field}")
-    ch["time_cells"] = _int_at_least(ch["time_cells"], "chaos.time_cells", 1)
-    if ch["dx"] <= 0 or ch["cutoff"] <= 0:
-        raise ConfigError("chaos.dx / chaos.cutoff: must be > 0")
-    if ch["dx"] > math.sqrt(1.0 / ch["time_cells"]) + 1e-12:
-        raise ConfigError("chaos.dx: need dx <= sqrt(dt) for stable kernels")
-    if round(2.0 * ch["cutoff"] / ch["dx"]) < 1:
-        raise ConfigError("chaos.cutoff: [-cutoff, cutoff] holds no space cell of width "
-                          "chaos.dx (2 cutoff / dx rounds to 0)")
-    ch["order"] = _int_at_least(ch["order"], "chaos.order", 0)
-    if ch["order"] >= 1 and ch["time_cells"] <= ch["order"]:
-        raise ConfigError("chaos.time_cells: must exceed chaos.order to time-order its chains")
-    # the moment stderrs need two replicas
-    ch["replicas"] = _int_at_least(ch["replicas"], "chaos.replicas", 2)
+    try:
+        _chaos_grid(ch).check_order(ch["order"])
+    except GridError as exc:
+        fields = ", ".join(f"chaos.{name}" for name in exc.fields)
+        raise ConfigError(f"{fields}: {exc}") from exc
     return cfg
 
 
@@ -235,16 +226,9 @@ def load_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"config: invalid JSON in {args.config}: {exc}") from exc
         cfg = _merge(cfg, file_cfg)
     # flags win over file values
-    if args.seed is not None:
-        cfg["run"]["seed"] = args.seed
-    if args.out is not None:
-        cfg["run"]["out"] = args.out
-    if args.replicas is not None:
-        cfg["run"]["replicas"] = args.replicas
-    if args.workers is not None:
-        cfg["run"]["workers"] = args.workers
-    if args.raw:
-        cfg["run"]["raw"] = True
+    for name in ("seed", "out", "replicas", "workers", "raw"):
+        if getattr(args, name) is not None:
+            cfg["run"][name] = getattr(args, name)
     cfg = validate(cfg)
     check_exponents(args.command, cfg)
     if args.command == "ustat-check" and cfg["run"]["replicas"] < USTAT_MIN_REPLICAS:
@@ -261,12 +245,9 @@ def _test_function(cfg):
 def _chaos_target_summary(cfg, f):
     """E[Z_{sqrt(2f)}^k] from the grid simulator, as a summary the duality
     verdict can hold against its largest-horizon estimate."""
-    from .chaos import WhiteNoiseGrid, estimate_Z_moments
-
     ch, k = cfg["chaos"], cfg["walks"]["k"]
-    grid = WhiteNoiseGrid(int(ch["time_cells"]), float(ch["dx"]), float(ch["cutoff"]))
-    rep = estimate_Z_moments(harness.sqrt_amplitude(f, 2.0), grid, int(ch["order"]), k,
-                             int(ch["replicas"]), cfg["run"]["seed"] + 99)
+    rep = estimate_Z_moments(harness.sqrt_amplitude(f, 2.0), _chaos_grid(ch), ch["order"], k,
+                             ch["replicas"], cfg["run"]["seed"] + 99)
     mean, se = float(rep.moments[k - 1]), float(rep.stderrs[k - 1])
     return harness.MonteCarloSummary(rep.n_replicas, mean, se)
 
@@ -359,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--replicas", type=int, help="walk-side replicate count")
     parser.add_argument("--workers", type=int, help="worker pool size")
-    parser.add_argument("--raw", action="store_true", help="write per-replicate CSVs")
+    parser.add_argument("--raw", action="store_true", default=None,
+                        help="write per-replicate CSVs")
     parser.add_argument("--stdout", action="store_true",
                         help="print the machine-readable report to stdout")
     return parser

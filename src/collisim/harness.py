@@ -565,9 +565,9 @@ def collision_experiment(k: int, horizon: int, n_replicas: int, master_seed: int
 
 def chaos_experiment(gamma: float, time_cells: int, dx: float, cutoff: float,
                      order: int, n_replicas: int, master_seed: int) -> ExperimentReport:
-    """Simulated chaos value at constant amplitude against the sampled grid's
-    exact second moment, next to the closed-form series and the grid's bias
-    to it."""
+    """Simulated chaos value at constant amplitude on WhiteNoiseGrid(time_cells,
+    dx, cutoff) against that grid's exact second moment, next to the
+    closed-form series and the grid's bias to it."""
     from .chaos import (WhiteNoiseGrid, estimate_Z_moments, scheme_order_variances,
                         second_moment_series)
 
@@ -576,7 +576,7 @@ def chaos_experiment(gamma: float, time_cells: int, dx: float, cutoff: float,
     grid = WhiteNoiseGrid(time_cells, dx, cutoff)
     rep = estimate_Z_moments(amp, grid, order, 2, n_replicas, master_seed)
     series = second_moment_series(gamma)
-    grid_m2 = 1.0 + float(scheme_order_variances(rep.grid, gamma, order).sum())
+    grid_m2 = 1.0 + float(scheme_order_variances(grid, gamma, order).sum())
     m2, se2 = float(rep.moments[1]), float(rep.stderrs[1])
     m1, se1 = float(rep.moments[0]), float(rep.stderrs[0])
     verdicts = [

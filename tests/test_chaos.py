@@ -248,21 +248,25 @@ def test_estimate_Z_moments_zero_amplitude():
 
 
 def test_estimate_Z_moments_second_moment_vs_series():
-    gamma = math.sqrt(2) * 0.5
-    rep = C.estimate_Z_moments(_const_amp(gamma), _grid(16), 5, 2, 400, 2024)
+    gamma, grid, n, seed = math.sqrt(2) * 0.5, _grid(16).refined(), 400, 2024
+    a = _const_amp(gamma)
+    rep = C.estimate_Z_moments(a, grid, 5, 2, n, seed)
     target = C.second_moment_series(gamma)
-    # refined estimate within 3 stderr of the closed-form series
+    # the estimate on the given grid within 3 stderr of the closed-form series
     assert abs(rep.moments[1] - target) < 3.0 * rep.stderrs[1]
     assert abs(rep.moments[0] - 1.0) < 4.0 * rep.stderrs[0]
-    assert rep.grid == _grid(16).refined()
+    # the given grid is sampled, replica r keyed (seed, n + r)
+    for r in (0, n - 1):
+        terms = C.simulate_Z_batch(a, grid, 5, seed, 1, replica_offset=n + r)
+        assert rep.values[r] == terms.sum(axis=1)[0], r
 
 
-def test_estimate_Z_moments_samples_the_refined_grid_once():
-    # one pass on grid.refined(), replica r keyed (seed, n + r); the moments
+def test_estimate_Z_moments_samples_the_given_grid_once():
+    # one pass on the given grid, replica r keyed (seed, n + r); the moments
     # are the antithetic pair means of the plain batch's terms
-    a, grid, order, k, n, seed = _const_amp(0.9), _grid(8), 4, 3, 30, 77
+    a, grid, order, k, n, seed = _const_amp(0.9), _grid(8).refined(), 4, 3, 30, 77
     rep = C.estimate_Z_moments(a, grid, order, k, n, seed)
-    terms = C.simulate_Z_batch(a, grid.refined(), order, seed, n, replica_offset=n)
+    terms = C.simulate_Z_batch(a, grid, order, seed, n, replica_offset=n)
     plus = terms.sum(axis=1)
     minus = (terms * (-1.0) ** np.arange(order + 1)).sum(axis=1)
     exps = np.arange(1, k + 1)
@@ -270,7 +274,7 @@ def test_estimate_Z_moments_samples_the_refined_grid_once():
     assert rep.values.tobytes() == plus.tobytes()
     assert rep.moments.tobytes() == vals.mean(axis=0).tobytes()
     assert rep.stderrs.tobytes() == (vals.std(axis=0, ddof=1) / math.sqrt(n)).tobytes()
-    assert rep.grid == grid.refined() and rep.n_replicas == n
+    assert rep.n_replicas == n
 
 
 def test_simulation_reproducible():

@@ -3,9 +3,12 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from collisim import cli
+from collisim.chaos import WhiteNoiseGrid, estimate_Z_moments, extrapolated_chain_norms
+from collisim.environment import ContinuumAmplitude
 
 
 def run_cli(args):
@@ -99,6 +102,8 @@ def test_bad_env_budget_named(tmp_path, capsys, budget):
     ("expmoment", {"walks": {"n_ladder": 64}}, "walks.n_ladder"),
     ("tightness", {"walks": {"m_ladder": None}}, "walks.m_ladder"),
     ("expmoment", [{"run": {"seed": 1}}], "config"),
+    # an integer beyond float range
+    ("collisions", {"walks": {"k": 10**400}}, "walks.k"),
 ])
 def test_bad_config_value_named(tmp_path, capsys, command, doc, field):
     cfg = write_cfg(tmp_path, doc)
@@ -125,6 +130,74 @@ def test_every_config_field_validated(tmp_path, capsys, leaf):
     assert run_cli(argv) == 2
     assert leaf in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def _boolean_cases():
+    """Every numeric leaf of DEFAULT_CONFIG set to true and to false; a ladder
+    gets each of its entries set to true and to false in turn."""
+    cases = []
+    for section, fields in cli.DEFAULT_CONFIG.items():
+        for field, default in fields.items():
+            leaf = f"{section}.{field}"
+            if isinstance(default, list):
+                cases += [pytest.param(leaf, default[:i] + [flag] + default[i + 1:], flag,
+                                       id=f"{leaf}[{i}]={flag}")
+                          for i in range(len(default)) for flag in (True, False)]
+            elif default is None or type(default) in (int, float):  # run.seed defaults to None
+                cases += [pytest.param(leaf, flag, flag, id=f"{leaf}={flag}")
+                          for flag in (True, False)]
+    return cases
+
+
+@pytest.mark.parametrize("leaf, value, flag", _boolean_cases())
+def test_boolean_is_not_a_number(tmp_path, capsys, leaf, value, flag):
+    # float(True) is 1.0, but a JSON boolean is rejected wherever a number
+    # goes, and for being a boolean: not for breaking a rule as 1 or 0
+    section, field = leaf.split(".")
+    cfg = write_cfg(tmp_path, {section: {field: value}})
+    argv = ["expmoment", "--config", cfg, "--out", str(tmp_path / "o")]
+    argv += [] if leaf == "run.seed" else ["--seed", "1"]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert leaf in err and f"got {flag!r}" in err
+    assert not (tmp_path / "o").exists()
+
+
+def _accepts(doc: dict) -> bool:
+    try:
+        cli.validate(cli._merge(cli.DEFAULT_CONFIG, {"run": {"seed": 1}, **doc}))
+    except cli.ConfigError:
+        return False
+    return True
+
+
+def _runs(call) -> bool:
+    try:
+        call()
+    except ValueError:  # the grid errors and a negative order
+        return False
+    return True
+
+
+@pytest.mark.parametrize("dx", [-0.25, 0.25, 0.3, 0.5])
+def test_validate_accepts_exactly_the_grids_the_sampler_runs(dx):
+    # 2 cutoff / dx rounds to 0 space cells at cutoff 0.06 and dx 0.25, to 1 at 0.1;
+    # dx <= sqrt(dt) holds up to T=16 at dx 0.25, T=11 at 0.3 and T=4 at 0.5
+    amp = ContinuumAmplitude(lambda t, x: np.full(np.broadcast(t, x).shape, 0.7), 0.7)
+    for cutoff in (0.06, 0.1, 1.0):
+        for time_cells in range(1, 13):
+            for order in range(13):
+                chaos = {"time_cells": time_cells, "dx": dx, "cutoff": cutoff, "order": order,
+                         "replicas": 2}
+                sampled = _runs(lambda: estimate_Z_moments(
+                    amp, WhiteNoiseGrid(time_cells, dx, cutoff), order, 2, 2, 1))
+                assert _accepts({"chaos": chaos}) == sampled, (time_cells, dx, cutoff, order)
+
+
+def test_validate_accepts_exactly_the_max_orders_the_chain_norms_take():
+    for max_order in (0, 1, 2, 31, 32, 33, 64):
+        taken = _runs(lambda: extrapolated_chain_norms(max_order))
+        assert _accepts({"harness": {"max_order": max_order}}) == taken, max_order
 
 
 def test_null_env_budget_accepted():
@@ -256,7 +329,7 @@ TINY = {
     "walks": {"n_ladder": [4, 16]},
     "run": {"replicas": 2100, "env_replicas": 600},
     "harness": {"max_order": 2, "norm_samples": 20_000, "clt_budget": 10_000},
-    "chaos": {"time_cells": 8, "replicas": 50},
+    "chaos": {"time_cells": 16, "replicas": 50},
 }
 
 
@@ -335,7 +408,7 @@ def test_duality_with_chaos_target(tmp_path):
         "walks": {"k": 2, "n_ladder": [64, 256]},
         "run": {"replicas": 4000, "env_replicas": 1500},
         "harness": {"with_chaos_target": True},
-        "chaos": {"time_cells": 16, "dx": 0.24, "order": 5, "replicas": 300},
+        "chaos": {"time_cells": 32, "dx": 0.12, "order": 5, "replicas": 300},
     })
     code = run_cli(["duality", "--config", cfg, "--seed", "6", "--out", str(out)])
     report = json.loads((out / "report.json").read_text())
@@ -355,7 +428,7 @@ def test_chaos_target_negative_alpha_is_finite(tmp_path):
         "walks": {"k": 2, "n_ladder": [4, 16]},
         "run": {"replicas": 200, "env_replicas": 50},
         "harness": {"with_chaos_target": True, "alpha": -0.5},
-        "chaos": {"time_cells": 8, "replicas": 50},
+        "chaos": {"time_cells": 16, "replicas": 50},
     })
     run_cli(["duality", "--config", cfg, "--seed", "6", "--out", str(out)])
     text = (out / "report.json").read_text()

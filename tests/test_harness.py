@@ -11,7 +11,7 @@ from collisim import kernels as K
 from collisim import polymer as P
 from collisim import ustat as U
 from collisim.collisions import constant_fn, gaussian_bump
-from collisim.environment import EnvironmentField, disorder_from_function
+from collisim.environment import ContinuumAmplitude, EnvironmentField, disorder_from_function
 from collisim.rngs import substream
 from collisim.walks import WalkEnsemble, WalkPath, positions_from_steps, walk_positions
 import oracles
@@ -483,35 +483,41 @@ def test_ustat_check_builds_one_table_and_sweeps_once(monkeypatch):
 
 
 def test_chaos_experiment_small():
-    rep = H.chaos_experiment(math.sqrt(2) * 0.5, 16, math.sqrt(1 / 16) * 0.999, 6.0,
+    rep = H.chaos_experiment(math.sqrt(2) * 0.5, 32, math.sqrt(1 / 16) * 0.999 / 2, 6.0,
                              5, 300, 41)
     assert rep.passed, [v.detail for v in rep.verdicts if not v.passed]
 
 
 def test_chaos_grid_second_moment_is_the_exact_scheme_value():
-    gamma, dx = math.sqrt(2) * 0.5, math.sqrt(1 / 8) * 0.999
-    rep = H.chaos_experiment(gamma, 8, dx, 6.0, 4, 40, 5)
-    sampled = CH.WhiteNoiseGrid(8, dx, 6.0).refined()
+    gamma, dx = math.sqrt(2) * 0.5, math.sqrt(1 / 8) * 0.999 / 2
+    rep = H.chaos_experiment(gamma, 16, dx, 6.0, 4, 40, 5)
+    # the given grid is sampled and named in the report
+    sampled = CH.WhiteNoiseGrid(16, dx, 6.0)
+    assert (rep.config["time_cells"], rep.config["dx"]) == (16, dx)
     exact = 1.0 + float(CH.scheme_order_variances(sampled, gamma, 4).sum())
     assert rep.tables["grid_second_moment"] == exact
+    # replica r keyed (seed, n + r)
+    amp = ContinuumAmplitude(lambda t, x: np.full(np.broadcast(t, x).shape, gamma), gamma)
+    terms = CH.simulate_Z_batch(amp, sampled, 4, 5, 40, replica_offset=40)
+    assert rep.raw["z_values"].tobytes() == terms.sum(axis=1).tobytes()
     assert "coarse_moments" not in rep.tables and "refinement_drift" not in rep.tables
     detail = [v.detail for v in rep.verdicts if v.name == "second-moment"][0]
     assert f"grid value {exact:.4f}" in detail
 
 
 def test_chaos_second_moment_verdict_reads_the_grid_value(monkeypatch):
-    gamma, dx = math.sqrt(2) * 0.5, math.sqrt(1 / 8) * 0.999
-    rep = H.chaos_experiment(gamma, 8, dx, 6.0, 4, 40, 5)
+    gamma, dx = math.sqrt(2) * 0.5, math.sqrt(1 / 8) * 0.999 / 2
+    rep = H.chaos_experiment(gamma, 16, dx, 6.0, 4, 40, 5)
     assert rep.tables["series_bias"] == rep.tables["series_target"] - rep.tables["grid_second_moment"]
     assert rep.tables["series_bias"] > 0.0
     # a wrong series moves only the reported bias, not the verdict
     monkeypatch.setattr(CH, "second_moment_series", lambda g: 100.0)
-    moved = H.chaos_experiment(gamma, 8, dx, 6.0, 4, 40, 5)
+    moved = H.chaos_experiment(gamma, 16, dx, 6.0, 4, 40, 5)
     assert [v.passed for v in moved.verdicts] == [v.passed for v in rep.verdicts] == [True, True]
     assert moved.tables["series_bias"] == 100.0 - rep.tables["grid_second_moment"]
     # a wrong grid value fails it
     monkeypatch.setattr(CH, "scheme_order_variances", lambda *a: np.array([10.0]))
-    wrong = H.chaos_experiment(gamma, 8, dx, 6.0, 4, 40, 5)
+    wrong = H.chaos_experiment(gamma, 16, dx, 6.0, 4, 40, 5)
     assert {v.name for v in wrong.verdicts if not v.passed} == {"second-moment"}
 
 

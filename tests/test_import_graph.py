@@ -19,7 +19,7 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 
 _TINY = {"walks": {"n_ladder": [4, 16]}, "run": {"replicas": 2100, "env_replicas": 600},
          "harness": {"max_order": 2, "norm_samples": 20000, "clt_budget": 10000},
-         "chaos": {"time_cells": 8, "replicas": 50}}
+         "chaos": {"time_cells": 16, "replicas": 50}}
 
 _PROBE = """
 import json, sys
