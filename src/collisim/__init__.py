@@ -4,13 +4,12 @@ limit."""
 
 __version__ = "0.1.0"
 
-from .collisions import TestFunction, gaussian_bump
+from .collisions import gaussian_bump
 from .environment import ContinuumAmplitude, DisorderFunction, EnvironmentField
 from .polymer import chaos_terms, partition_dp, partition_many
 
 __all__ = [
     "__version__",
-    "TestFunction",
     "gaussian_bump",
     "ContinuumAmplitude",
     "DisorderFunction",

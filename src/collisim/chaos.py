@@ -10,7 +10,8 @@ grid it is given suffices. ``WhiteNoiseGrid`` states each grid rule once,
 and a broken rule raises a ``GridError`` naming the parameters it reads.
 Extrapolated to zero mesh over a ladder of grids
 (``extrapolated_chain_norms``), the same variances give the chain norms
-||rho_n||_2^2 with a stated error and no sampling.
+||rho_n||_2^2 with a stated error and no sampling. The continuum second
+moment at constant amplitude is in closed form (``second_moment_series``).
 
 One step of the recursion is a causal space-time convolution with the heat
 kernel, which is translation-invariant on the grid, so it runs as one
@@ -26,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .environment import ContinuumAmplitude
-from .kernels import heat_kernel, rho_chain_norm_sq
+from .kernels import heat_kernel, log_rho_chain_norm_sq, rho_chain_norm_sq
 from .rngs import substream
 
 __all__ = [
@@ -36,9 +37,6 @@ __all__ = [
     "estimate_Z_moments",
     "extrapolated_chain_norms",
 ]
-
-_TAIL_TERMS = 400  # dropped orders summed by chaos_tail_bound
-_SCHEME_BLOCK = 1 << 17  # kernel values per block in scheme_order_variances: 1 MB
 
 
 class GridError(ValueError):
@@ -100,10 +98,25 @@ class WhiteNoiseGrid:
 
 
 def chaos_tail_bound(sup_amplitude: float, order: int) -> float:
-    """L2 bound on the dropped tail: sum_{n > order} s^(2n) ||rho_n||_2^2."""
-    s2 = sup_amplitude * sup_amplitude
-    return float(sum(s2**n * rho_chain_norm_sq(n)
-                     for n in range(order + 1, order + 1 + _TAIL_TERMS)))
+    """L2 bound on the dropped tail: sum_{n > order} s^(2n) ||rho_n||_2^2.
+
+    The terms peak near n = s^4/2; past the peak the sum stops at the first
+    term below a quarter ulp of the total, which no later term can change.
+    A term whose power s^(2n) overflows is taken in log space, so the bound
+    is inf only where the tail leaves float range."""
+    s2 = float(sup_amplitude * sup_amplitude)
+    total, last, n = 0.0, 0.0, order
+    while True:
+        n += 1
+        try:
+            term = s2**n * rho_chain_norm_sq(n)
+        except OverflowError:
+            with np.errstate(over="ignore"):
+                term = float(np.exp(n * math.log(s2) + log_rho_chain_norm_sq(n)))
+        total += term
+        if term <= last and term <= math.ulp(total) / 4:
+            return total
+        last = term
 
 
 def _fast_len(n: int) -> int:
@@ -165,7 +178,7 @@ def simulate_Z_batch(a: ContinuumAmplitude, grid: WhiteNoiseGrid, order: int,
     tc = grid.time_centers()
     xc = grid.space_centers()
     amp = np.asarray(a(tc[:, None], xc[None, :]), dtype=float)
-    rho0 = np.exp(-(xc[None, :] ** 2) / (2.0 * tc[:, None])) / np.sqrt(2.0 * math.pi * tc)[:, None]
+    rho0 = heat_kernel(tc[:, None], xc[None, :])
     terms = np.zeros((n_replicas, order + 1))
     terms[:, 0] = 1.0
     if order == 0:
@@ -183,24 +196,13 @@ def simulate_Z_batch(a: ContinuumAmplitude, grid: WhiteNoiseGrid, order: int,
     return terms
 
 
-def second_moment_series(gamma: float, tol: float = 1e-12) -> float:
-    """sum_n gamma^(2n) ||rho_n||_2^2, summed until the geometric tail bound
-    sits below tol. The series is entire in gamma."""
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0")
-    g2 = gamma * gamma
-    total = 1.0  # n = 0 term
-    term = 1.0
-    n = 0
-    while n <= 10_000:
-        n += 1
-        nxt = g2**n * rho_chain_norm_sq(n)
-        # once the ratio drops under 1/2, the remaining tail is < 2 * nxt
-        if term > 0.0 and nxt <= 0.5 * term and 2.0 * nxt < tol:
-            return total
-        total += nxt
-        term = nxt
-    return total  # unreachable for finite gamma; Gamma decay dominates
+def second_moment_series(gamma: float) -> float:
+    """sum_n gamma^(2n) ||rho_n||_2^2 = E_{1/2}(gamma^2/2), the Mittag-Leffler
+    function, in closed form: exp(gamma^4/4) erfc(-gamma^2/2). It is inf where
+    that value leaves float range (|gamma| > 7.29777)."""
+    from scipy.special import erfcx
+
+    return float(erfcx(-gamma * gamma / 2.0))
 
 
 @dataclass(frozen=True)
@@ -235,10 +237,17 @@ def estimate_Z_moments(a: ContinuumAmplitude, grid: WhiteNoiseGrid, order: int,
     return ZMomentReport(
         moments=vals.mean(axis=0),
         stderrs=vals.std(axis=0, ddof=1) / math.sqrt(n_replicas),
-        truncation_bound=chaos_tail_bound(a.sup_bound, order),
+        truncation_bound=chaos_tail_bound(a.bound, order),
         n_replicas=n_replicas,
         values=plus,
     )
+
+
+def _squared_kernel_sums(times: np.ndarray, points: np.ndarray, dx: float) -> np.ndarray:
+    """sum_y p_t(y)^2 dx over the points y, for each time t, one time row at
+    a time; p_t(y)^2 = exp(-y^2/t) / (2 pi t)."""
+    neg_sq = -(points**2)
+    return np.array([(np.exp(neg_sq / t) / (2.0 * math.pi * t)).sum() for t in times]) * dx
 
 
 def scheme_order_variances(grid: WhiteNoiseGrid, gamma: float, order: int) -> np.ndarray:
@@ -253,23 +262,11 @@ def scheme_order_variances(grid: WhiteNoiseGrid, gamma: float, order: int) -> np
     """
     g2 = gamma * gamma
     dt, dx, t_cells = grid.dt, grid.dx, grid.time_cells
-    tc = grid.time_centers()
-    xc = grid.space_centers()
-    # origin-anchored squared-kernel column sums
-    s0 = (np.exp(-(xc[None, :] ** 2) / tc[:, None])
-          / (2.0 * math.pi * tc[:, None])).sum(axis=1) * dx
     diffs = np.arange(-2 * grid.space_cells, 2 * grid.space_cells + 1) * dx
-    lags = np.arange(1, t_cells) * dt
-    # per lag row; blocks of rows bound the (lags, diffs) temporaries
-    s_lag = np.empty(len(lags))
-    rows = max(1, _SCHEME_BLOCK // len(diffs))
-    for lo in range(0, len(lags), rows):
-        block = lags[lo:lo + rows, None]
-        s_lag[lo:lo + rows] = (np.exp(-(diffs[None, :] ** 2) / block)
-                               / (2.0 * math.pi * block)).sum(axis=1)
-    s_lag *= dx
+    s_lag = _squared_kernel_sums(np.arange(1, t_cells) * dt, diffs, dx)
     variances = np.zeros(order + 1)
-    chain = s0.copy()  # weight of chains ending at each slice
+    # weight of chains ending at each slice: origin-anchored sums
+    chain = _squared_kernel_sums(grid.time_centers(), grid.space_centers(), dx)
     variances[1] = g2 * dt * chain.sum() if order >= 1 else 0.0
     for n in range(2, order + 1):
         # causal: chains ending at slice i extend those ending before it

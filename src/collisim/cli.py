@@ -100,6 +100,16 @@ def _flag(value, where: str) -> bool:
     return value
 
 
+def _chaos_gamma(value, where: str) -> float:
+    """A gamma whose E[Z^2] (chaos.second_moment_series) is a finite float."""
+    gamma = _number(float)(value, where)
+    z = gamma * gamma / 2.0
+    if z * z + math.log(math.erfc(-z)) > math.log(sys.float_info.max):
+        raise ConfigError(f"{where}: E[Z^2] = exp(gamma^4/4) erfc(-gamma^2/2) leaves the "
+                          f"float range; need |gamma| <= 7.29777, got {value!r}")
+    return gamma
+
+
 def _path(value, where: str) -> str:
     if not isinstance(value, str) or not value:
         raise ConfigError(f"{where}: must be a non-empty path string, got {value!r}")
@@ -135,7 +145,7 @@ FIELDS = {
     },
     "chaos": {
         # the sampled grid is WhiteNoiseGrid(time_cells, dx, cutoff)
-        "gamma": (0.7071067811865476, _number(float)),
+        "gamma": (0.7071067811865476, _chaos_gamma),
         "time_cells": (64, _number(int, 1)),
         "dx": (0.0875, _number(float)),
         "cutoff": (6.0, _number(float)),

@@ -3,22 +3,22 @@
 Atoms are stored as raw integer (time, site, weight) triples sorted by
 (time, site); the (n/N, z/sqrt(N)) rescaling happens only at integration
 time, so the stored data model is float-drift free and measures compare
-bit-exactly across runs.
+bit-exactly across runs. A test function f(t, x) is a
+``ContinuumAmplitude``, the one bounded function on [0,1] x R.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
+from .environment import ContinuumAmplitude
 from .walks import WalkEnsemble
 
 __all__ = [
     "CollisionMeasure",
-    "TestFunction",
     "detect_collisions",
     "integrate",
     "gaussian_bump",
@@ -26,26 +26,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TestFunction:
-    """Bounded test function f(t, x) on [0,1] x R (vectorized evaluator)."""
-
-    evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    bound: float
-
-    def __call__(self, t, x):
-        return self.evaluator(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
-
-
-def gaussian_bump(alpha: float = 0.5, sigma: float = 1.0) -> TestFunction:
+def gaussian_bump(alpha: float = 0.5, sigma: float = 1.0) -> ContinuumAmplitude:
     """f(t, x) = alpha * exp(-x^2 / (2 sigma^2)), the default test family."""
     a, s2 = float(alpha), float(sigma) ** 2
-    return TestFunction(lambda t, x: a * np.exp(-x * x / (2.0 * s2)), abs(a))
+    return ContinuumAmplitude(lambda t, x: a * np.exp(-x * x / (2.0 * s2)), abs(a))
 
 
-def constant_fn(value: float) -> TestFunction:
+def constant_fn(value: float) -> ContinuumAmplitude:
     v = float(value)
-    return TestFunction(lambda t, x: np.full(np.broadcast(t, x).shape, v), abs(v))
+    return ContinuumAmplitude(lambda t, x: np.full(np.broadcast(t, x).shape, v), abs(v))
 
 
 @dataclass(frozen=True)
@@ -100,7 +89,7 @@ def detect_collisions(ensemble: WalkEnsemble) -> tuple[CollisionMeasure, Collisi
     return with_mult, distinct
 
 
-def integrate(measure: CollisionMeasure, f: TestFunction) -> float:
+def integrate(measure: CollisionMeasure, f: ContinuumAmplitude) -> float:
     """Pi_N(f) = sum over atoms of weight * f(n/N, z/sqrt(N))."""
     if measure.n_atoms == 0:
         return 0.0

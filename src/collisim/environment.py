@@ -5,7 +5,8 @@ The environment omega(n, z) is a deterministic counter-based hash of
 are exactly balanced over the hash codomain, and one 64-bit word carries
 the signs of 64 neighbouring sites of a step. Every polymer sample hashes
 one such field on the transfer band only (about N^{3/2} / 64 words) and
-stores none.
+stores none. ``ContinuumAmplitude`` is the one bounded function on
+[0,1] x R, a disorder amplitude and a test function alike.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class DisorderFunction:
     """Amplitude field A(n, z) with a finite sup bound."""
 
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    sup_bound: float
+    bound: float
 
     def __call__(self, n, z):
         return self.evaluator(np.asarray(n), np.asarray(z))
@@ -57,10 +58,11 @@ class DisorderFunction:
 
 @dataclass(frozen=True)
 class ContinuumAmplitude:
-    """Bounded measurable a(t, x) on [0,1] x R."""
+    """Bounded measurable a(t, x) on [0,1] x R with |a| <= bound; also the
+    test functions the collision measures integrate."""
 
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    sup_bound: float
+    bound: float
 
     def __call__(self, t, x):
         return self.evaluator(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
@@ -76,7 +78,7 @@ def disorder_from_function(a: ContinuumAmplitude, horizon: int) -> DisorderFunct
     def evaluator(n, z):
         return a(np.asarray(n, dtype=float) / n_f, np.asarray(z, dtype=float) / sq)
 
-    return DisorderFunction(evaluator, a.sup_bound)
+    return DisorderFunction(evaluator, a.bound)
 
 
 def cells_of(t: np.ndarray, x: np.ndarray, horizon: int) -> tuple[np.ndarray, np.ndarray]:

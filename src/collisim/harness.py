@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .collisions import TestFunction, constant_fn, gaussian_bump
+from .collisions import constant_fn, gaussian_bump
 from .environment import ContinuumAmplitude, disorder_from_function
 from .polymer import band_tail_bound, partition_samples, scaled_disorder
 from .rngs import substream
@@ -164,7 +164,7 @@ def _walk_blocks(rng: np.random.Generator, size: int, shape: tuple, horizon: int
         yield start, walk_positions(rng, (min(block, size - start),) + shape, horizon)
 
 
-def collision_statistics(k: int, horizon: int, f: TestFunction, n_replicas: int,
+def collision_statistics(k: int, horizon: int, f: ContinuumAmplitude, n_replicas: int,
                          master_seed: int, workers: int = 1) -> dict:
     """Per-replicate collision functionals for k walks of the given horizon.
 
@@ -251,7 +251,7 @@ def collision_statistics(k: int, horizon: int, f: TestFunction, n_replicas: int,
     return merged
 
 
-def partition_sweep(f: TestFunction, horizon: int, n_replicas: int, master_seed: int,
+def partition_sweep(f: ContinuumAmplitude, horizon: int, n_replicas: int, master_seed: int,
                     workers: int = 1) -> np.ndarray:
     """z_N at A_N(n, z) = N^(-1/4) sqrt(max(f(n/N, z/sqrt N), 0)) over n_replicas
     hashed fields. Chunk idx draws its field seeds from the stream
@@ -285,7 +285,7 @@ def local_time_counts(horizon: int, n_replicas: int, master_seed: int,
 # experiments
 
 
-def duality_experiment(k: int, f: TestFunction, n_ladder, n_walk_replicas: int,
+def duality_experiment(k: int, f: ContinuumAmplitude, n_ladder, n_walk_replicas: int,
                        n_env_replicas: int, master_seed: int, workers: int = 1,
                        chaos_target: MonteCarloSummary | None = None) -> ExperimentReport:
     """Three estimates per ladder horizon: (a) E[exp(Pi_N(f)/sqrt N)] and
@@ -369,7 +369,7 @@ def duality_experiment(k: int, f: TestFunction, n_ladder, n_walk_replicas: int,
     return ExperimentReport("duality", cfg, {"ladder": rows}, verdicts, raw)
 
 
-def sqrt_amplitude(f: TestFunction, c: float = 1.0) -> ContinuumAmplitude:
+def sqrt_amplitude(f: ContinuumAmplitude, c: float = 1.0) -> ContinuumAmplitude:
     """a(t, x) = sqrt(c max(f(t, x), 0)): a negative f gives no disorder."""
     return ContinuumAmplitude(lambda t, x: np.sqrt(c * np.maximum(f(t, x), 0.0)),
                               math.sqrt(c * max(f.bound, 0.0)))
@@ -447,7 +447,7 @@ def tightness_probe(k: int, n_ladder, m_ladder, n_replicas: int, master_seed: in
                             {"mass": mass_rows, "support": sup_rows}, verdicts)
 
 
-def convergence_study(k: int, f: TestFunction, n_ladder, n_replicas: int,
+def convergence_study(k: int, f: ContinuumAmplitude, n_ladder, n_replicas: int,
                       master_seed: int, workers: int = 1) -> ExperimentReport:
     """Distributional convergence probes for Pi_N(f)/sqrt N and the merging
     of the multiplicity and distinct-event measures."""
@@ -496,7 +496,7 @@ def convergence_study(k: int, f: TestFunction, n_ladder, n_replicas: int,
     return ExperimentReport("convergence", cfg, tables, verdicts, raw)
 
 
-def partition_experiment(n_ladder, k: int, f: TestFunction, n_env_replicas: int,
+def partition_experiment(n_ladder, k: int, f: ContinuumAmplitude, n_env_replicas: int,
                          master_seed: int, workers: int = 1,
                          env_budget: int | None = None) -> ExperimentReport:
     """Mean-one, positivity, and k-th moment plateau of the partition
@@ -540,7 +540,7 @@ def partition_experiment(n_ladder, k: int, f: TestFunction, n_env_replicas: int,
 
 
 def collision_experiment(k: int, horizon: int, n_replicas: int, master_seed: int,
-                         f: TestFunction | None = None, workers: int = 1) -> ExperimentReport:
+                         f: ContinuumAmplitude | None = None, workers: int = 1) -> ExperimentReport:
     """Collision-measure invariants on the batched occupancy kernel: the
     multiplicity bounds Pi' <= Pi <= binom(k,2) Pi' on every replicate and,
     for k = 2, the pathwise total-mass identity: ||Pi|| from the collision
@@ -571,10 +571,8 @@ def chaos_experiment(gamma: float, time_cells: int, dx: float, cutoff: float,
     from .chaos import (WhiteNoiseGrid, estimate_Z_moments, scheme_order_variances,
                         second_moment_series)
 
-    amp = ContinuumAmplitude(
-        lambda t, x: np.full(np.broadcast(t, x).shape, float(gamma)), abs(gamma))
     grid = WhiteNoiseGrid(time_cells, dx, cutoff)
-    rep = estimate_Z_moments(amp, grid, order, 2, n_replicas, master_seed)
+    rep = estimate_Z_moments(constant_fn(gamma), grid, order, 2, n_replicas, master_seed)
     series = second_moment_series(gamma)
     grid_m2 = 1.0 + float(scheme_order_variances(grid, gamma, order).sum())
     m2, se2 = float(rep.moments[1]), float(rep.stderrs[1])

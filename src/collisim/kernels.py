@@ -84,8 +84,7 @@ def chain_density_gaussian_batch(times: np.ndarray, xs: np.ndarray) -> np.ndarra
     dt = np.diff(times, axis=1, prepend=0.0)
     dx = np.diff(xs, axis=1, prepend=0.0)
     ok = np.all(dt > 0.0, axis=1) & (times[:, -1] <= 1.0)
-    dt_safe = np.where(dt > 0.0, dt, 1.0)
-    vals = np.exp(-dx * dx / (2.0 * dt_safe)) / np.sqrt(2.0 * math.pi * dt_safe)
+    vals = heat_kernel(np.where(dt > 0.0, dt, 1.0), dx)
     return np.where(ok, vals.prod(axis=1), 0.0)
 
 
@@ -154,13 +153,18 @@ def block_average_cells(g, i: np.ndarray, z: np.ndarray, horizon: int, nodes: in
     return out
 
 
-def rho_chain_norm_sq(n: int) -> float:
-    """Closed form for ||rho_n||_2^2 over the simplex: 1/(2^n Gamma(n/2+1))."""
+def log_rho_chain_norm_sq(n: int) -> float:
+    """log ||rho_n||_2^2, finite where the norm underflows (from n = 279 on)."""
     if n < 0:
         raise ValueError("n must be >= 0")
     from scipy.special import gammaln
 
-    return float(np.exp(-n * _LOG2 - gammaln(n / 2.0 + 1.0)))
+    return -n * _LOG2 - gammaln(n / 2.0 + 1.0)
+
+
+def rho_chain_norm_sq(n: int) -> float:
+    """Closed form for ||rho_n||_2^2 over the simplex: 1/(2^n Gamma(n/2+1))."""
+    return float(np.exp(log_rho_chain_norm_sq(n)))
 
 
 @dataclass(frozen=True)

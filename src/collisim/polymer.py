@@ -55,7 +55,7 @@ class CollisionWeights:
 
 def scaled_disorder(amplitude: DisorderFunction, factor: float) -> DisorderFunction:
     f = float(factor)
-    return DisorderFunction(lambda n, z: f * amplitude(n, z), abs(f) * amplitude.sup_bound)
+    return DisorderFunction(lambda n, z: f * amplitude(n, z), abs(f) * amplitude.bound)
 
 
 def band_halfwidth(horizon: int) -> int:

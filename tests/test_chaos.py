@@ -1,10 +1,12 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from scipy.special import erfc
 
 from collisim import chaos as C
+from collisim.collisions import gaussian_bump
 from collisim.environment import ContinuumAmplitude
 from collisim.kernels import rho_chain_norm_sq
 from collisim.rngs import substream
@@ -222,8 +224,34 @@ def test_scheme_variances_converge_to_chain_norms():
 def test_second_moment_series_values():
     assert C.second_moment_series(0.0) == 1.0
     # Mittag-Leffler identity at gamma = sqrt(2): sum 1/Gamma(n/2+1) = e erfc(-1)
-    series = C.second_moment_series(math.sqrt(2.0), tol=1e-12)
+    series = C.second_moment_series(math.sqrt(2.0))
     assert series == pytest.approx(math.e * erfc(-1.0), abs=1e-10)
+
+
+def _rel_err(value: float, reference: str) -> Decimal:
+    return abs(Decimal(value) - Decimal(reference)) / Decimal(reference)
+
+
+# E_{1/2}(gamma^2/2) at the float gamma, to 40 digits by mpmath:
+# z = mpf(gamma)**2 / 2; exp(z*z) * erfc(-z) at mp.dps = 40
+_SERIES_REFERENCE = [
+    (0.3, "1.052872718807718307485588826703034134819"),
+    (math.sqrt(0.5), "1.358642370104722176995510605303699931152"),
+    (1.0, "1.95236048918255709327604771344113097989"),
+    (math.sqrt(2.0), "5.00898008076228499019468227458967118962"),
+    (2.5, "34848.56476686595525764456521827395623779"),
+    (5.0, "1.443918873296643667156522972879194701369e+68"),
+    (7.29, "8.810550527087780939992197631189735637696e+306"),
+]
+
+
+@pytest.mark.parametrize("gamma, reference", _SERIES_REFERENCE)
+def test_second_moment_series_is_the_closed_form(gamma, reference):
+    # exp(z^2) turns the rounding of z^2 = gamma^4/4 into a relative error of
+    # up to a few z^2 ulps, above the 1e-15 floor from gamma = 2.5 on
+    z = gamma * gamma / 2.0
+    tol = max(1e-15, 2.0 * z * z * 2.0**-52)
+    assert _rel_err(C.second_moment_series(gamma), reference) <= tol
 
 
 def test_second_moment_series_monotone_in_truncation():
@@ -239,6 +267,40 @@ def test_truncation_bound_matches_series_tail():
     bound = C.chaos_tail_bound(0.7, 4)
     direct = sum(0.7 ** (2 * n) * rho_chain_norm_sq(n) for n in range(5, 200))
     assert bound == pytest.approx(direct, rel=1e-12)
+
+
+# the closed form minus the partial sum through order, to 30 of the 60 digits
+# mpmath carried (mp.dps = 60)
+_TAIL_REFERENCE = [
+    (2.5, 0, "34847.5647668659552576445652183"),
+    (2.5, 6, "34518.7363598860108139387449134"),
+    (3.0, 0, "1245928883.27440616303403516522"),
+    (3.0, 6, "1245926645.15829936152748991854"),
+    (5.0, 0, "1.44391887329664366715652297288e+68"),
+    (5.0, 6, "1.44391887329664366715652297288e+68"),
+    (7.0, 0, "9.68930792814574749959737982238e+260"),
+    (7.0, 6, "9.68930792814574749959737982238e+260"),
+]
+
+
+@pytest.mark.parametrize("s, order, reference", _TAIL_REFERENCE)
+def test_truncation_bound_sums_the_tail_past_its_peak(s, order, reference):
+    # the terms peak near n = s^4/2 (312 at s = 5, 1200 at s = 7), where
+    # s^(2n) overflows and ||rho_n||_2^2 underflows
+    assert _rel_err(C.chaos_tail_bound(s, order), reference) <= 1e-12
+
+
+def test_truncation_bound_is_inf_where_the_tail_leaves_float_range():
+    assert C.chaos_tail_bound(7.3, 0) == math.inf
+    assert C.chaos_tail_bound(0.0, 3) == 0.0
+
+
+def test_a_test_function_is_an_amplitude():
+    # gaussian_bump's function type carries the bound the tail bound reads
+    f = gaussian_bump(0.5, 1.0)
+    rep = C.estimate_Z_moments(f, _grid(8), 2, 2, 20, 5)
+    assert rep.truncation_bound == C.chaos_tail_bound(0.5, 2)
+    assert np.all(np.isfinite(rep.moments))
 
 
 def test_estimate_Z_moments_zero_amplitude():
@@ -310,13 +372,3 @@ def test_extrapolated_chain_norms_resolution_guard():
         C.extrapolated_chain_norms(32)
     with pytest.raises(ValueError):
         C.extrapolated_chain_norms(0)
-
-
-def test_scheme_variances_blocks_are_bit_identical(monkeypatch):
-    # the finest ladder grid splits its 511 lags into blocks; one block is
-    # the whole (lags, diffs) array
-    grid = C.NORM_LADDER[-1]
-    assert grid.time_cells * (4 * grid.space_cells + 1) > 3 * C._SCHEME_BLOCK
-    blocked = C.scheme_order_variances(grid, 0.8, 5)
-    monkeypatch.setattr(C, "_SCHEME_BLOCK", 1 << 40)
-    assert blocked.tobytes() == C.scheme_order_variances(grid, 0.8, 5).tobytes()

@@ -104,6 +104,10 @@ def test_bad_env_budget_named(tmp_path, capsys, budget):
     ("expmoment", [{"run": {"seed": 1}}], "config"),
     # an integer beyond float range
     ("collisions", {"walks": {"k": 10**400}}, "walks.k"),
+    # gammas whose E[Z^2] = exp(gamma^4/4) erfc(-gamma^2/2) leaves float range
+    ("chaos", {"chaos": {"gamma": 7.3}}, "chaos.gamma"),
+    ("chaos", {"chaos": {"gamma": -7.3}}, "chaos.gamma"),
+    ("chaos", {"chaos": {"gamma": 1e200}}, "chaos.gamma"),
 ])
 def test_bad_config_value_named(tmp_path, capsys, command, doc, field):
     cfg = write_cfg(tmp_path, doc)
@@ -260,6 +264,43 @@ def test_coarse_chaos_grid_named(tmp_path, capsys):
     assert code == 2
     assert "chaos.time_cells" in capsys.readouterr().err
     assert not (tmp_path / "c").exists()
+
+
+def test_chaos_past_the_tail_peak_reports_a_finite_bound(tmp_path):
+    # at gamma = 2.5 the dropped orders peak near n = 20, and s^(2n) leaves
+    # float range from n = 388 on
+    out = tmp_path / "c"
+    cfg = write_cfg(tmp_path, {"chaos": {"gamma": 2.5, "time_cells": 16, "replicas": 20}})
+    assert run_cli(["chaos", "--config", cfg, "--seed", "1", "--out", str(out)]) in (0, 1)
+    tables = json.loads((out / "report.json").read_text())["tables"]
+    assert math.isfinite(tables["truncation_bound"]) and tables["truncation_bound"] > 0
+
+
+def test_chaos_target_at_large_alpha_runs(tmp_path):
+    # the chaos target's amplitude sqrt(2 alpha) = 2.45 at alpha = 3
+    out = tmp_path / "d"
+    cfg = write_cfg(tmp_path, {
+        "walks": {"k": 2, "n_ladder": [4, 16]},
+        "run": {"replicas": 200, "env_replicas": 50},
+        "harness": {"with_chaos_target": True, "alpha": 3.0},
+        "chaos": {"time_cells": 16, "replicas": 20},
+    })
+    assert run_cli(["duality", "--config", cfg, "--seed", "1", "--out", str(out)]) in (0, 1)
+    assert (out / "report.json").is_file()
+
+
+def test_gamma_range_edge():
+    # the largest accepted gamma has a finite closed-form E[Z^2]
+    from collisim.chaos import second_moment_series
+
+    for gamma, ok in ((7.29777, True), (7.29778, False)):
+        cfg = cli._merge(cli.DEFAULT_CONFIG, {"run": {"seed": 1}, "chaos": {"gamma": gamma}})
+        if ok:
+            cli.validate(cfg)
+        else:
+            with pytest.raises(cli.ConfigError, match="chaos.gamma"):
+                cli.validate(cfg)
+        assert math.isfinite(second_moment_series(gamma)) == ok
 
 
 @pytest.mark.parametrize("seed", ["-1", "0x10000000000000000"])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from collisim import collisions as C
 from collisim import walks as W
+from collisim.environment import ContinuumAmplitude
 from collisim.rngs import substream
 import oracles
 
@@ -49,7 +50,7 @@ def test_integrate_against_brute_force():
     rng = substream(13, 0)
     ens = W.sample_ensemble(3, 48, rng)
     with_mult, _ = C.detect_collisions(ens)
-    f = C.TestFunction(lambda t, x: np.exp(-np.asarray(x) ** 2), 1.0)
+    f = ContinuumAmplitude(lambda t, x: np.exp(-np.asarray(x) ** 2), 1.0)
     got = C.integrate(with_mult, f)
     # independent recomputation straight from the raw paths
     pos = ens.position_matrix()

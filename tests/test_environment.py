@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
+from collisim.collisions import gaussian_bump
 from collisim.environment import (
     HASH_VERSION,
     ContinuumAmplitude,
@@ -174,7 +175,14 @@ def test_disorder_from_function_constant():
     field = disorder_from_function(a, 16)
     n = np.arange(1, 17)
     assert np.allclose(field(n, np.zeros_like(n)), 0.7)
-    assert field.sup_bound == 0.7
+    assert field.bound == 0.7
+
+
+def test_disorder_from_a_test_function():
+    # a test function is an amplitude: its bound carries over to the lattice
+    field = disorder_from_function(gaussian_bump(0.5, 1.0), 16)
+    assert field.bound == 0.5
+    assert float(field(16, 0)) == 0.5
 
 
 def test_disorder_from_function_gaussian_at_origin():

@@ -127,7 +127,7 @@ def _measure_oracle(k, horizon, f, n_replicas, seed, chunk):
 def test_collision_statistics_match_measure_oracle(monkeypatch):
     horizon, n_replicas, chunk, seed = 32, 150, 64, 99
     monkeypatch.setattr(H, "_WALK_CHUNK", chunk)
-    f = C.TestFunction(lambda t, x: (0.3 + 0.4 * t) * np.exp(-x * x / 2.0), 0.7)
+    f = ContinuumAmplitude(lambda t, x: (0.3 + 0.4 * t) * np.exp(-x * x / 2.0), 0.7)
     for k in (2, 3, 4, 5):
         stats = H.collision_statistics(k, horizon, f, n_replicas, seed)
         ref = _measure_oracle(k, horizon, f, n_replicas, seed, chunk)
@@ -215,7 +215,7 @@ def test_local_time_counts_blocks_are_bit_identical(monkeypatch):
 def test_collision_statistics_blocks_are_bit_identical(monkeypatch, k):
     # a full 512-replica chunk, then a 300-replica one that ends on a ragged block
     horizon, n_replicas = 999, 812
-    f = C.TestFunction(lambda t, x: (0.3 + 0.4 * t) * np.exp(-x * x / 2.0), 0.7)
+    f = ContinuumAmplitude(lambda t, x: (0.3 + 0.4 * t) * np.exp(-x * x / 2.0), 0.7)
     sizes = _record_blocks(monkeypatch)
     got = H.collision_statistics(k, horizon, f, n_replicas, 21, workers=2)
     assert _split_in_blocks(sizes)

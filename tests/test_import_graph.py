@@ -1,8 +1,8 @@
 """Which modules a fresh interpreter loads: importing collisim, and running
 every subcommand that evaluates no special function, needs numpy alone.
 
-scipy.special is imported inside the kernels that call gammaln or ndtr, so
-only the commands that reach them (chaos, kernels-check, and duality with
+scipy.special is imported inside the functions that call gammaln, ndtr or
+erfcx, so only the commands that reach them (chaos, kernels-check, and duality with
 its chaos target) pay for it. The test process itself already holds scipy,
 so each check runs in a fresh interpreter.
 """

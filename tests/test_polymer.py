@@ -366,7 +366,7 @@ def test_partition_dp_rows_of_partition_many(rows):
         sizes.append(np.size(n))
         return wavy(n, z)
 
-    amp = DisorderFunction(recorded, wavy.sup_bound)
+    amp = DisorderFunction(recorded, wavy.bound)
     seeds = child_seeds(14, rows, 0)
     batch = P.partition_many(horizon, amp, seeds)
     many_sizes = sizes[:]
