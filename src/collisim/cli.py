@@ -22,8 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, harness, polymer
-from .chaos import (NORM_LADDER, GridError, GridResolutionError, WhiteNoiseGrid,
-                    estimate_Z_moments)
+from .chaos import NORM_LADDER, GridError, GridResolutionError, WhiteNoiseGrid
 from .collisions import gaussian_bump
 from .kernels import CLT_MIN_BUDGET
 from .rngs import HASH_VERSION
@@ -247,25 +246,10 @@ def load_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _test_function(cfg):
-    hz = cfg["harness"]
-    return gaussian_bump(float(hz["alpha"]), float(hz["sigma"]))
-
-
-def _chaos_target_summary(cfg, f):
-    """E[Z_{sqrt(2f)}^k] from the grid simulator, as a summary the duality
-    verdict can hold against its largest-horizon estimate."""
-    ch, k = cfg["chaos"], cfg["walks"]["k"]
-    rep = estimate_Z_moments(harness.sqrt_amplitude(f, 2.0), _chaos_grid(ch), ch["order"], k,
-                             ch["replicas"], cfg["run"]["seed"] + 99)
-    mean, se = float(rep.moments[k - 1]), float(rep.stderrs[k - 1])
-    return harness.MonteCarloSummary(rep.n_replicas, mean, se)
-
-
 def dispatch(command: str, cfg: dict) -> harness.ExperimentReport:
     run, walks, hz, ch = cfg["run"], cfg["walks"], cfg["harness"], cfg["chaos"]
     seed, workers = run["seed"], run["workers"]
-    f = _test_function(cfg)
+    f = gaussian_bump(hz["alpha"], hz["sigma"])
     if command == "collisions":
         return harness.collision_experiment(walks["k"], walks["n_ladder"][-1],
                                             run["replicas"], seed, f, workers)
@@ -274,13 +258,13 @@ def dispatch(command: str, cfg: dict) -> harness.ExperimentReport:
             walks["n_ladder"], walks["k"], f, run["env_replicas"], seed, workers,
             env_budget=hz["env_budget"])
     if command == "chaos":
-        return harness.chaos_experiment(ch["gamma"], ch["time_cells"], ch["dx"],
-                                        ch["cutoff"], ch["order"], ch["replicas"], seed)
+        return harness.chaos_experiment(ch["gamma"], _chaos_grid(ch), ch["order"],
+                                        ch["replicas"], seed)
     if command == "duality":
-        chaos_target = _chaos_target_summary(cfg, f) if hz["with_chaos_target"] else None
         return harness.duality_experiment(
             walks["k"], f, walks["n_ladder"], run["replicas"], run["env_replicas"],
-            seed, workers, chaos_target=chaos_target)
+            seed, workers, chaos_grid=_chaos_grid(ch) if hz["with_chaos_target"] else None,
+            chaos_order=ch["order"], chaos_replicas=ch["replicas"])
     if command == "expmoment":
         return harness.exponential_moment_probe(
             hz["beta"], walks["n_ladder"], run["replicas"], seed, workers)

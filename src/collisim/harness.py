@@ -1,10 +1,13 @@
 """Monte-Carlo estimators, distribution tests, and the end-to-end
 verification experiments.
 
-Every experiment is a pure function of (config, master seed): replicate r of
-purpose tag p draws from a stream derived from (seed, p, chunk), so reruns
-and worker counts cannot change results. Verdicts are computed from the
-statistics stored in the report tables, at the fixed tolerances below.
+Every experiment is a pure function of (config, master seed). The walk and
+environment sweeps share one chunk rule (_sweep): chunk idx of a sweep at
+seed s with purpose tag p draws from the stream substream(s, p, idx), so
+reruns and worker counts cannot change results. Each experiment calls its
+samplers itself, with the grids and functions it is given. Verdicts are
+computed from the statistics stored in the report tables, at the fixed
+tolerances below.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .chaos import WhiteNoiseGrid
 from .collisions import constant_fn, gaussian_bump
 from .environment import ContinuumAmplitude, disorder_from_function
 from .polymer import band_tail_bound, partition_samples, scaled_disorder
@@ -138,30 +142,34 @@ class ExperimentReport:
 # batched walk-side collision statistics
 
 
-def _chunk_ranges(total: int, chunk: int):
-    return [(idx, start, min(chunk, total - start))
-            for idx, start in enumerate(range(0, total, chunk))]
+def _sweep(body, total: int, chunk: int, master_seed: int, tag: int, workers: int) -> list:
+    """body(rng, size) for each chunk of the total replicas, in chunk order:
+    chunk idx holds min(chunk, total - idx chunk) replicas and draws from the
+    stream substream(master_seed, tag, idx). The chunks are shared over a
+    pool of workers threads, and neither the pool nor the order in which
+    chunks finish changes a result."""
+    def run(idx):
+        return body(substream(master_seed, tag, idx), min(chunk, total - idx * chunk))
 
-
-def _map_chunks(fn, ranges, workers: int):
+    chunks = range(-(-total // chunk))
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, ranges))
-    return [fn(r) for r in ranges]
+            return list(pool.map(run, chunks))
+    return [run(idx) for idx in chunks]
 
 
 def _walk_blocks(rng: np.random.Generator, size: int, shape: tuple, horizon: int):
-    """Yield (start, positions) for replicas start.. of a chunk of size
-    replicas, each positions of shape (block, *shape, horizon), drawn one
-    block after another from rng. A block is a multiple of 8 replicas, so
-    every block but the ragged last covers a multiple of 8 steps and the
-    blocks reproduce walk_positions(rng, (size, *shape), horizon) bit for bit."""
+    """Yield the positions of a chunk of size replicas, drawn from rng one
+    block after another, each of shape (block, *shape, horizon). A block is a
+    multiple of 8 replicas, so every block but the ragged last covers a
+    multiple of 8 steps and the blocks reproduce
+    walk_positions(rng, (size, *shape), horizon) bit for bit."""
     steps = math.prod(shape) * horizon
     block = max(8, _BLOCK_STEPS // max(steps, 1) // 8 * 8)
     for start in range(0, size, block):
-        yield start, walk_positions(rng, (min(block, size - start),) + shape, horizon)
+        yield walk_positions(rng, (min(block, size - start),) + shape, horizon)
 
 
 def collision_statistics(k: int, horizon: int, f: ContinuumAmplitude, n_replicas: int,
@@ -238,12 +246,10 @@ def collision_statistics(k: int, horizon: int, f: ContinuumAmplitude, n_replicas
             "pair_hits": pair_hits,
         }
 
-    def run(chunk_spec):
-        idx, start, size = chunk_spec
-        rng = substream(master_seed, _TAG_WALKS, idx)
-        return [block_stats(block) for _, block in _walk_blocks(rng, size, (k,), horizon)]
+    def run(rng, size):
+        return [block_stats(block) for block in _walk_blocks(rng, size, (k,), horizon)]
 
-    parts = [p for blocks in _map_chunks(run, _chunk_ranges(n_replicas, chunk), workers)
+    parts = [p for blocks in _sweep(run, n_replicas, chunk, master_seed, _TAG_WALKS, workers)
              for p in blocks]
     merged = {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
     merged["pi_scaled"] = merged["pi_f"] / sqrt_n
@@ -259,26 +265,21 @@ def partition_sweep(f: ContinuumAmplitude, horizon: int, n_replicas: int, master
     amplitude = disorder_from_function(sqrt_amplitude(f), horizon)
     amplitude = scaled_disorder(amplitude, horizon ** (-0.25))
 
-    def run(chunk_spec):
-        idx, start, size = chunk_spec
-        return partition_samples(horizon, amplitude, size, substream(master_seed, _TAG_ENV, idx))
+    def run(rng, size):
+        return partition_samples(horizon, amplitude, size, rng)
 
-    return np.concatenate(_map_chunks(run, _chunk_ranges(n_replicas, _ENV_CHUNK), workers))
+    return np.concatenate(_sweep(run, n_replicas, _ENV_CHUNK, master_seed, _TAG_ENV, workers))
 
 
 def local_time_counts(horizon: int, n_replicas: int, master_seed: int,
                       workers: int = 1) -> np.ndarray:
     """Zero counts of single walks up to the horizon (integer-valued samples)."""
-    counts = np.empty(n_replicas)
+    def run(rng, size):
+        return [np.count_nonzero(walks == 0, axis=1)
+                for walks in _walk_blocks(rng, size, (), horizon)]
 
-    def run(chunk_spec):
-        idx, start, size = chunk_spec
-        rng = substream(master_seed, _TAG_WALKS, idx)
-        for lo, walks in _walk_blocks(rng, size, (), horizon):
-            counts[start + lo:start + lo + len(walks)] = np.count_nonzero(walks == 0, axis=1)
-
-    _map_chunks(run, _chunk_ranges(n_replicas, _LOCAL_TIME_CHUNK), workers)
-    return counts
+    chunks = _sweep(run, n_replicas, _LOCAL_TIME_CHUNK, master_seed, _TAG_WALKS, workers)
+    return np.concatenate([c for blocks in chunks for c in blocks]).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +288,14 @@ def local_time_counts(horizon: int, n_replicas: int, master_seed: int,
 
 def duality_experiment(k: int, f: ContinuumAmplitude, n_ladder, n_walk_replicas: int,
                        n_env_replicas: int, master_seed: int, workers: int = 1,
-                       chaos_target: MonteCarloSummary | None = None) -> ExperimentReport:
+                       chaos_grid: WhiteNoiseGrid | None = None, chaos_order: int = 0,
+                       chaos_replicas: int = 0) -> ExperimentReport:
     """Three estimates per ladder horizon: (a) E[exp(Pi_N(f)/sqrt N)] and
     (b) E[prod(1+X)] over walks, (c) E[z_N^k] over environments; the (b)=(c)
     bridge is an exact identity, the (a)-(b) gap shrinks along the ladder.
+    Given a chaos_grid, the chaos target E[Z^k] at amplitude sqrt(2 f) is
+    sampled on it to chaos_order with chaos_replicas replicas, from the key
+    master_seed + 99, and held against the largest horizon's (a).
 
     The same walks carry the pathwise sandwich
     exp(S - c_N S / 2) <= prod(1+X) <= exp(S), S = sum X_n and
@@ -298,6 +303,7 @@ def duality_experiment(k: int, f: ContinuumAmplitude, n_ladder, n_walk_replicas:
     |prod(1+X)/exp(S) - 1|, which should fall along the ladder."""
     n_ladder = list(n_ladder)
     rows = []
+    tables = {"ladder": rows}
     raw = {}
     verdicts = []
     c = math.sqrt(max(f.bound, 0.0))
@@ -353,11 +359,18 @@ def duality_experiment(k: int, f: ContinuumAmplitude, n_ladder, n_walk_replicas:
         verdicts.append(Verdict(
             "ratio-concentrates", q99s[-1] < q99s[0] or q99s[-1] == 0.0,
             f"q99 |prod/exp(S) - 1| along ladder: {['%.2e' % q for q in q99s]}"))
-    if chaos_target is not None:
+    if chaos_grid is not None:
+        from .chaos import estimate_Z_moments
+
+        rep = estimate_Z_moments(sqrt_amplitude(f, 2.0), chaos_grid, chaos_order, k,
+                                 chaos_replicas, master_seed + 99)
+        chaos_target = MonteCarloSummary(rep.n_replicas, float(rep.moments[k - 1]),
+                                         float(rep.stderrs[k - 1]))
         a_last = rows[-1]["exp_pi"]
         tol = 0.1 * abs(chaos_target.mean) + 3.0 * math.hypot(
             a_last["stderr"], chaos_target.stderr)
         err = abs(a_last["mean"] - chaos_target.mean)
+        tables["chaos_target"] = _sum_dict(chaos_target)
         verdicts.append(Verdict(
             "chaos-target",
             err <= tol,
@@ -366,7 +379,7 @@ def duality_experiment(k: int, f: ContinuumAmplitude, n_ladder, n_walk_replicas:
         ))
     cfg = {"k": k, "n_ladder": n_ladder, "walk_replicas": n_walk_replicas,
            "env_replicas": n_env_replicas, "gap_factor": _GAP_FACTOR}
-    return ExperimentReport("duality", cfg, {"ladder": rows}, verdicts, raw)
+    return ExperimentReport("duality", cfg, tables, verdicts, raw)
 
 
 def sqrt_amplitude(f: ContinuumAmplitude, c: float = 1.0) -> ContinuumAmplitude:
@@ -563,15 +576,13 @@ def collision_experiment(k: int, horizon: int, n_replicas: int, master_seed: int
     return ExperimentReport("collisions", cfg, tables, verdicts, {"mass": stats["mass"]})
 
 
-def chaos_experiment(gamma: float, time_cells: int, dx: float, cutoff: float,
-                     order: int, n_replicas: int, master_seed: int) -> ExperimentReport:
-    """Simulated chaos value at constant amplitude on WhiteNoiseGrid(time_cells,
-    dx, cutoff) against that grid's exact second moment, next to the
-    closed-form series and the grid's bias to it."""
-    from .chaos import (WhiteNoiseGrid, estimate_Z_moments, scheme_order_variances,
-                        second_moment_series)
+def chaos_experiment(gamma: float, grid: WhiteNoiseGrid, order: int, n_replicas: int,
+                     master_seed: int) -> ExperimentReport:
+    """Simulated chaos value at constant amplitude on the grid against that
+    grid's exact second moment, next to the closed-form series and the
+    grid's bias to it."""
+    from .chaos import estimate_Z_moments, scheme_order_variances, second_moment_series
 
-    grid = WhiteNoiseGrid(time_cells, dx, cutoff)
     rep = estimate_Z_moments(constant_fn(gamma), grid, order, 2, n_replicas, master_seed)
     series = second_moment_series(gamma)
     grid_m2 = 1.0 + float(scheme_order_variances(grid, gamma, order).sum())
@@ -583,10 +594,10 @@ def chaos_experiment(gamma: float, time_cells: int, dx: float, cutoff: float,
         Verdict("second-moment",
                 abs(m2 - grid_m2) <= _MOMENT_SIGMA * se2,
                 f"E[Z^2]={m2:.4f}±{se2:.4f} vs grid value {grid_m2:.4f} "
-                f"(series {series:.4f}, bias {series - grid_m2:.4f})"),
+                f"(series {series:.6g}, bias {series - grid_m2:.6g})"),
     ]
-    cfg = {"gamma": gamma, "time_cells": time_cells, "dx": dx, "cutoff": cutoff,
-           "order": order, "replicas": n_replicas}
+    cfg = {"gamma": gamma, "time_cells": grid.time_cells, "dx": grid.dx,
+           "cutoff": grid.cutoff, "order": order, "replicas": n_replicas}
     tables = {
         "moments": rep.moments.tolist(),
         "stderrs": rep.stderrs.tolist(),
@@ -649,7 +660,7 @@ def ustat_check(horizon: int, n_replicas: int, master_seed: int) -> ExperimentRe
     cell table and one pass over the times serve both orders (see
     collisim.ustat); each sampled mean of S_n^2 is tested against the exact
     E[S_n^2] in its stderr."""
-    from .ustat import Integrand, UStatSpec, ustat_moment_suite
+    from .ustat import build_cell_table, ustat_moment_suite
 
     support_radius = 2.0
 
@@ -658,8 +669,8 @@ def ustat_check(horizon: int, n_replicas: int, master_seed: int) -> ExperimentRe
 
     amp = disorder_from_function(
         ContinuumAmplitude(lambda t, x: 1.0 / (1.0 + 0.8 * np.abs(x)), 1.0), horizon)
-    suite = ustat_moment_suite(UStatSpec(Integrand(h, 2, support_radius), horizon, amp),
-                               n_replicas, master_seed)
+    table = build_cell_table(h, 2, support_radius, horizon, amp)
+    suite = ustat_moment_suite(table, n_replicas, master_seed)
     # per-order columns, entry n - 1 for order n
     tables = {col: getattr(suite, col).tolist() for col in (
         "means", "mean_stderrs", "second_moments", "second_moment_stderrs",

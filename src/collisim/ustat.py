@@ -46,23 +46,6 @@ MIN_REPLICAS = 1000
 
 
 @dataclass(frozen=True)
-class Integrand:
-    """g(t, x) = prod_{j=1..order} h(t_j, x_j) on [0,1]^n x R^n, for a slot
-    factor h that maps arrays of times and positions elementwise."""
-
-    slot: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    order: int
-    support_radius: float
-
-
-@dataclass(frozen=True)
-class UStatSpec:
-    integrand: Integrand
-    horizon: int
-    amplitude: DisorderFunction
-
-
-@dataclass(frozen=True)
 class CellTable:
     """Seed-independent part of the statistics of orders 1 .. order: time i's
     cells are the sign sites first_sites[i-1] + 0, 1, ..., and their weights
@@ -79,10 +62,15 @@ def _prefactors(order: int) -> np.ndarray:
     return np.array([2.0 ** (k / 2.0) * math.factorial(k) for k in range(1, order + 1)])
 
 
-def build_cell_table(spec: UStatSpec) -> CellTable:
-    g = spec.integrand
-    zmax = int(math.floor(g.support_radius * math.sqrt(spec.horizon))) + 1
-    times = np.arange(1, spec.horizon + 1, dtype=np.int64)
+def build_cell_table(slot: Callable[[np.ndarray, np.ndarray], np.ndarray], order: int,
+                     support_radius: float, horizon: int,
+                     amplitude: DisorderFunction) -> CellTable:
+    """The cell table of the integrand g = prod_{j=1..order} h(t_j, x_j) on
+    [0,1]^n x R^n, for a slot factor h that maps arrays of times and positions
+    elementwise and vanishes for |x| > support_radius, with the lattice
+    amplitude A, at the given horizon."""
+    zmax = int(math.floor(support_radius * math.sqrt(horizon))) + 1
+    times = np.arange(1, horizon + 1, dtype=np.int64)
     # each time's lowest parity-matched site in [-zmax, zmax], and its count
     z_first = np.where((zmax + times) % 2 == 0, -zmax, 1 - zmax)
     widths = (zmax - z_first) // 2 + 1
@@ -91,9 +79,9 @@ def build_cell_table(spec: UStatSpec) -> CellTable:
     # cell k of a time lies k parity steps above the time's lowest cell
     steps = np.arange(offsets[-1]) - np.repeat(offsets[:-1], widths)
     cz = np.repeat(z_first, widths) + 2 * steps
-    hbar = block_average_cells(g.slot, ci[:, None], cz[:, None], spec.horizon)
-    amp = np.asarray(spec.amplitude(ci, cz), dtype=float)
-    return CellTable((z_first + times) >> 1, offsets, hbar * amp, g.order)
+    hbar = block_average_cells(slot, ci[:, None], cz[:, None], horizon)
+    amp = np.asarray(amplitude(ci, cz), dtype=float)
+    return CellTable((z_first + times) >> 1, offsets, hbar * amp, order)
 
 
 def _time_windows(table: CellTable):
@@ -154,16 +142,16 @@ class MomentSuite:
     values: np.ndarray  # (orders, replicas) sampled statistics
 
 
-def ustat_moment_suite(spec: UStatSpec, n_replicas: int, master_seed: int) -> MomentSuite:
+def ustat_moment_suite(table: CellTable, n_replicas: int, master_seed: int) -> MomentSuite:
     """Sample moments of the U-statistics of orders 1 .. n over shared
-    environment seeds: one cell table and one pass over the times serve every
-    order and every replica. Each mean is exactly 0, so the sample mean of
-    S_k^2 estimates E[S_k^2]; the orders are uncorrelated, and cross holds
-    their sample covariances.
+    environment seeds: the table and one pass over the times serve every
+    order and every replica, and field r has the seed
+    child_seeds(master_seed, n_replicas, 71)[r]. Each mean is exactly 0, so
+    the sample mean of S_k^2 estimates E[S_k^2]; the orders are
+    uncorrelated, and cross holds their sample covariances.
     """
     if n_replicas < MIN_REPLICAS:
         raise ValueError(f"moment suite needs at least {MIN_REPLICAS} replicas")
-    table = build_cell_table(spec)
     values = evaluate_table(table, child_seeds(master_seed, n_replicas, 71))
     root = math.sqrt(n_replicas)
     squares = values**2

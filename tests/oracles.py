@@ -344,6 +344,12 @@ def constant_disorder(value: float) -> DisorderFunction:
 # whole-chunk kernels: each chunk's working set built at once
 
 
+def chunk_ranges(total: int, chunk: int):
+    """(idx, first replica, size) of each chunk of the total replicas."""
+    return [(idx, start, min(chunk, total - start))
+            for idx, start in enumerate(range(0, total, chunk))]
+
+
 def local_time_counts_whole_chunk(horizon: int, n_replicas: int, master_seed: int) -> np.ndarray:
     """harness.local_time_counts with every chunk's positions drawn in one call."""
 
@@ -352,7 +358,7 @@ def local_time_counts_whole_chunk(horizon: int, n_replicas: int, master_seed: in
         walks = walk_positions(substream(master_seed, H._TAG_WALKS, idx), (size,), horizon)
         return (walks == 0).sum(axis=1).astype(float)
 
-    return np.concatenate([run(r) for r in H._chunk_ranges(n_replicas, H._LOCAL_TIME_CHUNK)])
+    return np.concatenate([run(r) for r in chunk_ranges(n_replicas, H._LOCAL_TIME_CHUNK)])
 
 
 def collision_statistics_whole_chunk(k: int, horizon: int, f, n_replicas: int,
@@ -407,7 +413,7 @@ def collision_statistics_whole_chunk(k: int, horizon: int, f, n_replicas: int,
             "pair_hits": pair_hits,
         }
 
-    parts = [run(r) for r in H._chunk_ranges(n_replicas, chunk)]
+    parts = [run(r) for r in chunk_ranges(n_replicas, chunk)]
     merged = {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
     merged["pi_scaled"] = merged["pi_f"] / sqrt_n
     merged["exp_pi"] = np.exp(merged["pi_scaled"])

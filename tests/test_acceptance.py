@@ -15,6 +15,7 @@ import numpy as np
 from collisim import harness as H
 from collisim import kernels as K
 from collisim import polymer as P
+from collisim.chaos import WhiteNoiseGrid
 from collisim.collisions import gaussian_bump
 from collisim.environment import DisorderFunction, EnvironmentField, disorder_from_function
 from collisim.rngs import substream
@@ -180,7 +181,8 @@ def test_criterion_08_asymptotic_duality():
 def test_criterion_09_chaos_second_moment():
     started = time.perf_counter()
     gamma = math.sqrt(2.0) * 0.5
-    rep = H.chaos_experiment(gamma, 64, math.sqrt(1 / 32) * 0.999 / 2, 6.0, 6, 1000, 1013)
+    grid = WhiteNoiseGrid(64, math.sqrt(1 / 32) * 0.999 / 2, 6.0)
+    rep = H.chaos_experiment(gamma, grid, 6, 1000, 1013)
     verdict = [v for v in rep.verdicts if v.name == "second-moment"][0]
     elapsed = time.perf_counter() - started
     _line("criterion-9 chaos second moment", verdict.passed, verdict.detail,

@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from collisim import cli
+from collisim import chaos as CH
+from collisim import cli, harness, ustat
 from collisim.chaos import WhiteNoiseGrid, estimate_Z_moments, extrapolated_chain_norms
+from collisim.collisions import gaussian_bump
 from collisim.environment import ContinuumAmplitude
 
 
@@ -477,3 +479,69 @@ def test_chaos_target_negative_alpha_is_finite(tmp_path):
     detail = [v["detail"] for v in json.loads(text)["verdicts"]
               if v["name"] == "chaos-target"][0]
     assert "E[Z^k]=1.00000" in detail
+
+
+def test_duality_tables_hold_the_chaos_target(tmp_path):
+    # the summary of the sampled E[Z^k] at amplitude sqrt(2 f), key seed + 99
+    out = tmp_path / "d"
+    cfg = write_cfg(tmp_path, {
+        "walks": {"k": 2, "n_ladder": [4, 16]},
+        "run": {"replicas": 200, "env_replicas": 50},
+        "harness": {"with_chaos_target": True},
+        "chaos": {"time_cells": 16, "replicas": 20},
+    })
+    assert run_cli(["duality", "--config", cfg, "--seed", "6", "--out", str(out)]) in (0, 1)
+    entry = json.loads((out / "report.json").read_text())["tables"]["chaos_target"]
+    rep = estimate_Z_moments(harness.sqrt_amplitude(gaussian_bump(0.5, 1.0), 2.0),
+                             WhiteNoiseGrid(16, 0.0875, 6.0), 6, 2, 20, 6 + 99)
+    # in the n, mean, stderr, ci99 form of every other summary
+    assert entry == harness._sum_dict(harness.MonteCarloSummary(
+        20, float(rep.moments[1]), float(rep.stderrs[1])))
+
+
+def test_chaos_detail_stays_short_at_the_largest_gamma(tmp_path):
+    # series and bias are near 1.7e308 here: printed in full they take 600 characters
+    out = tmp_path / "c"
+    cfg = write_cfg(tmp_path, {"chaos": {"gamma": 7.2977, "time_cells": 16, "replicas": 20}})
+    assert run_cli(["chaos", "--config", cfg, "--seed", "1", "--out", str(out)]) in (0, 1)
+    verdicts = json.loads((out / "report.json").read_text())["verdicts"]
+    detail = [v["detail"] for v in verdicts if v["name"] == "second-moment"][0]
+    assert "series" in detail and len(detail) < 200, detail
+
+
+def _record_stream_keys(monkeypatch) -> list:
+    """Collect (master_seed, *key) for every stream harness.substream and
+    chaos.substream derive, and (master_seed, *prefix) for every
+    ustat.child_seeds call, whose second argument is a count."""
+    keys = []
+
+    def recorded(fn, key_of):
+        def wrapper(*args):
+            keys.append(tuple(int(a) for a in key_of(args)))
+            return fn(*args)
+        return wrapper
+
+    for module in (harness, CH):
+        monkeypatch.setattr(module, "substream", recorded(module.substream, lambda a: a))
+    monkeypatch.setattr(ustat, "child_seeds",
+                        recorded(ustat.child_seeds, lambda a: a[:1] + a[2:]))
+    return keys
+
+
+@pytest.mark.parametrize("command, harness_cfg",
+                         [(command, {}) for command in cli.COMMANDS]
+                         + [("duality", {"with_chaos_target": True})],
+                         ids=list(cli.COMMANDS) + ["duality-chaos-target"])
+def test_no_stream_key_repeats_within_a_run(tmp_path, monkeypatch, command, harness_cfg):
+    keys = _record_stream_keys(monkeypatch)
+    cfg = write_cfg(tmp_path, {**TINY, "harness": {**TINY["harness"], **harness_cfg}})
+    key_sets = []
+    for workers in (1, 2):
+        keys.clear()
+        assert run_cli([command, "--config", cfg, "--seed", "77", "--workers", str(workers),
+                        "--out", str(tmp_path / f"w{workers}")]) in (0, 1)
+        assert len(set(keys)) == len(keys), command
+        key_sets.append(set(keys))
+    assert key_sets[0] == key_sets[1]
+    # kernels-check draws no sample; every other command does
+    assert bool(key_sets[0]) == (command != "kernels-check")

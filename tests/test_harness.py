@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -102,7 +103,7 @@ def _measure_oracle(k, horizon, f, n_replicas, seed, chunk):
     theta = _polymer_amplitude(f, horizon)
     ref = {key: np.empty(n_replicas) for key in
            ("pi_f", "pi_prime_f", "mass", "distinct_mass", "t_sum", "prod_x", "max_abs")}
-    ranges = H._chunk_ranges(n_replicas, chunk)
+    ranges = oracles.chunk_ranges(n_replicas, chunk)
     assert len(ranges) >= 2
     for idx, start, size in ranges:
         rng = substream(seed, H._TAG_WALKS, idx)
@@ -178,6 +179,34 @@ def test_collision_statistics_worker_invariance(monkeypatch):
         assert one.keys() == two.keys()
         for key in one:
             assert np.array_equal(one[key], two[key]), (k, key)
+
+
+def test_sweep_chunks_streams_and_order():
+    # 10 replicas in chunks of 4: sizes 4, 4 and a ragged 2
+    total, chunk, seed, tag = 10, 4, 1234, 7
+    first = [int(substream(seed, tag, idx).integers(2**62)) for idx in range(3)]
+    want = [(4, first[0]), (4, first[1]), (2, first[2])]
+
+    def body(rng, size):
+        return size, int(rng.integers(2**62))
+
+    assert H._sweep(body, total, chunk, seed, tag, 1) == want
+    # with three threads chunk 0 waits until chunk 2 has finished, and the
+    # results still come back in chunk order
+    last_done = threading.Event()
+    finished = []
+
+    def racing(rng, size):
+        out = body(rng, size)
+        if out[1] == first[0]:
+            assert last_done.wait(30)
+        finished.append(out[1])
+        if out[1] == first[2]:
+            last_done.set()
+        return out
+
+    assert H._sweep(racing, total, chunk, seed, tag, 3) == want
+    assert finished.index(first[2]) < finished.index(first[0])
 
 
 def _record_blocks(monkeypatch):
@@ -483,16 +512,16 @@ def test_ustat_check_builds_one_table_and_sweeps_once(monkeypatch):
 
 
 def test_chaos_experiment_small():
-    rep = H.chaos_experiment(math.sqrt(2) * 0.5, 32, math.sqrt(1 / 16) * 0.999 / 2, 6.0,
-                             5, 300, 41)
+    grid = CH.WhiteNoiseGrid(32, math.sqrt(1 / 16) * 0.999 / 2, 6.0)
+    rep = H.chaos_experiment(math.sqrt(2) * 0.5, grid, 5, 300, 41)
     assert rep.passed, [v.detail for v in rep.verdicts if not v.passed]
 
 
 def test_chaos_grid_second_moment_is_the_exact_scheme_value():
     gamma, dx = math.sqrt(2) * 0.5, math.sqrt(1 / 8) * 0.999 / 2
-    rep = H.chaos_experiment(gamma, 16, dx, 6.0, 4, 40, 5)
-    # the given grid is sampled and named in the report
     sampled = CH.WhiteNoiseGrid(16, dx, 6.0)
+    rep = H.chaos_experiment(gamma, sampled, 4, 40, 5)
+    # the given grid is sampled and named in the report
     assert (rep.config["time_cells"], rep.config["dx"]) == (16, dx)
     exact = 1.0 + float(CH.scheme_order_variances(sampled, gamma, 4).sum())
     assert rep.tables["grid_second_moment"] == exact
@@ -506,18 +535,18 @@ def test_chaos_grid_second_moment_is_the_exact_scheme_value():
 
 
 def test_chaos_second_moment_verdict_reads_the_grid_value(monkeypatch):
-    gamma, dx = math.sqrt(2) * 0.5, math.sqrt(1 / 8) * 0.999 / 2
-    rep = H.chaos_experiment(gamma, 16, dx, 6.0, 4, 40, 5)
+    gamma, grid = math.sqrt(2) * 0.5, CH.WhiteNoiseGrid(16, math.sqrt(1 / 8) * 0.999 / 2, 6.0)
+    rep = H.chaos_experiment(gamma, grid, 4, 40, 5)
     assert rep.tables["series_bias"] == rep.tables["series_target"] - rep.tables["grid_second_moment"]
     assert rep.tables["series_bias"] > 0.0
     # a wrong series moves only the reported bias, not the verdict
     monkeypatch.setattr(CH, "second_moment_series", lambda g: 100.0)
-    moved = H.chaos_experiment(gamma, 16, dx, 6.0, 4, 40, 5)
+    moved = H.chaos_experiment(gamma, grid, 4, 40, 5)
     assert [v.passed for v in moved.verdicts] == [v.passed for v in rep.verdicts] == [True, True]
     assert moved.tables["series_bias"] == 100.0 - rep.tables["grid_second_moment"]
     # a wrong grid value fails it
     monkeypatch.setattr(CH, "scheme_order_variances", lambda *a: np.array([10.0]))
-    wrong = H.chaos_experiment(gamma, 16, dx, 6.0, 4, 40, 5)
+    wrong = H.chaos_experiment(gamma, grid, 4, 40, 5)
     assert {v.name for v in wrong.verdicts if not v.passed} == {"second-moment"}
 
 

@@ -12,13 +12,13 @@ from collisim.rngs import child_seeds
 from oracles import constant_disorder, second_moment_by_pairings, ustat_one_order
 
 
-def _stat(spec, seeds):
-    """The statistic of the spec's own order, the last row of the sweep."""
-    return U.evaluate_table(U.build_cell_table(spec), seeds)[-1]
+def _stat(table, seeds):
+    """The statistic of the table's own order, the last row of the sweep."""
+    return U.evaluate_table(table, seeds)[-1]
 
 
-def _exact(spec):
-    return U.exact_second_moment(U.build_cell_table(spec))[-1]
+def _exact(table):
+    return U.exact_second_moment(table)[-1]
 
 
 def _indicator(radius):
@@ -29,17 +29,16 @@ def _indicator(radius):
 
 def test_two_cell_lattice_example():
     # N = 1, h = 1 on |x| <= 2, A = 1: the only cells are (1, +-1)
-    g = U.Integrand(_indicator(2.0), 1, 2.0)
     field = EnvironmentField(98765)
-    spec = U.UStatSpec(g, 1, constant_disorder(1.0))
+    table = U.build_cell_table(_indicator(2.0), 1, 2.0, 1, constant_disorder(1.0))
     expected = math.sqrt(2.0) * (field.omega_at(1, 1) + field.omega_at(1, -1))
-    assert _stat(spec, field.seed)[0] == pytest.approx(expected, abs=1e-12)
+    assert _stat(table, field.seed)[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_zero_integrand():
-    g = U.Integrand(lambda ts, xs: np.zeros(np.shape(ts)), 1, 1.0)
-    spec = U.UStatSpec(g, 6, constant_disorder(1.0))
-    assert _stat(spec, 5)[0] == 0.0
+    table = U.build_cell_table(lambda ts, xs: np.zeros(np.shape(ts)), 1, 1.0, 6,
+                               constant_disorder(1.0))
+    assert _stat(table, 5)[0] == 0.0
 
 
 _BRUTE_RADIUS = 1.8
@@ -83,22 +82,22 @@ def _per_field_sums(order, horizon, seeds):
     return 2.0 ** (order / 2.0) * np.array([np.dot(weights, sg) for sg in signs])
 
 
-def _wavy_spec(order, horizon=3):
-    return U.UStatSpec(U.Integrand(_wavy_slot, order, _BRUTE_RADIUS), horizon, _BRUTE_AMP)
+def _wavy_table(order, horizon=3):
+    return U.build_cell_table(_wavy_slot, order, _BRUTE_RADIUS, horizon, _BRUTE_AMP)
 
 
 def test_order_two_against_brute_force():
     # one field per call gives the values of the batched call
-    spec = _wavy_spec(2)
+    table = _wavy_table(2)
     want = _per_field_sums(2, 3, _BRUTE_SEEDS)
     for seed, value in zip(_BRUTE_SEEDS, want):
-        assert _stat(spec, seed)[0] == pytest.approx(value, rel=1e-12)
-    np.testing.assert_allclose(_stat(spec, _BRUTE_SEEDS), want, rtol=1e-12)
+        assert _stat(table, seed)[0] == pytest.approx(value, rel=1e-12)
+    np.testing.assert_allclose(_stat(table, _BRUTE_SEEDS), want, rtol=1e-12)
 
 
 @pytest.mark.parametrize("order", [1, 3])
 def test_evaluate_table_against_brute_force(order):
-    got = _stat(_wavy_spec(order), _BRUTE_SEEDS)
+    got = _stat(_wavy_table(order), _BRUTE_SEEDS)
     np.testing.assert_allclose(got, _per_field_sums(order, 3, _BRUTE_SEEDS), rtol=1e-12)
 
 
@@ -116,7 +115,7 @@ def test_linearity():
     amp = constant_disorder(0.9)
     horizon = 6
     seeds = [31415, 7]
-    v1, v2, vc = (_stat(U.UStatSpec(U.Integrand(h, 1, 2.0), horizon, amp), seeds)
+    v1, v2, vc = (_stat(U.build_cell_table(h, 1, 2.0, horizon, amp), seeds)
                   for h in (f1, f2, combo))
     np.testing.assert_allclose(vc, 2.5 * v1 - 1.25 * v2, rtol=1e-10)
 
@@ -129,10 +128,10 @@ def test_single_rectangle_exact_variance():
     def one_cell(ts, xs):
         return ((ts > 0.25) & (ts <= 0.5) & (xs > -1 / 2) & (xs <= 1 / 2)).astype(float)
 
-    spec = U.UStatSpec(U.Integrand(one_cell, 1, 1.0), horizon, constant_disorder(1.0))
-    exact = _exact(spec)
+    table = U.build_cell_table(one_cell, 1, 1.0, horizon, constant_disorder(1.0))
+    exact = _exact(table)
     assert exact == pytest.approx(2.0, rel=1e-10)
-    suite = U.ustat_moment_suite(spec, 4000, 1234)
+    suite = U.ustat_moment_suite(table, 4000, 1234)
     # S = +-sqrt(2) exactly here, so the stderr of the mean of S^2
     # degenerates to 0
     assert abs(suite.second_moments[0] - exact) < 0.01 * exact
@@ -144,9 +143,9 @@ def test_exact_second_moment_asymmetric_matches_sampling():
     def h(ts, xs):
         return (xs + 2.0 * ts) * (np.abs(xs) <= 1.2)
 
-    spec = U.UStatSpec(U.Integrand(h, 2, 1.2), 3, constant_disorder(0.7))
-    exact = _exact(spec)
-    suite = U.ustat_moment_suite(spec, 6000, 88)
+    table = U.build_cell_table(h, 2, 1.2, 3, constant_disorder(0.7))
+    exact = _exact(table)
+    suite = U.ustat_moment_suite(table, 6000, 88)
     assert abs(suite.second_moments[-1] - exact) < \
         5.0 * suite.second_moment_stderrs[-1] + 0.01 * exact
 
@@ -155,16 +154,16 @@ def test_exact_second_moment_asymmetric_matches_sampling():
 def test_exact_second_moment_matches_pairing_loop(order):
     times, sites, weights = _ordered_tuples(_wavy_slot, order, _BRUTE_RADIUS, 3, _BRUTE_AMP)
     want = second_moment_by_pairings(times, sites, weights)
-    assert _exact(_wavy_spec(order)) == pytest.approx(want, rel=1e-12)
+    assert _exact(_wavy_table(order)) == pytest.approx(want, rel=1e-12)
 
 
 def test_order_three_at_large_horizon_matches_exact_variance():
     # 59,904 cells: the order-3 tuple count (about 4e13 time-ordered ones)
     # rules out any enumeration, while the product form walks the times once
-    spec = _wavy_spec(3, horizon=1024)
-    assert len(U.build_cell_table(spec).weights) == 512 * (59 + 58)
-    suite = U.ustat_moment_suite(spec, 2000, 20261018)
-    exact = _exact(spec)
+    table = _wavy_table(3, horizon=1024)
+    assert len(table.weights) == 512 * (59 + 58)
+    suite = U.ustat_moment_suite(table, 2000, 20261018)
+    exact = _exact(table)
     assert abs(suite.second_moments[-1] - exact) < 5.0 * suite.second_moment_stderrs[-1]
 
 
@@ -172,8 +171,8 @@ def test_moment_suite_cross_orders_uncorrelated():
     def h(ts, xs):
         return np.exp(-xs**2) * (np.abs(xs) <= 2.0)
 
-    spec = U.UStatSpec(U.Integrand(h, 2, 2.0), 5, constant_disorder(1.0))
-    suite = U.ustat_moment_suite(spec, 3000, 246)
+    table = U.build_cell_table(h, 2, 2.0, 5, constant_disorder(1.0))
+    suite = U.ustat_moment_suite(table, 3000, 246)
     assert len(suite.means) == 2
     for m, se in zip(suite.means, suite.mean_stderrs):
         assert abs(m) < 4.0 * se
@@ -193,8 +192,7 @@ def test_variance_scaling_bound_along_ladder():
     limit = np.array([math.factorial(n) * norm_sq**n for n in orders])
     gaps = []
     for horizon in (16, 64, 256, 1024):
-        table = U.build_cell_table(U.UStatSpec(U.Integrand(h, 3, 2.0), horizon,
-                                               constant_disorder(1.0)))
+        table = U.build_cell_table(h, 3, 2.0, horizon, constant_disorder(1.0))
         ratio = U.exact_second_moment(table) / (horizon ** (1.5 * orders) * limit)
         assert np.all(ratio > 0.0) and np.all(ratio <= 1.0)
         gaps.append(1.0 - ratio)
@@ -211,9 +209,8 @@ def test_one_sweep_gives_every_order_bit_for_bit(horizon):
 
     amp = DisorderFunction(lambda n, z: 1.0 / (1.0 + 0.1 * np.abs(np.asarray(z, dtype=float))), 1.0)
     seeds = child_seeds(3, 300, 71)
-    sweep = U.evaluate_table(U.build_cell_table(U.UStatSpec(U.Integrand(h, 3, 2.0), horizon, amp)),
-                             seeds)
+    sweep = U.evaluate_table(U.build_cell_table(h, 3, 2.0, horizon, amp), seeds)
     assert sweep.shape == (3, len(seeds))
     for order in (1, 2, 3):
-        table = U.build_cell_table(U.UStatSpec(U.Integrand(h, order, 2.0), horizon, amp))
+        table = U.build_cell_table(h, order, 2.0, horizon, amp)
         assert sweep[order - 1].tobytes() == ustat_one_order(table, seeds, order).tobytes()
