@@ -172,17 +172,34 @@ def _walk_blocks(rng: np.random.Generator, size: int, shape: tuple, horizon: int
         yield walk_positions(rng, (min(block, size - start),) + shape, horizon)
 
 
+STATISTICS = ("pi_f", "pi_prime_f", "mass", "distinct_mass", "t_sum", "prod_x", "max_abs",
+              "pair_hits")
+
+
 def collision_statistics(k: int, horizon: int, f: ContinuumAmplitude, n_replicas: int,
-                         master_seed: int, workers: int = 1) -> dict:
+                         master_seed: int, workers: int = 1,
+                         outputs=STATISTICS) -> dict:
     """Per-replicate collision functionals for k walks of the given horizon.
 
-    Returns arrays: pi_f, pi_prime_f, mass, distinct_mass, t_sum, prod_x,
-    pi_scaled = pi_f/sqrt(N), exp_pi = exp(pi_scaled), max_abs (sup |S|/sqrt(N)),
-    pair_hits (||Pi_N|| by definition, the (n, i<j) with S^i_n = S^j_n = mass).
+    outputs names the statistics to compute, any of STATISTICS; the arrays
+    returned are those, plus pi_scaled = pi_f/sqrt(N) and
+    exp_pi = exp(pi_scaled) when pi_f is named. Every block finds the
+    collision cells (occupancy, lead-walk slot and site); each further pass
+    runs only for a statistic that needs it:
+    - mass (||Pi_N||, the sum of binom(m, 2)) and distinct_mass (||Pi'_N||,
+      the cell count): the cells only;
+    - pi_f (Pi_N(f)) and pi_prime_f (Pi'_N(f)): f on the cells;
+    - t_sum (sum_n X_n) and prod_x (prod_n (1 + X_n)): f on the cells and
+      a dense float (replica, time) scatter;
+    - max_abs (sup |S|/sqrt(N)): two reductions over every position;
+    - pair_hits (the (n, i<j) with S^i_n = S^j_n, ||Pi_N|| by definition):
+      a bool sum over every walk pair's matches.
     Each collision cell (occupancy m >= 2) is visited once: it carries
     weight binom(m, 2) in Pi_N, weight 1 in Pi'_N, and the site factor
     1 + sum_{j>=1} binom(m, 2j) theta^(2j) of 1 + X_n, with
-    theta^2 = max(f, 0)/sqrt(N). Distinct cells at one time multiply.
+    theta^2 = max(f, 0)/sqrt(N). Distinct cells at one time multiply. A
+    statistic runs the same operations whichever others are named, so a
+    subset changes no bit.
 
     Chunk idx holds min(_WALK_CHUNK, 2^22 / N) replicas (at least 32) and
     draws from the stream (master_seed, _TAG_WALKS, idx), in blocks from
@@ -192,6 +209,12 @@ def collision_statistics(k: int, horizon: int, f: ContinuumAmplitude, n_replicas
     """
     if k < 2:
         raise ValueError("k must be >= 2")
+    want = set(outputs)
+    if not want <= set(STATISTICS):
+        raise ValueError(f"unknown collision statistics {sorted(want - set(STATISTICS))}; "
+                         f"known: {', '.join(STATISTICS)}")
+    dense = not want.isdisjoint({"t_sum", "prod_x"})
+    with_f = dense or not want.isdisjoint({"pi_f", "pi_prime_f"})
     chunk = max(32, min(_WALK_CHUNK, (1 << 22) // max(horizon, 1)))
     sqrt_n = math.sqrt(horizon)
     times = np.arange(1, horizon + 1, dtype=float) / horizon
@@ -211,40 +234,48 @@ def collision_statistics(k: int, horizon: int, f: ContinuumAmplitude, n_replicas
         slots, occ, sites = [], [], []
         for i in range(k - 1):
             above = pos[i + 1:] == pos[i]
-            pair_hits += above.reshape(k - 1 - i, size, horizon).sum(axis=(0, 2))
+            if "pair_hits" in want:
+                pair_hits += above.reshape(k - 1 - i, size, horizon).sum(axis=(0, 2))
             # walk i leads a collision cell: a higher walk is there, no lower one
             s = np.flatnonzero(above.any(axis=0) > below[i])
             below[i + 1:] |= above[:k - 2 - i]
             slots.append(s)
             occ.append(1 + above[:, s].sum(axis=0))
             sites.append(pos[i, s])
-        seg = np.cumsum([0] + [len(s) for s in slots])
         slot, occ = np.concatenate(slots), np.concatenate(occ)
         ridx, nidx = np.divmod(slot, horizon)
-        fv = np.asarray(f(times[nidx], np.concatenate(sites) / sqrt_n), dtype=float)
         pair = even_binom[occ, 0]
-        theta2 = np.maximum(fv, 0.0) / sqrt_n
-        x_cell = np.zeros_like(theta2)
-        for j in range(k // 2, 0, -1):  # Horner in theta^2
-            x_cell = (x_cell + even_binom[occ, j - 1]) * theta2
-        x_mat = np.zeros(size * horizon)
-        for lo, hi in zip(seg[:-1], seg[1:]):
-            # one lead walk's cells hold distinct slots; the update is
-            # (1+x)(1+xc) - 1 without rounding through 1 + x
-            s, xc = slot[lo:hi], x_cell[lo:hi]
-            x = x_mat[s]
-            x_mat[s] = x + xc + x * xc
-        x_mat = x_mat.reshape(size, horizon)
-        return {
-            "pi_f": np.bincount(ridx, pair * fv, minlength=size),
-            "mass": np.bincount(ridx, pair, minlength=size),
-            "t_sum": x_mat.sum(axis=1),
-            "prod_x": np.prod(1.0 + x_mat, axis=1),
-            "pi_prime_f": np.bincount(ridx, fv, minlength=size),
-            "max_abs": np.maximum(walks.max(axis=(0, 2)), -walks.min(axis=(0, 2))) / sqrt_n,
-            "distinct_mass": np.bincount(ridx, minlength=size).astype(float),
-            "pair_hits": pair_hits,
-        }
+        out = {"pair_hits": pair_hits} if "pair_hits" in want else {}
+        if "mass" in want:
+            out["mass"] = np.bincount(ridx, pair, minlength=size)
+        if "distinct_mass" in want:
+            out["distinct_mass"] = np.bincount(ridx, minlength=size).astype(float)
+        if "max_abs" in want:
+            out["max_abs"] = np.maximum(walks.max(axis=(0, 2)),
+                                        -walks.min(axis=(0, 2))) / sqrt_n
+        if with_f:
+            fv = np.asarray(f(times[nidx], np.concatenate(sites) / sqrt_n), dtype=float)
+        if "pi_f" in want:
+            out["pi_f"] = np.bincount(ridx, pair * fv, minlength=size)
+        if "pi_prime_f" in want:
+            out["pi_prime_f"] = np.bincount(ridx, fv, minlength=size)
+        if dense:
+            theta2 = np.maximum(fv, 0.0) / sqrt_n
+            x_cell = np.zeros_like(theta2)
+            for j in range(k // 2, 0, -1):  # Horner in theta^2
+                x_cell = (x_cell + even_binom[occ, j - 1]) * theta2
+            x_mat = np.zeros(size * horizon)
+            seg = np.cumsum([0] + [len(s) for s in slots])
+            for lo, hi in zip(seg[:-1], seg[1:]):
+                # one lead walk's cells hold distinct slots; the update is
+                # (1+x)(1+xc) - 1 without rounding through 1 + x
+                s, xc = slot[lo:hi], x_cell[lo:hi]
+                x = x_mat[s]
+                x_mat[s] = x + xc + x * xc
+            x_mat = x_mat.reshape(size, horizon)
+            out["t_sum"] = x_mat.sum(axis=1)
+            out["prod_x"] = np.prod(1.0 + x_mat, axis=1)
+        return out
 
     def run(rng, size):
         return [block_stats(block) for block in _walk_blocks(rng, size, (k,), horizon)]
@@ -252,8 +283,9 @@ def collision_statistics(k: int, horizon: int, f: ContinuumAmplitude, n_replicas
     parts = [p for blocks in _sweep(run, n_replicas, chunk, master_seed, _TAG_WALKS, workers)
              for p in blocks]
     merged = {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
-    merged["pi_scaled"] = merged["pi_f"] / sqrt_n
-    merged["exp_pi"] = np.exp(merged["pi_scaled"])
+    if "pi_f" in want:
+        merged["pi_scaled"] = merged["pi_f"] / sqrt_n
+        merged["exp_pi"] = np.exp(merged["pi_scaled"])
     return merged
 
 
@@ -308,8 +340,8 @@ def duality_experiment(k: int, f: ContinuumAmplitude, n_ladder, n_walk_replicas:
     verdicts = []
     c = math.sqrt(max(f.bound, 0.0))
     for ni, horizon in enumerate(n_ladder):
-        stats = collision_statistics(k, horizon, f, n_walk_replicas,
-                                     master_seed + ni, workers)
+        stats = collision_statistics(k, horizon, f, n_walk_replicas, master_seed + ni, workers,
+                                     outputs=("pi_f", "t_sum", "prod_x"))
         a_sum = summarize(stats["exp_pi"])
         b_sum = summarize(stats["prod_x"])
         s_vals, p_vals = stats["t_sum"], stats["prod_x"]
@@ -427,12 +459,13 @@ def tightness_probe(k: int, n_ladder, m_ladder, n_replicas: int, master_seed: in
     """Tail probabilities of the rescaled total mass and the rescaled sup of
     the walks, over an (N, m) grid."""
     n_ladder, m_ladder = list(n_ladder), list(m_ladder)
-    f1 = constant_fn(1.0)  # only mass/max statistics are used below
+    f1 = constant_fn(1.0)
     mass_rows, sup_rows = [], []
     mass_tail = np.zeros((len(n_ladder), len(m_ladder)))
     sup_tail = np.zeros_like(mass_tail)
     for ni, horizon in enumerate(n_ladder):
-        stats = collision_statistics(k, horizon, f1, n_replicas, master_seed + ni, workers)
+        stats = collision_statistics(k, horizon, f1, n_replicas, master_seed + ni, workers,
+                                     outputs=("mass", "max_abs"))
         scaled_mass = stats["mass"] / math.sqrt(horizon)
         for mi, m in enumerate(m_ladder):
             mass_tail[ni, mi] = float((scaled_mass > m).mean())
@@ -469,7 +502,8 @@ def convergence_study(k: int, f: ContinuumAmplitude, n_ladder, n_replicas: int,
     rows = []
     raw = {}
     for ni, horizon in enumerate(n_ladder):
-        stats = collision_statistics(k, horizon, f, n_replicas, master_seed + ni, workers)
+        stats = collision_statistics(k, horizon, f, n_replicas, master_seed + ni, workers,
+                                     outputs=("pi_f", "pi_prime_f", "mass", "distinct_mass"))
         pi = stats["pi_scaled"]
         pip = stats["pi_prime_f"] / math.sqrt(horizon)
         samples.append(pi)
@@ -561,7 +595,8 @@ def collision_experiment(k: int, horizon: int, n_replicas: int, master_seed: int
     zero count of the difference walk."""
     if f is None:
         f = gaussian_bump(0.5, 1.0)
-    stats = collision_statistics(k, horizon, f, n_replicas, master_seed, workers)
+    stats = collision_statistics(k, horizon, f, n_replicas, master_seed, workers,
+                                 outputs=("pi_f", "pi_prime_f", "mass", "pair_hits"))
     pi, pip = stats["pi_f"], stats["pi_prime_f"]
     bounds_ok = bool(np.all(pip <= pi + 1e-12) and
                      np.all(pi <= math.comb(k, 2) * pip + 1e-12))

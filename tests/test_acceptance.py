@@ -135,8 +135,7 @@ def test_criterion_05_return_time_pmf():
 def test_criterion_06_local_time_law():
     started = time.perf_counter()
     horizon = 512
-    stats = H.collision_statistics(2, horizon, BUMP, 10_000, 1006)
-    mass = stats["mass"]
+    mass = H.collision_statistics(2, horizon, BUMP, 10_000, 1006, outputs=("mass",))["mass"]
     local = H.local_time_counts(2 * horizon, 10_000, 1007)
     rng = substream(1008, 0)
     stat = H.ks_two_sample(oracles.jitter(mass, rng), oracles.jitter(local, rng))
@@ -155,7 +154,8 @@ def test_criterion_07_exact_moment_bridge():
         z_vals = P.partition_samples(horizon, P.scaled_disorder(amp, horizon**-0.25),
                                      10_000, substream(1010, horizon))
         for k in (2, 3):
-            stats = H.collision_statistics(k, horizon, BUMP, 10_000, 1011 + horizon + k)
+            stats = H.collision_statistics(k, horizon, BUMP, 10_000, 1011 + horizon + k,
+                                           outputs=("prod_x",))
             walk_sum = H.summarize(stats["prod_x"])
             env_sum = H.summarize(z_vals**k)
             ok &= walk_sum.overlaps(env_sum)

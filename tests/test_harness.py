@@ -240,18 +240,84 @@ def test_local_time_counts_blocks_are_bit_identical(monkeypatch):
     assert got.tobytes() == want.tobytes()
 
 
+# the statistics each experiment asks for
+_EXPERIMENT_OUTPUTS = {
+    "collisions": ("pi_f", "pi_prime_f", "mass", "pair_hits"),
+    "convergence": ("pi_f", "pi_prime_f", "mass", "distinct_mass"),
+    "tightness": ("mass", "max_abs"),
+    "duality": ("pi_f", "t_sum", "prod_x"),
+}
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_collision_statistics_blocks_are_bit_identical(monkeypatch, k):
-    # a full 512-replica chunk, then a 300-replica one that ends on a ragged block
+    # a full 512-replica chunk, then a 300-replica one that ends on a ragged
+    # block; each experiment's subset holds the same bits as the whole set
     horizon, n_replicas = 999, 812
     f = ContinuumAmplitude(lambda t, x: (0.3 + 0.4 * t) * np.exp(-x * x / 2.0), 0.7)
     sizes = _record_blocks(monkeypatch)
-    got = H.collision_statistics(k, horizon, f, n_replicas, 21, workers=2)
-    assert _split_in_blocks(sizes)
-    want = oracles.collision_statistics_whole_chunk(k, horizon, f, n_replicas, 21)
-    assert got.keys() == want.keys()
-    for key in want:
-        assert got[key].dtype == want[key].dtype, key
+    every = oracles.collision_statistics_whole_chunk(k, horizon, f, n_replicas, 21)
+    for outputs in (None, *_EXPERIMENT_OUTPUTS.values()):
+        sizes.clear()
+        kwargs = {} if outputs is None else {"outputs": outputs}
+        got = H.collision_statistics(k, horizon, f, n_replicas, 21, workers=2, **kwargs)
+        assert _split_in_blocks(sizes), outputs
+        keys = every.keys() if outputs is None else (
+            set(outputs) | ({"pi_scaled", "exp_pi"} if "pi_f" in outputs else set()))
+        assert got.keys() == keys, outputs
+        for key in keys:
+            assert got[key].dtype == every[key].dtype, (outputs, key)
+            assert got[key].tobytes() == every[key].tobytes(), (outputs, key)
+
+
+def test_each_experiment_asks_for_its_statistics(monkeypatch):
+    kernel = H.collision_statistics
+    asked = []
+
+    def recording(*args, **kwargs):
+        asked.append(kwargs["outputs"])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(H, "collision_statistics", recording)
+    f = gaussian_bump(0.5, 1.0)
+    runs = {
+        "collisions": lambda: H.collision_experiment(2, 16, 50, 1, f),
+        "convergence": lambda: H.convergence_study(3, f, [4, 16], 50, 1),
+        "tightness": lambda: H.tightness_probe(3, [4, 16], [1.0, 2.0], 50, 1),
+        "duality": lambda: H.duality_experiment(3, f, [4, 16], 50, 0, 1),
+    }
+    for name, run in runs.items():
+        asked.clear()
+        run()
+        assert asked and set(asked) == {_EXPERIMENT_OUTPUTS[name]}, name
+
+
+def test_collision_statistics_rejects_an_unknown_statistic_before_sampling(monkeypatch):
+    drawn = []
+
+    def recording(*key):
+        drawn.append(key)
+        return substream(*key)
+
+    monkeypatch.setattr(H, "substream", recording)
+    with pytest.raises(ValueError, match="pi_scaled"):
+        H.collision_statistics(3, 64, gaussian_bump(0.5, 1.0), 100, 5,
+                               outputs=("mass", "pi_scaled"))
+    assert drawn == []
+    H.collision_statistics(3, 64, gaussian_bump(0.5, 1.0), 100, 5, outputs=("mass",))
+    assert drawn == [(5, H._TAG_WALKS, 0)]
+
+
+def test_collision_statistics_mass_and_sup_never_evaluate_f():
+    # the statistics tightness reads come from the cells and positions alone
+    def unreachable(t, x):
+        raise AssertionError("f evaluated")
+
+    got = H.collision_statistics(3, 64, ContinuumAmplitude(unreachable, 1.0), 300, 9,
+                                 outputs=("mass", "max_abs"))
+    want = H.collision_statistics(3, 64, constant_fn(1.0), 300, 9)
+    assert got.keys() == {"mass", "max_abs"}
+    for key in got:
         assert got[key].tobytes() == want[key].tobytes(), key
 
 
