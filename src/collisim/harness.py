@@ -12,6 +12,7 @@ tolerances below.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -39,7 +40,7 @@ _TAG_ENV = 2
 _ENV_CHUNK = 256  # environments per partition_sweep chunk: a few MB of transfer state
 # Chunks fix the walk streams: chunk idx draws from (seed, _TAG_WALKS, idx).
 # Blocks bound memory: a chunk is drawn from its stream in blocks of about
-# _BLOCK_STEPS walk-steps, and no block changes a bit (see _walk_blocks).
+# _BLOCK_STEPS walk-steps, and no block changes a bit (see _walk_sweep).
 _LOCAL_TIME_CHUNK = 2048  # walks per local_time_counts chunk
 _WALK_CHUNK = 512  # most replicas per collision_statistics chunk
 _BLOCK_STEPS = 1 << 18  # walk-steps per block: at most about 3 MB of arrays
@@ -148,6 +149,9 @@ def _sweep(body, total: int, chunk: int, master_seed: int, tag: int, workers: in
     stream substream(master_seed, tag, idx). The chunks are shared over a
     pool of workers threads, and neither the pool nor the order in which
     chunks finish changes a result."""
+    if total < 1:
+        raise ValueError(f"n_replicas must be >= 1, got {total}")
+
     def run(idx):
         return body(substream(master_seed, tag, idx), min(chunk, total - idx * chunk))
 
@@ -160,16 +164,31 @@ def _sweep(body, total: int, chunk: int, master_seed: int, tag: int, workers: in
     return [run(idx) for idx in chunks]
 
 
-def _walk_blocks(rng: np.random.Generator, size: int, shape: tuple, horizon: int):
-    """Yield the positions of a chunk of size replicas, drawn from rng one
-    block after another, each of shape (block, *shape, horizon). A block is a
-    multiple of 8 replicas, so every block but the ragged last covers a
-    multiple of 8 steps and the blocks reproduce
-    walk_positions(rng, (size, *shape), horizon) bit for bit."""
-    steps = math.prod(shape) * horizon
-    block = max(8, _BLOCK_STEPS // max(steps, 1) // 8 * 8)
-    for start in range(0, size, block):
-        yield walk_positions(rng, (min(block, size - start),) + shape, horizon)
+def _concat(parts: list) -> dict:
+    """Each key's arrays of the parts, joined in order."""
+    return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
+
+
+def _walk_sweep(block_fn, shape: tuple, horizon: int, total: int, chunk: int,
+                master_seed: int, workers: int) -> dict:
+    """The per-replica arrays of block_fn(positions), a dict, concatenated over
+    every block of a _sweep of walks (tag _TAG_WALKS). Each chunk is drawn
+    from its stream one block after another, each of shape (block, *shape,
+    horizon), and joined before the next chunk starts, so no block's
+    arrays outlive their chunk. A block is a multiple of 8 replicas, so
+    every block but a chunk's ragged last covers a multiple of 8 steps and
+    the blocks reproduce walk_positions(rng, (size, *shape), horizon) bit
+    for bit."""
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    block = max(8, _BLOCK_STEPS // (math.prod(shape) * horizon) // 8 * 8)
+
+    def run(rng, size):
+        return _concat([block_fn(walk_positions(rng, (min(block, size - start),) + shape,
+                                                horizon))
+                        for start in range(0, size, block)])
+
+    return _concat(_sweep(run, total, chunk, master_seed, _TAG_WALKS, workers))
 
 
 STATISTICS = ("pi_f", "pi_prime_f", "mass", "distinct_mass", "t_sum", "prod_x", "max_abs",
@@ -184,16 +203,25 @@ def collision_statistics(k: int, horizon: int, f: ContinuumAmplitude, n_replicas
     outputs names the statistics to compute, any of STATISTICS; the arrays
     returned are those, plus pi_scaled = pi_f/sqrt(N) and
     exp_pi = exp(pi_scaled) when pi_f is named. Every block finds the
-    collision cells (occupancy, lead-walk slot and site); each further pass
-    runs only for a statistic that needs it:
+    collision cells (occupancy, lead-walk slot and site) in one cell pass;
+    each further pass runs only for a statistic that needs it:
     - mass (||Pi_N||, the sum of binom(m, 2)) and distinct_mass (||Pi'_N||,
       the cell count): the cells only;
     - pi_f (Pi_N(f)) and pi_prime_f (Pi'_N(f)): f on the cells;
     - t_sum (sum_n X_n) and prod_x (prod_n (1 + X_n)): f on the cells and
       a dense float (replica, time) scatter;
-    - max_abs (sup |S|/sqrt(N)): two reductions over every position;
+    - max_abs (sup |S|/sqrt(N)): two reductions over the block, read as
+      (replica, k N);
     - pair_hits (the (n, i<j) with S^i_n = S^j_n, ||Pi_N|| by definition):
       a bool sum over every walk pair's matches.
+    The cell pass compares each walk pair on the (replica, time) views of
+    the (replica, k, N) block and ORs the k(k-1)/2 matches into one mask;
+    one flatnonzero finds its met slots, and each walk's positions there
+    are gathered into (k, m) arrays. On those m slots, lead walks are taken
+    in turn: walk i leads a cell where a higher walk shares its position and
+    no lower walk does, and the cell's occupancy is 1 plus the higher walks
+    there. So the cells come out by lead walk, then by slot, and every sum
+    over them runs in that order.
     Each collision cell (occupancy m >= 2) is visited once: it carries
     weight binom(m, 2) in Pi_N, weight 1 in Pi'_N, and the site factor
     1 + sum_{j>=1} binom(m, 2j) theta^(2j) of 1 + X_n, with
@@ -203,7 +231,7 @@ def collision_statistics(k: int, horizon: int, f: ContinuumAmplitude, n_replicas
 
     Chunk idx holds min(_WALK_CHUNK, 2^22 / N) replicas (at least 32) and
     draws from the stream (master_seed, _TAG_WALKS, idx), in blocks from
-    _walk_blocks. Every output is per replica, and each replica's sums run
+    _walk_sweep. Every output is per replica, and each replica's sums run
     in the same order inside a block as inside a whole chunk, so the blocks
     change no bit.
     """
@@ -223,27 +251,44 @@ def collision_statistics(k: int, horizon: int, f: ContinuumAmplitude, n_replicas
                            for m in range(k + 1)], dtype=float)
 
     def block_stats(block):
-        # walk-major: pos[i, s] is walk i at slot s = replica * horizon + (time - 1)
+        # block[r, i] is walk i of replica r; slot r * horizon + (n - 1) is
+        # replica r at time n. met marks the slots where some two walks meet.
         size = block.shape[0]
-        walks = np.ascontiguousarray(block.transpose(1, 0, 2))
-        pos = walks.reshape(k, size * horizon)
-        # a cell is visited through its lowest-indexed (lead) walk; below[i]
-        # marks the slots where a lower walk shares walk i's position
-        below = np.zeros((k - 1, size * horizon), dtype=bool)
+        met = np.zeros((size, horizon), dtype=bool)
         pair_hits = np.zeros(size, dtype=np.int64)
-        slots, occ, sites = [], [], []
+        for i, j in itertools.combinations(range(k), 2):
+            eq = block[:, i] == block[:, j]
+            met |= eq
+            if "pair_hits" in want:
+                pair_hits += eq.sum(axis=1)
+        # int32 slots halve the index arrays whenever they fit
+        slot = np.flatnonzero(met).astype(np.int32 if block.size < 2**31 else np.intp)
+        del met, eq
+        ridx = slot // horizon
+        # pos[i, c] is walk i at met slot c; at is its index in the flat block
+        at = slot + ridx * ((k - 1) * horizon)
+        pos = np.empty((k, len(slot)), dtype=block.dtype)
+        for i in range(k):
+            np.take(block.reshape(-1), at, out=pos[i])
+            at += horizon
+        # a cell is visited through its lowest-indexed (lead) walk; below[i]
+        # marks the met slots where a lower walk shares walk i's position
+        below = np.zeros((k - 1, len(slot)), dtype=bool)
+        cells, occ, sites = [], [], []
         for i in range(k - 1):
             above = pos[i + 1:] == pos[i]
-            if "pair_hits" in want:
-                pair_hits += above.reshape(k - 1 - i, size, horizon).sum(axis=(0, 2))
             # walk i leads a collision cell: a higher walk is there, no lower one
-            s = np.flatnonzero(above.any(axis=0) > below[i])
+            c = np.flatnonzero(above.any(axis=0) > below[i])
             below[i + 1:] |= above[:k - 2 - i]
-            slots.append(s)
-            occ.append(1 + above[:, s].sum(axis=0))
-            sites.append(pos[i, s])
-        slot, occ = np.concatenate(slots), np.concatenate(occ)
-        ridx, nidx = np.divmod(slot, horizon)
+            count = np.ones(len(c), dtype=np.min_scalar_type(k))
+            for row in above:
+                count += row[c]
+            cells.append(c)
+            occ.append(count)
+            sites.append(pos[i, c])
+        cell, occ = np.concatenate(cells), np.concatenate(occ)
+        del pos, at, below, above
+        slot, ridx = slot[cell], ridx[cell]
         pair = even_binom[occ, 0]
         out = {"pair_hits": pair_hits} if "pair_hits" in want else {}
         if "mass" in want:
@@ -251,10 +296,11 @@ def collision_statistics(k: int, horizon: int, f: ContinuumAmplitude, n_replicas
         if "distinct_mass" in want:
             out["distinct_mass"] = np.bincount(ridx, minlength=size).astype(float)
         if "max_abs" in want:
-            out["max_abs"] = np.maximum(walks.max(axis=(0, 2)),
-                                        -walks.min(axis=(0, 2))) / sqrt_n
+            flat = block.reshape(size, k * horizon)
+            out["max_abs"] = np.maximum(flat.max(axis=1), -flat.min(axis=1)) / sqrt_n
         if with_f:
-            fv = np.asarray(f(times[nidx], np.concatenate(sites) / sqrt_n), dtype=float)
+            fv = np.asarray(f(times[slot - ridx * horizon], np.concatenate(sites) / sqrt_n),
+                            dtype=float)
         if "pi_f" in want:
             out["pi_f"] = np.bincount(ridx, pair * fv, minlength=size)
         if "pi_prime_f" in want:
@@ -265,7 +311,7 @@ def collision_statistics(k: int, horizon: int, f: ContinuumAmplitude, n_replicas
             for j in range(k // 2, 0, -1):  # Horner in theta^2
                 x_cell = (x_cell + even_binom[occ, j - 1]) * theta2
             x_mat = np.zeros(size * horizon)
-            seg = np.cumsum([0] + [len(s) for s in slots])
+            seg = np.cumsum([0] + [len(c) for c in cells])
             for lo, hi in zip(seg[:-1], seg[1:]):
                 # one lead walk's cells hold distinct slots; the update is
                 # (1+x)(1+xc) - 1 without rounding through 1 + x
@@ -277,12 +323,7 @@ def collision_statistics(k: int, horizon: int, f: ContinuumAmplitude, n_replicas
             out["prod_x"] = np.prod(1.0 + x_mat, axis=1)
         return out
 
-    def run(rng, size):
-        return [block_stats(block) for block in _walk_blocks(rng, size, (k,), horizon)]
-
-    parts = [p for blocks in _sweep(run, n_replicas, chunk, master_seed, _TAG_WALKS, workers)
-             for p in blocks]
-    merged = {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
+    merged = _walk_sweep(block_stats, (k,), horizon, n_replicas, chunk, master_seed, workers)
     if "pi_f" in want:
         merged["pi_scaled"] = merged["pi_f"] / sqrt_n
         merged["exp_pi"] = np.exp(merged["pi_scaled"])
@@ -306,12 +347,11 @@ def partition_sweep(f: ContinuumAmplitude, horizon: int, n_replicas: int, master
 def local_time_counts(horizon: int, n_replicas: int, master_seed: int,
                       workers: int = 1) -> np.ndarray:
     """Zero counts of single walks up to the horizon (integer-valued samples)."""
-    def run(rng, size):
-        return [np.count_nonzero(walks == 0, axis=1)
-                for walks in _walk_blocks(rng, size, (), horizon)]
+    def zeros(walks):
+        return {"zeros": np.count_nonzero(walks == 0, axis=1)}
 
-    chunks = _sweep(run, n_replicas, _LOCAL_TIME_CHUNK, master_seed, _TAG_WALKS, workers)
-    return np.concatenate([c for blocks in chunks for c in blocks]).astype(float)
+    counts = _walk_sweep(zeros, (), horizon, n_replicas, _LOCAL_TIME_CHUNK, master_seed, workers)
+    return counts["zeros"].astype(float)
 
 
 # ---------------------------------------------------------------------------

@@ -249,12 +249,24 @@ _EXPERIMENT_OUTPUTS = {
 }
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+def _cells_per_time(positions):
+    """Collision cells of each (replica, time) of (replicas, k, N) positions:
+    the runs of two or more equal positions among the k sorted ones."""
+    same = np.diff(np.sort(positions, axis=1), axis=1) == 0
+    return same[:, 0] + (same[:, 1:] & ~same[:, :-1]).sum(axis=1)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_collision_statistics_blocks_are_bit_identical(monkeypatch, k):
     # a full 512-replica chunk, then a 300-replica one that ends on a ragged
     # block; each experiment's subset holds the same bits as the whole set
     horizon, n_replicas = 999, 812
     f = ContinuumAmplitude(lambda t, x: (0.3 + 0.4 * t) * np.exp(-x * x / 2.0), 0.7)
+    first = walk_positions(substream(21, H._TAG_WALKS, 0), (512, k), horizon)
+    # the first chunk has a cell of all k walks and, from k = 4, two cells at
+    # one time
+    assert (first == first[:, :1]).all(axis=1).any()
+    assert (_cells_per_time(first) >= 2).any() == (k >= 4)
     sizes = _record_blocks(monkeypatch)
     every = oracles.collision_statistics_whole_chunk(k, horizon, f, n_replicas, 21)
     for outputs in (None, *_EXPERIMENT_OUTPUTS.values()):
@@ -268,6 +280,56 @@ def test_collision_statistics_blocks_are_bit_identical(monkeypatch, k):
         for key in keys:
             assert got[key].dtype == every[key].dtype, (outputs, key)
             assert got[key].tobytes() == every[key].tobytes(), (outputs, key)
+
+
+def test_collision_statistics_without_a_meeting_are_zero(monkeypatch):
+    # walk 0 only steps up and walk 1 only down, so no two walks ever meet
+    horizon, n_replicas = 40, 70
+    up = np.arange(1, horizon + 1, dtype=np.int16)
+
+    def apart(rng, lead, horizon):
+        return np.broadcast_to(np.stack([up, -up]), lead + (horizon,)).copy()
+
+    monkeypatch.setattr(H, "walk_positions", apart)
+    monkeypatch.setattr(oracles, "walk_positions", apart)
+    f = gaussian_bump(0.5, 1.0)
+    got = H.collision_statistics(2, horizon, f, n_replicas, 4)
+    want = oracles.collision_statistics_whole_chunk(2, horizon, f, n_replicas, 4)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key].dtype == want[key].dtype, key
+        assert got[key].tobytes() == want[key].tobytes(), key
+    for key in ("pi_f", "pi_prime_f", "mass", "distinct_mass", "t_sum", "pair_hits"):
+        assert not got[key].any(), key
+    assert got["pair_hits"].dtype == np.int64
+    assert np.array_equal(got["prod_x"], np.ones(n_replicas))
+    assert np.array_equal(got["max_abs"], np.full(n_replicas, horizon / math.sqrt(horizon)))
+
+
+def _recorded_substreams(monkeypatch):
+    drawn = []
+
+    def recording(*key):
+        drawn.append(key)
+        return substream(*key)
+
+    monkeypatch.setattr(H, "substream", recording)
+    return drawn
+
+
+@pytest.mark.parametrize("call, argument", [
+    (lambda: H.collision_statistics(3, 64, gaussian_bump(0.5, 1.0), 0, 5), "n_replicas"),
+    (lambda: H.local_time_counts(64, 0, 5), "n_replicas"),
+    (lambda: H.partition_sweep(gaussian_bump(0.5, 1.0), 16, 0, 5), "n_replicas"),
+    (lambda: H.collision_statistics(3, 0, gaussian_bump(0.5, 1.0), 100, 5), "horizon"),
+    (lambda: H.local_time_counts(0, 100, 5), "horizon"),
+], ids=["collision_statistics-replicas", "local_time_counts-replicas",
+        "partition_sweep-replicas", "collision_statistics-horizon", "local_time_counts-horizon"])
+def test_empty_sweeps_are_rejected_before_sampling(monkeypatch, call, argument):
+    drawn = _recorded_substreams(monkeypatch)
+    with pytest.raises(ValueError, match=argument):
+        call()
+    assert drawn == []
 
 
 def test_each_experiment_asks_for_its_statistics(monkeypatch):
@@ -293,13 +355,7 @@ def test_each_experiment_asks_for_its_statistics(monkeypatch):
 
 
 def test_collision_statistics_rejects_an_unknown_statistic_before_sampling(monkeypatch):
-    drawn = []
-
-    def recording(*key):
-        drawn.append(key)
-        return substream(*key)
-
-    monkeypatch.setattr(H, "substream", recording)
+    drawn = _recorded_substreams(monkeypatch)
     with pytest.raises(ValueError, match="pi_scaled"):
         H.collision_statistics(3, 64, gaussian_bump(0.5, 1.0), 100, 5,
                                outputs=("mass", "pi_scaled"))

@@ -44,12 +44,14 @@ def test_walk_invariants(horizon, seed):
     assert np.all((idx + path.positions) % 2 == 0)
 
 
-@pytest.mark.parametrize("lead", [(7,), (13, 3)])
-@pytest.mark.parametrize("horizon", [1, 5, 8, 17, 1024])
+@pytest.mark.parametrize("lead", [(7,), (13, 3), (1,)])
+@pytest.mark.parametrize("horizon", [1, 5, 8, 17, 1024, 63, 64, 65, 127, 129, 513])
 def test_walk_positions_match_integer_steps(lead, horizon):
     # the kernel reads the top bit of each raw byte; integers(0, 2, int8)
     # draws the same bit, so the positions agree bit for bit (also where the
-    # step count is not a multiple of the 8 steps in a word)
+    # step count is not a multiple of the 8 steps in a word). The stream is
+    # summed in groups of 64 steps: one walk's stream ends one short of, at
+    # and one past a group boundary, and several walks end inside groups
     got = W.walk_positions(substream(5, 1, horizon), lead, horizon)
     steps = substream(5, 1, horizon).integers(0, 2, size=lead + (horizon,), dtype=np.int8)
     want = W.positions_from_steps(steps * 2 - 1)
@@ -58,8 +60,8 @@ def test_walk_positions_match_integer_steps(lead, horizon):
     assert np.array_equal(got, want)
 
 
-@given(st.integers(min_value=1, max_value=40),
-       st.lists(st.integers(min_value=1, max_value=4), max_size=4),
+@given(st.integers(min_value=1, max_value=200),
+       st.lists(st.integers(min_value=1, max_value=9), max_size=4),
        st.integers(min_value=1, max_value=20),
        st.sampled_from([(), (2,), (3,)]),
        st.integers(min_value=0, max_value=2**32))
@@ -67,7 +69,8 @@ def test_walk_positions_match_integer_steps(lead, horizon):
 def test_walk_positions_blocks_concatenate(horizon, eights, last, shape, seed):
     # blocks of a multiple of 8 walks (times the shape) cover a multiple of 8
     # steps, so drawing them one after another from one stream reproduces a
-    # single call; the last block is any size
+    # single call; the last block is any size, and a block may end inside
+    # one of the kernel's 64-step groups
     sizes = [8 * e for e in eights] + [last]
     rng = substream(seed, 1)
     blocks = [W.walk_positions(rng, (size,) + shape, horizon) for size in sizes]
@@ -75,21 +78,36 @@ def test_walk_positions_blocks_concatenate(horizon, eights, last, shape, seed):
     assert np.concatenate(blocks).tobytes() == whole.tobytes()
 
 
-class _AllUpBits:
+class _ConstantBits:
+    """A bit generator whose every raw word is the given one."""
+
+    def __init__(self, word):
+        self.word = word
+
     def random_raw(self, size):
-        return np.full(size, 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
+        return np.full(size, self.word, dtype=np.uint64)
 
 
-class _AllUpRng:
-    bit_generator = _AllUpBits()
+class _ConstantRng:
+    def __init__(self, word):
+        self.bit_generator = _ConstantBits(word)
 
 
 @pytest.mark.parametrize("horizon, dtype", [(32767, np.int16), (32768, np.int32)])
 def test_walk_positions_reach_the_horizon_without_wrapping(horizon, dtype):
     # every raw bit set: every step is +1, so S_n = n up to the int16 limit
-    got = W.walk_positions(_AllUpRng(), (3,), horizon)
+    got = W.walk_positions(_ConstantRng(2**64 - 1), (3,), horizon)
     assert got.dtype == dtype
     assert np.array_equal(got, np.broadcast_to(np.arange(1, horizon + 1), (3, horizon)))
+
+
+@pytest.mark.parametrize("horizon, dtype", [(32767, np.int16), (32768, np.int32)])
+def test_walk_positions_fall_to_minus_the_horizon_without_wrapping(horizon, dtype):
+    # every raw bit clear: every step is -1, so S_n = -n; each word moves the
+    # stream by -8 and each group by -64, the lowest byte values
+    got = W.walk_positions(_ConstantRng(0), (3,), horizon)
+    assert got.dtype == dtype
+    assert np.array_equal(got, np.broadcast_to(-np.arange(1, horizon + 1), (3, horizon)))
 
 
 def test_enumerate_paths_small():
