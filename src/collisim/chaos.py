@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .environment import ContinuumAmplitude
-from .kernels import heat_kernel, log_rho_chain_norm_sq, rho_chain_norm_sq
+from .kernels import Stated, heat_kernel, log_rho_chain_norm_sq, rho_chain_norm_sq
 from .rngs import substream
 
 __all__ = [
@@ -205,18 +205,11 @@ def second_moment_series(gamma: float) -> float:
     return float(erfcx(-gamma * gamma / 2.0))
 
 
-@dataclass(frozen=True)
-class ZMomentReport:
-    moments: np.ndarray        # estimates of E[Z^j], j = 1..k
-    stderrs: np.ndarray
-    truncation_bound: float
-    n_replicas: int
-    values: np.ndarray         # per-replica Z
-
-
-def estimate_Z_moments(a: ContinuumAmplitude, grid: WhiteNoiseGrid, order: int,
-                       k: int, n_replicas: int, master_seed: int) -> ZMomentReport:
-    """Monte-Carlo moments of the simulated chaos value on grid.
+def estimate_Z_moments(a: ContinuumAmplitude, grid: WhiteNoiseGrid, order: int, k: int,
+                       n_replicas: int, master_seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-replica powers of the simulated chaos value on grid: the
+    (n_replicas, k) antithetic powers, column j - 1 estimating E[Z^j], and
+    the (n_replicas,) values of Z. The caller summarises the columns it reads.
 
     Replica r draws from substream(master_seed, n_replicas + r), the key it
     held when a coarse pass took keys 0..n_replicas-1 and this grid was its
@@ -233,14 +226,8 @@ def estimate_Z_moments(a: ContinuumAmplitude, grid: WhiteNoiseGrid, order: int,
     exponents = np.arange(1, k + 1)
     plus = terms.sum(axis=1)
     minus = (terms * signs[None, :]).sum(axis=1)
-    vals = (plus[:, None] ** exponents[None, :] + minus[:, None] ** exponents[None, :]) / 2.0
-    return ZMomentReport(
-        moments=vals.mean(axis=0),
-        stderrs=vals.std(axis=0, ddof=1) / math.sqrt(n_replicas),
-        truncation_bound=chaos_tail_bound(a.bound, order),
-        n_replicas=n_replicas,
-        values=plus,
-    )
+    powers = (plus[:, None] ** exponents[None, :] + minus[:, None] ** exponents[None, :]) / 2.0
+    return powers, plus
 
 
 def _squared_kernel_sums(times: np.ndarray, points: np.ndarray, dx: float) -> np.ndarray:
@@ -255,10 +242,10 @@ def scheme_order_variances(grid: WhiteNoiseGrid, gamma: float, order: int) -> np
     given grid (the discrete counterpart of gamma^(2n) ||rho_n||_2^2).
 
     Spatial sums over increments use the full difference grid, neglecting
-    the cutoff-edge deficit (bounded by the Gaussian mass beyond the cutoff,
-    which the default cutoff makes negligible). Deterministic: 1 + the sum is
-    the grid's exact E[Z^2], which separates simulator correctness from
-    discretization bias.
+    the cutoff-edge deficit: below rounding at the default cutoff 6, which
+    is all the CLI samples, but 4.6e-5 of E[Z^2] at cutoff 2 (T=64, gamma^2
+    = 1/2). Deterministic: 1 + the sum is the grid's exact E[Z^2], which
+    separates simulator correctness from discretization bias.
     """
     g2 = gamma * gamma
     dt, dx, t_cells = grid.dt, grid.dx, grid.time_cells
@@ -280,13 +267,6 @@ def scheme_order_variances(grid: WhiteNoiseGrid, gamma: float, order: int) -> np
 NORM_LADDER = tuple(WhiteNoiseGrid(32 << j, 0.175 / 2**j) for j in range(5))
 
 
-@dataclass(frozen=True)
-class ChainNormExtrapolation:
-    scheme: np.ndarray  # (grid, order): scheme_order_variances(grid, 1, max_order) per NORM_LADDER grid
-    values: np.ndarray  # ||rho_n||_2^2 for n = 1..max_order, extrapolated to zero mesh
-    errors: np.ndarray  # stated error: |values - the same fit without the finest grid|
-
-
 def _value_at_zero(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """At x = 0, the polynomial of degree len(x) - 1 through the points
     (x_j, y_j), for each column of y (Lagrange form)."""
@@ -295,12 +275,13 @@ def _value_at_zero(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return weights @ y
 
 
-def extrapolated_chain_norms(max_order: int) -> ChainNormExtrapolation:
-    """||rho_n||_2^2 for n = 1..max_order from the exact unit-amplitude scheme
-    variances on the NORM_LADDER grids, by Richardson extrapolation in
-    h^(1/2) (h = dt): c0 + sum_k c_k h^(k/2) through every grid, read at
-    h = 0. The stated error is the gap to the fit that drops the finest grid.
-    Deterministic; the five grids take well under a second."""
+def extrapolated_chain_norms(max_order: int) -> Stated:
+    """||rho_n||_2^2 for n = 1..max_order, an array indexed by n - 1, from the
+    exact unit-amplitude scheme variances on the NORM_LADDER grids, by
+    Richardson extrapolation in h^(1/2) (h = dt): c0 + sum_k c_k h^(k/2)
+    through every grid, read at h = 0. The stated error is the gap to the fit
+    that drops the finest grid. Deterministic; the five grids take well under
+    a second."""
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     NORM_LADDER[0].check_order(max_order)
@@ -308,4 +289,4 @@ def extrapolated_chain_norms(max_order: int) -> ChainNormExtrapolation:
     root_h = np.sqrt([grid.dt for grid in NORM_LADDER])
     values = _value_at_zero(root_h, scheme)
     errors = np.abs(values - _value_at_zero(root_h[:-1], scheme[:-1]))
-    return ChainNormExtrapolation(scheme, values, errors)
+    return Stated(values, errors)

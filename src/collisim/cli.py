@@ -143,11 +143,11 @@ FIELDS = {
         "max_order": (4, _number(int, 1)),
     },
     "chaos": {
-        # the sampled grid is WhiteNoiseGrid(time_cells, dx, cutoff)
+        # the sampled grid is WhiteNoiseGrid(time_cells, dx) at its default
+        # cutoff 6, where chaos.scheme_order_variances is exact to rounding
         "gamma": (0.7071067811865476, _chaos_gamma),
         "time_cells": (64, _number(int, 1)),
         "dx": (0.0875, _number(float)),
-        "cutoff": (6.0, _number(float)),
         "order": (6, _number(int, 0)),
         "replicas": (1_000, _number(int, 2)),  # the moment stderrs need two replicas
     },
@@ -173,7 +173,7 @@ def _merge(base: dict, override, path: str = "") -> dict:
 
 
 def _chaos_grid(ch: dict) -> WhiteNoiseGrid:
-    return WhiteNoiseGrid(ch["time_cells"], ch["dx"], ch["cutoff"])
+    return WhiteNoiseGrid(ch["time_cells"], ch["dx"])
 
 
 def validate(cfg: dict) -> dict:

@@ -434,10 +434,9 @@ def duality_experiment(k: int, f: ContinuumAmplitude, n_ladder, n_walk_replicas:
     if chaos_grid is not None:
         from .chaos import estimate_Z_moments
 
-        rep = estimate_Z_moments(sqrt_amplitude(f, 2.0), chaos_grid, chaos_order, k,
-                                 chaos_replicas, master_seed + 99)
-        chaos_target = MonteCarloSummary(rep.n_replicas, float(rep.moments[k - 1]),
-                                         float(rep.stderrs[k - 1]))
+        powers, _ = estimate_Z_moments(sqrt_amplitude(f, 2.0), chaos_grid, chaos_order, k,
+                                       chaos_replicas, master_seed + 99)
+        chaos_target = summarize(powers[:, k - 1])
         a_last = rows[-1]["exp_pi"]
         tol = 0.1 * abs(chaos_target.mean) + 3.0 * math.hypot(
             a_last["stderr"], chaos_target.stderr)
@@ -656,32 +655,33 @@ def chaos_experiment(gamma: float, grid: WhiteNoiseGrid, order: int, n_replicas:
     """Simulated chaos value at constant amplitude on the grid against that
     grid's exact second moment, next to the closed-form series and the
     grid's bias to it."""
-    from .chaos import estimate_Z_moments, scheme_order_variances, second_moment_series
+    from .chaos import (chaos_tail_bound, estimate_Z_moments, scheme_order_variances,
+                        second_moment_series)
 
-    rep = estimate_Z_moments(constant_fn(gamma), grid, order, 2, n_replicas, master_seed)
+    amplitude = constant_fn(gamma)
+    powers, z_values = estimate_Z_moments(amplitude, grid, order, 2, n_replicas, master_seed)
+    first, second = (summarize(column) for column in powers.T)
     series = second_moment_series(gamma)
     grid_m2 = 1.0 + float(scheme_order_variances(grid, gamma, order).sum())
-    m2, se2 = float(rep.moments[1]), float(rep.stderrs[1])
-    m1, se1 = float(rep.moments[0]), float(rep.stderrs[0])
     verdicts = [
-        Verdict("mean-one", abs(m1 - 1.0) <= _MEAN_SIGMA * se1,
-                f"E[Z]={m1:.4f}±{se1:.4f} within 4 stderr of 1"),
+        Verdict("mean-one", abs(first.mean - 1.0) <= _MEAN_SIGMA * first.stderr,
+                f"E[Z]={first.mean:.4f}±{first.stderr:.4f} within 4 stderr of 1"),
         Verdict("second-moment",
-                abs(m2 - grid_m2) <= _MOMENT_SIGMA * se2,
-                f"E[Z^2]={m2:.4f}±{se2:.4f} vs grid value {grid_m2:.4f} "
+                abs(second.mean - grid_m2) <= _MOMENT_SIGMA * second.stderr,
+                f"E[Z^2]={second.mean:.4f}±{second.stderr:.4f} vs grid value {grid_m2:.4f} "
                 f"(series {series:.6g}, bias {series - grid_m2:.6g})"),
     ]
     cfg = {"gamma": gamma, "time_cells": grid.time_cells, "dx": grid.dx,
            "cutoff": grid.cutoff, "order": order, "replicas": n_replicas}
     tables = {
-        "moments": rep.moments.tolist(),
-        "stderrs": rep.stderrs.tolist(),
+        "moments": [first.mean, second.mean],
+        "stderrs": [first.stderr, second.stderr],
         "grid_second_moment": grid_m2,
-        "truncation_bound": rep.truncation_bound,
+        "truncation_bound": chaos_tail_bound(amplitude.bound, order),
         "series_target": series,
         "series_bias": series - grid_m2,
     }
-    raw = {"z_values": rep.values}
+    raw = {"z_values": z_values}
     return ExperimentReport("chaos", cfg, tables, verdicts, raw)
 
 
@@ -694,7 +694,7 @@ def kernels_check(max_order: int, clt_ladder) -> ExperimentReport:
 
     fit = extrapolated_chain_norms(max_order)
     rows = []
-    for n, value, error in zip(range(1, max_order + 1), fit.values.tolist(), fit.errors.tolist()):
+    for n, value, error in zip(range(1, max_order + 1), fit.value.tolist(), fit.error.tolist()):
         closed = rho_chain_norm_sq(n)
         rows.append({"n": n, "closed_form": closed, "extrapolated": value,
                      "stated_error": error, "rel_err": abs(value - closed) / closed})
@@ -706,7 +706,7 @@ def kernels_check(max_order: int, clt_ladder) -> ExperimentReport:
     for horizon in clt_ladder:
         exact = local_clt_distance_sq(horizon)
         clt_rows.append({"N": horizon, "distance": math.sqrt(exact.value), "d2": exact.value,
-                         "band_tail_bound": exact.tail_bound})
+                         "band_tail_bound": exact.error})
     verdicts = [
         Verdict("norms-match", norm_ok,
                 f"grid-extrapolated norms and their stated errors within "
@@ -735,7 +735,7 @@ def ustat_check(horizon: int, n_replicas: int, master_seed: int) -> ExperimentRe
     cell table and one pass over the times serve both orders (see
     collisim.ustat); each sampled mean of S_n^2 is tested against the exact
     E[S_n^2] in its stderr."""
-    from .ustat import build_cell_table, ustat_moment_suite
+    from .ustat import build_cell_table, exact_second_moment, ustat_moment_suite
 
     support_radius = 2.0
 
@@ -745,15 +745,20 @@ def ustat_check(horizon: int, n_replicas: int, master_seed: int) -> ExperimentRe
     amp = disorder_from_function(
         ContinuumAmplitude(lambda t, x: 1.0 / (1.0 + 0.8 * np.abs(x)), 1.0), horizon)
     table = build_cell_table(h, 2, support_radius, horizon, amp)
-    suite = ustat_moment_suite(table, n_replicas, master_seed)
+    values = ustat_moment_suite(table, n_replicas, master_seed)
+    firsts = [summarize(v) for v in values]
+    seconds = [summarize(v**2) for v in values]
+    exact = exact_second_moment(table)
     # per-order columns, entry n - 1 for order n
-    tables = {col: getattr(suite, col).tolist() for col in (
-        "means", "mean_stderrs", "second_moments", "second_moment_stderrs",
-        "exact_second_moments")}
-    mean_ok = bool(np.all(np.abs(suite.means) <= _MEAN_SIGMA * suite.mean_stderrs))
-    moment_ok = bool(np.all(np.abs(suite.second_moments - suite.exact_second_moments)
-                            <= _MEAN_SIGMA * suite.second_moment_stderrs))
-    cov, cov_se = suite.cross[(1, 2)]
+    tables = {"means": [s.mean for s in firsts], "mean_stderrs": [s.stderr for s in firsts],
+              "second_moments": [s.mean for s in seconds],
+              "second_moment_stderrs": [s.stderr for s in seconds],
+              "exact_second_moments": exact.tolist()}
+    mean_ok = all(abs(s.mean) <= _MEAN_SIGMA * s.stderr for s in firsts)
+    moment_ok = all(abs(s.mean - e) <= _MEAN_SIGMA * s.stderr for s, e in zip(seconds, exact))
+    # S_1 and S_2 are uncorrelated: their sample covariance against its stderr
+    cov = float(np.cov(values[0], values[1], ddof=1)[0, 1])
+    cov_se = float(np.sqrt((values[0]**2 * values[1]**2).mean() / n_replicas))
     cross_ok = abs(cov) <= _MEAN_SIGMA * cov_se
     verdicts = [
         Verdict("zero-mean", mean_ok,
@@ -765,5 +770,5 @@ def ustat_check(horizon: int, n_replicas: int, master_seed: int) -> ExperimentRe
                 f"cov={cov:.4f}±{cov_se:.4f} within 4 stderr of 0"),
     ]
     cfg = {"N": horizon, "replicas": n_replicas}
-    raw = {f"order{n}_values": values for n, values in enumerate(suite.values, 1)}
+    raw = {f"order{n}_values": row for n, row in enumerate(values, 1)}
     return ExperimentReport("ustat-check", cfg, tables, verdicts, raw)

@@ -262,14 +262,15 @@ def local_clt_l2_error(n: int, horizon: int, budget: int,
 
 
 @dataclass(frozen=True)
-class BandedValue:
-    """A value computed on a cell band, and a bound on what the band drops."""
+class Stated:
+    """A computed value and a bound on its error, such as the mass a band
+    drops or the gap between two fits; floats, or arrays of one shape."""
 
-    value: float
-    tail_bound: float
+    value: float | np.ndarray
+    error: float | np.ndarray
 
 
-def local_clt_distance_sq(horizon: int) -> BandedValue:
+def local_clt_distance_sq(horizon: int) -> Stated:
     """||rho_1 - sqrt(N) p^N_1||_2^2 without sampling.
 
     With h_c = sqrt(N) p(i, z)/2 on the cell c = ((i-1)/N, i/N] x
@@ -284,8 +285,8 @@ def local_clt_distance_sq(horizon: int) -> BandedValue:
     same) with |z| <= B = polymer.band_halfwidth(N). The cells it drops lie
     beyond |x| = B/sqrt N, where h_c <= sqrt(N)/2 exp(-(B+1)^2/2N)
     (Hoeffding) and rho_1 has mass at most 2 exp(-B^2/2N), so the value
-    overstates the squared distance by at most
-    tail_bound = 2 sqrt(N) exp(-((B+1)^2 + B^2)/2N); it is 0 when B = N.
+    overstates the squared distance by at most the stated error
+    2 sqrt(N) exp(-((B+1)^2 + B^2)/2N); it is 0 when B = N.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -314,4 +315,4 @@ def local_clt_distance_sq(horizon: int) -> BandedValue:
     value = rho_chain_norm_sq(1) - 2.0 * cross + meet
     tail = 0.0 if band >= horizon else (
         2.0 * root_n * math.exp(-((band + 1) ** 2 + band**2) / (2.0 * horizon)))
-    return BandedValue(value, tail)
+    return Stated(value, tail)

@@ -127,40 +127,14 @@ def exact_second_moment(table: CellTable) -> np.ndarray:
     return _prefactors(table.order) ** 2 * _subset_products(vs, table.order)
 
 
-@dataclass(frozen=True)
-class MomentSuite:
-    """Sampled moments of S_1 .. S_n, indexed by order - 1, next to the exact
-    E[S_k^2]; ``cross`` maps each order pair (a, b), a < b, to the sample
-    covariance of S_a and S_b and its stderr."""
-
-    means: np.ndarray
-    mean_stderrs: np.ndarray
-    second_moments: np.ndarray
-    second_moment_stderrs: np.ndarray
-    exact_second_moments: np.ndarray
-    cross: dict
-    values: np.ndarray  # (orders, replicas) sampled statistics
-
-
-def ustat_moment_suite(table: CellTable, n_replicas: int, master_seed: int) -> MomentSuite:
-    """Sample moments of the U-statistics of orders 1 .. n over shared
-    environment seeds: the table and one pass over the times serve every
-    order and every replica, and field r has the seed
+def ustat_moment_suite(table: CellTable, n_replicas: int, master_seed: int) -> np.ndarray:
+    """The sampled U-statistics of orders 1 .. n over shared environment
+    seeds, shape (n, n_replicas): the table and one pass over the times serve
+    every order and every replica, and field r has the seed
     child_seeds(master_seed, n_replicas, 71)[r]. Each mean is exactly 0, so
-    the sample mean of S_k^2 estimates E[S_k^2]; the orders are
-    uncorrelated, and cross holds their sample covariances.
+    the sample mean of S_k^2 estimates E[S_k^2] (exact_second_moment), and
+    the orders are uncorrelated.
     """
     if n_replicas < MIN_REPLICAS:
         raise ValueError(f"moment suite needs at least {MIN_REPLICAS} replicas")
-    values = evaluate_table(table, child_seeds(master_seed, n_replicas, 71))
-    root = math.sqrt(n_replicas)
-    squares = values**2
-    cross = {}
-    for a in range(len(values)):
-        for b in range(a + 1, len(values)):
-            cov = float(np.cov(values[a], values[b], ddof=1)[0, 1])
-            se = float(np.sqrt((squares[a] * squares[b]).mean() / n_replicas))
-            cross[(a + 1, b + 1)] = (cov, se)
-    return MomentSuite(values.mean(axis=1), values.std(axis=1, ddof=1) / root,
-                       squares.mean(axis=1), squares.std(axis=1, ddof=1) / root,
-                       exact_second_moment(table), cross, values)
+    return evaluate_table(table, child_seeds(master_seed, n_replicas, 71))

@@ -116,18 +116,20 @@ def walk_positions(rng: np.random.Generator, lead: tuple, horizon: int) -> np.nd
     int16 for N < 2^15, else int32; the cumsum and the adds wrap modulo the
     dtype width, which is exact because every returned |S_n| <= N fits.
 
-    A call draws ceil(prod(lead) N / 8) words, pads them with zero words to
-    whole groups when they are ragged, and drops the unused bytes. So
-    successive calls on one generator reproduce the positions of a single
-    call whenever every call but the last covers a multiple of 8 steps; the
-    harness draws its chunks in such blocks. Its outputs are per replica,
-    each summed in the same order within a block as within the whole chunk,
-    so the blocks change no bit.
+    A call draws ceil(prod(lead) N / 8) words, none when there is no step,
+    pads them with zero words to whole groups when they are ragged, and
+    drops the unused bytes. So successive calls on one generator reproduce
+    the positions of a single call whenever every call but the last covers
+    a multiple of 8 steps; the harness draws its chunks in such blocks. Its
+    outputs are per replica, each summed in the same order within a block
+    as within the whole chunk, so the blocks change no bit.
     """
     lead = tuple(lead)
     rows = math.prod(lead)
     size = rows * horizon
     dtype = np.int16 if horizon < 2**15 else np.int32
+    if size == 0:
+        return np.zeros(lead + (horizon,), dtype=dtype)
     n_words = -(-size // 8)
     words = rng.bit_generator.random_raw(n_words).astype("<u8", copy=False)
     if n_words % 8:

@@ -4,10 +4,11 @@ law, the splitmix64/v1 cell hash and transfer, the splitmix64/v2 sign in
 Python integers, U-statistic sign pairings and one-order passes, the scalar and
 array walk transitions, the exact discrete chain norm, the constant
 amplitude, the whole-chunk bodies of the walk and importance-sampling
-kernels, the local-CLT distance by adaptive 2-D quadrature, and the KS
-p-value. Each is exponential, scalar or unoptimised on purpose, or a plain
-reference that no experiment needs, and checks a production kernel of
-collisim from an independent route.
+kernels, the local-CLT distance by adaptive 2-D quadrature, the chaos
+grid's exact order variances on the cut grid, and the KS p-value. Each is
+exponential, scalar or unoptimised on purpose, or a plain reference that
+no experiment needs, and checks a production kernel of collisim from an
+independent route.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln, kolmogorov
 
+from collisim import chaos as C
 from collisim import harness as H
 from collisim import kernels as K
 from collisim.collisions import detect_collisions
@@ -474,3 +476,23 @@ def local_clt_distance_sq_dense(horizon: int, reach: float = 10.0) -> float:
 
             total += quad(row, s_lo, s_hi, epsabs=1e-14, epsrel=1e-12, limit=200)[0]
     return total
+
+
+def cut_grid_order_variances(grid, gamma: float, order: int) -> np.ndarray:
+    """E[term_n^2] for n = 1..order at constant amplitude gamma on the grid as
+    sampled, cut at +-cutoff: V_1 = w rho_0^2 and V_n = w (G^2 * V_(n-1)) per
+    cell, w = gamma^2 dt dx, summed over the cells. It is the sampler's own
+    convolution (chaos._propagate) with the kernel generator squared."""
+    t_cells, x_cells = grid.time_cells, grid.space_cells
+    offsets = np.arange(1 - x_cells, x_cells) * grid.dx
+    gen = np.zeros((t_cells, 2 * x_cells - 1))
+    with np.errstate(under="ignore"):
+        gen[1:] = K.heat_kernel(np.arange(1, t_cells)[:, None] * grid.dt, offsets[None, :]) ** 2
+    kern = np.fft.rfft2(gen, s=(C._fast_len(2 * t_cells - 1), C._fast_len(2 * x_cells - 1)))
+    w = gamma * gamma * grid.dt * grid.dx
+    v = w * K.heat_kernel(grid.time_centers()[:, None], grid.space_centers()[None, :]) ** 2
+    sums = [v.sum()]
+    for _ in range(2, order + 1):
+        v = w * C._propagate(v, kern)
+        sums.append(v.sum())
+    return np.array(sums[:order])

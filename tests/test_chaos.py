@@ -8,8 +8,10 @@ from scipy.special import erfc
 from collisim import chaos as C
 from collisim.collisions import gaussian_bump
 from collisim.environment import ContinuumAmplitude
+from collisim.harness import summarize
 from collisim.kernels import rho_chain_norm_sq
 from collisim.rngs import substream
+from oracles import cut_grid_order_variances
 
 
 def _const_amp(gamma):
@@ -206,6 +208,24 @@ def test_scheme_variances_match_lag_loop(time_cells):
     assert np.all(np.abs(got - ref) <= 1e-13 * ref), np.abs(got - ref) / ref
 
 
+def test_scheme_variances_match_the_cut_grid_at_the_default_cutoff():
+    # the sampled grid of the chaos defaults, cut at +-6: the uncut
+    # difference sums of the scheme miss nothing above rounding
+    grid = C.WhiteNoiseGrid(64, 0.0875)
+    got = C.scheme_order_variances(grid, 1 / math.sqrt(2), 6)
+    ref = cut_grid_order_variances(grid, 1 / math.sqrt(2), 6)
+    assert np.all(np.abs(got - ref) <= 2e-15 * ref), np.abs(got - ref) / ref
+
+
+def test_scheme_variances_overstate_a_grid_cut_closer():
+    # at cutoff 2 the cut grid loses the chains that leave [-2, 2]: its
+    # E[Z^2] is lower by about 4.6e-5, which the uncut sums do not see
+    grid = C.WhiteNoiseGrid(64, 0.0875, 2.0)
+    gap = (C.scheme_order_variances(grid, 1 / math.sqrt(2), 6).sum()
+           - cut_grid_order_variances(grid, 1 / math.sqrt(2), 6).sum())
+    assert 4e-5 < gap < 5e-5
+
+
 def test_scheme_variances_converge_to_chain_norms():
     # deterministic discretization ladder: the scheme variance approaches
     # gamma^(2n) ||rho_n||^2 as the grid refines; sqrt(dt)-Richardson over
@@ -296,47 +316,49 @@ def test_truncation_bound_is_inf_where_the_tail_leaves_float_range():
 
 
 def test_a_test_function_is_an_amplitude():
-    # gaussian_bump's function type carries the bound the tail bound reads
+    # gaussian_bump's function type is the sampler's amplitude, and carries
+    # the bound the tail bound reads
     f = gaussian_bump(0.5, 1.0)
-    rep = C.estimate_Z_moments(f, _grid(8), 2, 2, 20, 5)
-    assert rep.truncation_bound == C.chaos_tail_bound(0.5, 2)
-    assert np.all(np.isfinite(rep.moments))
+    powers, values = C.estimate_Z_moments(f, _grid(8), 2, 2, 20, 5)
+    assert powers.shape == (20, 2) and values.shape == (20,)
+    assert np.all(np.isfinite(powers))
+    assert f.bound == 0.5 and 0.0 < C.chaos_tail_bound(f.bound, 2) < math.inf
 
 
 def test_estimate_Z_moments_zero_amplitude():
-    rep = C.estimate_Z_moments(_const_amp(0.0), _grid(8), 2, 3, 50, 3)
-    assert np.allclose(rep.moments, 1.0)
-    assert np.allclose(rep.stderrs, 0.0)
+    powers, _ = C.estimate_Z_moments(_const_amp(0.0), _grid(8), 2, 3, 50, 3)
+    summaries = [summarize(column) for column in powers.T]
+    assert np.allclose([s.mean for s in summaries], 1.0)
+    assert np.allclose([s.stderr for s in summaries], 0.0)
 
 
 def test_estimate_Z_moments_second_moment_vs_series():
     gamma, grid, n, seed = math.sqrt(2) * 0.5, _grid(16).refined(), 400, 2024
     a = _const_amp(gamma)
-    rep = C.estimate_Z_moments(a, grid, 5, 2, n, seed)
+    powers, values = C.estimate_Z_moments(a, grid, 5, 2, n, seed)
+    first, second = summarize(powers[:, 0]), summarize(powers[:, 1])
     target = C.second_moment_series(gamma)
     # the estimate on the given grid within 3 stderr of the closed-form series
-    assert abs(rep.moments[1] - target) < 3.0 * rep.stderrs[1]
-    assert abs(rep.moments[0] - 1.0) < 4.0 * rep.stderrs[0]
+    assert abs(second.mean - target) < 3.0 * second.stderr
+    assert abs(first.mean - 1.0) < 4.0 * first.stderr
     # the given grid is sampled, replica r keyed (seed, n + r)
     for r in (0, n - 1):
         terms = C.simulate_Z_batch(a, grid, 5, seed, 1, replica_offset=n + r)
-        assert rep.values[r] == terms.sum(axis=1)[0], r
+        assert values[r] == terms.sum(axis=1)[0], r
 
 
 def test_estimate_Z_moments_samples_the_given_grid_once():
-    # one pass on the given grid, replica r keyed (seed, n + r); the moments
+    # one pass on the given grid, replica r keyed (seed, n + r); the powers
     # are the antithetic pair means of the plain batch's terms
     a, grid, order, k, n, seed = _const_amp(0.9), _grid(8).refined(), 4, 3, 30, 77
-    rep = C.estimate_Z_moments(a, grid, order, k, n, seed)
+    powers, values = C.estimate_Z_moments(a, grid, order, k, n, seed)
     terms = C.simulate_Z_batch(a, grid, order, seed, n, replica_offset=n)
     plus = terms.sum(axis=1)
     minus = (terms * (-1.0) ** np.arange(order + 1)).sum(axis=1)
     exps = np.arange(1, k + 1)
-    vals = (plus[:, None] ** exps + minus[:, None] ** exps) / 2.0
-    assert rep.values.tobytes() == plus.tobytes()
-    assert rep.moments.tobytes() == vals.mean(axis=0).tobytes()
-    assert rep.stderrs.tobytes() == (vals.std(axis=0, ddof=1) / math.sqrt(n)).tobytes()
-    assert rep.n_replicas == n
+    assert values.tobytes() == plus.tobytes()
+    assert powers.shape == (n, k)
+    assert powers.tobytes() == ((plus[:, None] ** exps + minus[:, None] ** exps) / 2.0).tobytes()
 
 
 def test_simulation_reproducible():
@@ -357,17 +379,20 @@ def test_norm_ladder_refines_the_base_grid():
 
 def test_extrapolated_chain_norms_fit_the_exact_scheme():
     fit = C.extrapolated_chain_norms(6)
-    for rung, row in zip(C.NORM_LADDER, fit.scheme):
-        assert row.tobytes() == C.scheme_order_variances(rung, 1.0, 6).tobytes()
+    scheme = np.array([C.scheme_order_variances(rung, 1.0, 6) for rung in C.NORM_LADDER])
+    root_h = np.sqrt([rung.dt for rung in C.NORM_LADDER])
+    assert fit.value.tobytes() == C._value_at_zero(root_h, scheme).tobytes()
+    coarse = C._value_at_zero(root_h[:-1], scheme[:-1])
+    assert fit.error.tobytes() == np.abs(fit.value - coarse).tobytes()
     for n in range(1, 7):
         closed = rho_chain_norm_sq(n)
-        err = abs(fit.values[n - 1] - closed)
-        assert err <= fit.errors[n - 1], n
+        err = abs(fit.value[n - 1] - closed)
+        assert err <= fit.error[n - 1], n
         assert err <= 1e-3 * closed, n
 
 
 def test_extrapolated_chain_norms_resolution_guard():
-    assert len(C.extrapolated_chain_norms(31).values) == 31
+    assert len(C.extrapolated_chain_norms(31).value) == 31
     with pytest.raises(C.GridResolutionError):
         C.extrapolated_chain_norms(32)
     with pytest.raises(ValueError):

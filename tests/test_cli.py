@@ -76,6 +76,7 @@ def test_bad_env_budget_named(tmp_path, capsys, budget):
     ("collisions", {"harness": {"sigma": math.nan}}, "harness.sigma"),
     ("duality", {"harness": {"alpha": math.inf}}, "harness.alpha"),
     ("expmoment", {"harness": {"thresholds": 5}}, "harness.thresholds"),
+    # the grid's cutoff is not a config field: the sampler runs at its default 6
     ("chaos", {"chaos": {"cutoff": 0.01}}, "chaos.cutoff"),
     # the string "false" is truthy: only JSON booleans switch these
     ("duality", {"harness": {"with_chaos_target": "false"}}, "harness.with_chaos_target"),
@@ -187,17 +188,14 @@ def _runs(call) -> bool:
 
 @pytest.mark.parametrize("dx", [-0.25, 0.25, 0.3, 0.5])
 def test_validate_accepts_exactly_the_grids_the_sampler_runs(dx):
-    # 2 cutoff / dx rounds to 0 space cells at cutoff 0.06 and dx 0.25, to 1 at 0.1;
     # dx <= sqrt(dt) holds up to T=16 at dx 0.25, T=11 at 0.3 and T=4 at 0.5
     amp = ContinuumAmplitude(lambda t, x: np.full(np.broadcast(t, x).shape, 0.7), 0.7)
-    for cutoff in (0.06, 0.1, 1.0):
-        for time_cells in range(1, 13):
-            for order in range(13):
-                chaos = {"time_cells": time_cells, "dx": dx, "cutoff": cutoff, "order": order,
-                         "replicas": 2}
-                sampled = _runs(lambda: estimate_Z_moments(
-                    amp, WhiteNoiseGrid(time_cells, dx, cutoff), order, 2, 2, 1))
-                assert _accepts({"chaos": chaos}) == sampled, (time_cells, dx, cutoff, order)
+    for time_cells in range(1, 13):
+        for order in range(13):
+            chaos = {"time_cells": time_cells, "dx": dx, "order": order, "replicas": 2}
+            sampled = _runs(lambda: estimate_Z_moments(
+                amp, WhiteNoiseGrid(time_cells, dx), order, 2, 2, 1))
+            assert _accepts({"chaos": chaos}) == sampled, (time_cells, dx, order)
 
 
 def test_validate_accepts_exactly_the_max_orders_the_chain_norms_take():
@@ -266,6 +264,13 @@ def test_coarse_chaos_grid_named(tmp_path, capsys):
     assert code == 2
     assert "chaos.time_cells" in capsys.readouterr().err
     assert not (tmp_path / "c").exists()
+
+
+def test_chaos_report_names_the_default_cutoff(tmp_path):
+    # the cutoff is no config field, and the report names the sampled grid's
+    report = json.loads(_tiny_report(tmp_path, "chaos", "c"))
+    assert report["config"]["cutoff"] == 6.0
+    assert "cutoff" not in cli.DEFAULT_CONFIG["chaos"]
 
 
 def test_chaos_past_the_tail_peak_reports_a_finite_bound(tmp_path):
@@ -492,11 +497,10 @@ def test_duality_tables_hold_the_chaos_target(tmp_path):
     })
     assert run_cli(["duality", "--config", cfg, "--seed", "6", "--out", str(out)]) in (0, 1)
     entry = json.loads((out / "report.json").read_text())["tables"]["chaos_target"]
-    rep = estimate_Z_moments(harness.sqrt_amplitude(gaussian_bump(0.5, 1.0), 2.0),
-                             WhiteNoiseGrid(16, 0.0875, 6.0), 6, 2, 20, 6 + 99)
+    powers, _ = estimate_Z_moments(harness.sqrt_amplitude(gaussian_bump(0.5, 1.0), 2.0),
+                                   WhiteNoiseGrid(16, 0.0875, 6.0), 6, 2, 20, 6 + 99)
     # in the n, mean, stderr, ci99 form of every other summary
-    assert entry == harness._sum_dict(harness.MonteCarloSummary(
-        20, float(rep.moments[1]), float(rep.stderrs[1])))
+    assert entry == harness._sum_dict(harness.summarize(powers[:, 1]))
 
 
 def test_chaos_detail_stays_short_at_the_largest_gamma(tmp_path):

@@ -560,13 +560,13 @@ def test_kernels_check_tables_hold_exact_values():
     fit = CH.extrapolated_chain_norms(3)
     for n, row in enumerate(rep.tables["norms"], start=1):
         assert row["closed_form"] == K.rho_chain_norm_sq(n)
-        assert row["extrapolated"] == fit.values[n - 1]
-        assert row["stated_error"] == fit.errors[n - 1]
+        assert row["extrapolated"] == fit.value[n - 1]
+        assert row["stated_error"] == fit.error[n - 1]
         assert row["rel_err"] <= 1e-3
     for row, horizon in zip(rep.tables["clt"], ladder):
         exact = K.local_clt_distance_sq(horizon)
         assert row == {"N": horizon, "distance": math.sqrt(exact.value), "d2": exact.value,
-                       "band_tail_bound": exact.tail_bound}
+                       "band_tail_bound": exact.error}
     assert rep.config == {"max_order": 3, "clt_ladder": ladder}
 
 
@@ -593,7 +593,7 @@ def test_kernels_check_fails_a_stated_error_above_tolerance():
 def test_kernels_check_fails_a_wrong_rate_ladder(monkeypatch):
     exact = K.local_clt_distance_sq
     # a distance that falls like N^(-1/2) instead of N^(-1/4)
-    monkeypatch.setattr(K, "local_clt_distance_sq", lambda horizon: K.BandedValue(
+    monkeypatch.setattr(K, "local_clt_distance_sq", lambda horizon: K.Stated(
         exact(horizon).value / math.sqrt(horizon), 0.0))
     rep = H.kernels_check(2, [16, 64, 256])
     assert "clt-rate" in {v.name for v in rep.verdicts if not v.passed}
@@ -633,6 +633,32 @@ def test_ustat_check_builds_one_table_and_sweeps_once(monkeypatch):
     assert calls == {"build_cell_table": 1, "evaluate_table": 1}
 
 
+def test_ustat_check_columns_are_the_row_summaries():
+    # one summarize per order gives the axis-1 forms over the sampled rows, bit for bit
+    rep = H.ustat_check(16, 1000, 3)
+    values = np.stack([rep.raw["order1_values"], rep.raw["order2_values"]])
+    root = math.sqrt(1000)
+    squares = values**2
+    assert rep.tables["means"] == values.mean(axis=1).tolist()
+    assert rep.tables["mean_stderrs"] == (values.std(axis=1, ddof=1) / root).tolist()
+    assert rep.tables["second_moments"] == squares.mean(axis=1).tolist()
+    assert rep.tables["second_moment_stderrs"] == (squares.std(axis=1, ddof=1) / root).tolist()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_ustat_check_rejects_a_non_finite_statistic(monkeypatch, bad):
+    evaluate = U.evaluate_table
+
+    def poisoned(table, seeds):
+        values = evaluate(table, seeds)
+        values[1, 7] = bad
+        return values
+
+    monkeypatch.setattr(U, "evaluate_table", poisoned)
+    with pytest.raises(H.NonFiniteSample):
+        H.ustat_check(16, 1000, 1)
+
+
 def test_chaos_experiment_small():
     grid = CH.WhiteNoiseGrid(32, math.sqrt(1 / 16) * 0.999 / 2, 6.0)
     rep = H.chaos_experiment(math.sqrt(2) * 0.5, grid, 5, 300, 41)
@@ -670,6 +696,31 @@ def test_chaos_second_moment_verdict_reads_the_grid_value(monkeypatch):
     monkeypatch.setattr(CH, "scheme_order_variances", lambda *a: np.array([10.0]))
     wrong = H.chaos_experiment(gamma, grid, 4, 40, 5)
     assert {v.name for v in wrong.verdicts if not v.passed} == {"second-moment"}
+
+
+def test_chaos_moments_match_the_column_means():
+    # summarize on each column of the antithetic powers against the old
+    # axis-0 forms: the sums run in another order, so the last digit may move
+    gamma, grid, order, n, seed = math.sqrt(2) * 0.5, CH.WhiteNoiseGrid(16, 0.0875), 4, 300, 9
+    rep = H.chaos_experiment(gamma, grid, order, n, seed)
+    powers, _ = CH.estimate_Z_moments(constant_fn(gamma), grid, order, 2, n, seed)
+    np.testing.assert_allclose(rep.tables["moments"], powers.mean(axis=0), rtol=1e-15, atol=0)
+    np.testing.assert_allclose(rep.tables["stderrs"],
+                               powers.std(axis=0, ddof=1) / math.sqrt(n), rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_chaos_experiment_rejects_a_non_finite_power(monkeypatch, bad):
+    simulate = CH.simulate_Z_batch
+
+    def poisoned(*args, **kwargs):
+        terms = simulate(*args, **kwargs)
+        terms[3, 2] = bad
+        return terms
+
+    monkeypatch.setattr(CH, "simulate_Z_batch", poisoned)
+    with pytest.raises(H.NonFiniteSample):
+        H.chaos_experiment(math.sqrt(2) * 0.5, CH.WhiteNoiseGrid(16, 0.0875), 4, 40, 5)
 
 
 def test_report_serialization_roundtrip():

@@ -247,7 +247,7 @@ def test_local_clt_distance_converged_in_nodes(monkeypatch, horizon):
 @pytest.mark.parametrize("horizon", [1, 2])
 def test_local_clt_distance_matches_dense_quadrature(horizon):
     got = K.local_clt_distance_sq(horizon)
-    assert got.tail_bound == 0.0
+    assert got.error == 0.0
     assert abs(got.value - oracles.local_clt_distance_sq_dense(horizon)) <= 1e-10
 
 
@@ -266,8 +266,8 @@ def test_local_clt_distance_frozen_value_at_4096():
 def test_local_clt_distance_band_drops_within_tail_bound(monkeypatch):
     # at N=256 the band keeps |z| <= 128; the whole cone changes only rounding
     banded = K.local_clt_distance_sq(256)
-    assert 0.0 < banded.tail_bound < 1e-20
+    assert 0.0 < banded.error < 1e-20
     monkeypatch.setattr(K, "band_halfwidth", lambda horizon: horizon)
     cone = K.local_clt_distance_sq(256)
-    assert cone.tail_bound == 0.0
-    assert abs(banded.value - cone.value) <= banded.tail_bound + 1e-15
+    assert cone.error == 0.0
+    assert abs(banded.value - cone.value) <= banded.error + 1e-15

@@ -7,6 +7,7 @@ from scipy.special import erf
 
 from collisim import ustat as U
 from collisim.environment import DisorderFunction, EnvironmentField
+from collisim.harness import summarize
 from collisim.kernels import block_average_cells
 from collisim.rngs import child_seeds
 from oracles import constant_disorder, second_moment_by_pairings, ustat_one_order
@@ -131,11 +132,13 @@ def test_single_rectangle_exact_variance():
     table = U.build_cell_table(one_cell, 1, 1.0, horizon, constant_disorder(1.0))
     exact = _exact(table)
     assert exact == pytest.approx(2.0, rel=1e-10)
-    suite = U.ustat_moment_suite(table, 4000, 1234)
+    values = U.ustat_moment_suite(table, 4000, 1234)
+    assert values.shape == (1, 4000)
     # S = +-sqrt(2) exactly here, so the stderr of the mean of S^2
     # degenerates to 0
-    assert abs(suite.second_moments[0] - exact) < 0.01 * exact
-    assert abs(suite.means[0]) < 4.0 * suite.mean_stderrs[0] + 1e-12
+    mean = summarize(values[0])
+    assert abs(summarize(values[0] ** 2).mean - exact) < 0.01 * exact
+    assert abs(mean.mean) < 4.0 * mean.stderr + 1e-12
 
 
 def test_exact_second_moment_asymmetric_matches_sampling():
@@ -145,9 +148,8 @@ def test_exact_second_moment_asymmetric_matches_sampling():
 
     table = U.build_cell_table(h, 2, 1.2, 3, constant_disorder(0.7))
     exact = _exact(table)
-    suite = U.ustat_moment_suite(table, 6000, 88)
-    assert abs(suite.second_moments[-1] - exact) < \
-        5.0 * suite.second_moment_stderrs[-1] + 0.01 * exact
+    second = summarize(U.ustat_moment_suite(table, 6000, 88)[-1] ** 2)
+    assert abs(second.mean - exact) < 5.0 * second.stderr + 0.01 * exact
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -162,9 +164,9 @@ def test_order_three_at_large_horizon_matches_exact_variance():
     # rules out any enumeration, while the product form walks the times once
     table = _wavy_table(3, horizon=1024)
     assert len(table.weights) == 512 * (59 + 58)
-    suite = U.ustat_moment_suite(table, 2000, 20261018)
+    second = summarize(U.ustat_moment_suite(table, 2000, 20261018)[-1] ** 2)
     exact = _exact(table)
-    assert abs(suite.second_moments[-1] - exact) < 5.0 * suite.second_moment_stderrs[-1]
+    assert abs(second.mean - exact) < 5.0 * second.stderr
 
 
 def test_moment_suite_cross_orders_uncorrelated():
@@ -172,12 +174,13 @@ def test_moment_suite_cross_orders_uncorrelated():
         return np.exp(-xs**2) * (np.abs(xs) <= 2.0)
 
     table = U.build_cell_table(h, 2, 2.0, 5, constant_disorder(1.0))
-    suite = U.ustat_moment_suite(table, 3000, 246)
-    assert len(suite.means) == 2
-    for m, se in zip(suite.means, suite.mean_stderrs):
-        assert abs(m) < 4.0 * se
-    cov, cov_se = suite.cross[(1, 2)]
-    assert abs(cov) < 4.0 * cov_se
+    values = U.ustat_moment_suite(table, 3000, 246)
+    assert values.shape == (2, 3000)
+    for row in values:
+        mean = summarize(row)
+        assert abs(mean.mean) < 4.0 * mean.stderr
+    cov = np.cov(values[0], values[1], ddof=1)[0, 1]
+    assert abs(cov) < 4.0 * math.sqrt((values[0] ** 2 * values[1] ** 2).mean() / 3000)
 
 
 def test_variance_scaling_bound_along_ladder():

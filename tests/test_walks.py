@@ -78,6 +78,17 @@ def test_walk_positions_blocks_concatenate(horizon, eights, last, shape, seed):
     assert np.concatenate(blocks).tobytes() == whole.tobytes()
 
 
+@pytest.mark.parametrize("lead, horizon", [((3,), 0), ((0,), 5), ((2, 0), 4), ((), 0)])
+def test_walk_positions_with_no_steps_draw_nothing(lead, horizon):
+    # zero walks or a zero horizon: an empty array, and the stream is
+    # untouched, so its next words are those of a fresh one
+    rng = substream(11, 1)
+    got = W.walk_positions(rng, lead, horizon)
+    assert got.shape == lead + (horizon,) and got.dtype == np.int16
+    fresh = substream(11, 1).bit_generator.random_raw(4)
+    assert np.array_equal(rng.bit_generator.random_raw(4), fresh)
+
+
 class _ConstantBits:
     """A bit generator whose every raw word is the given one."""
 
