@@ -16,7 +16,11 @@ moment at constant amplitude is in closed form (``second_moment_series``).
 One step of the recursion is a causal space-time convolution with the heat
 kernel, which is translation-invariant on the grid, so it runs as one
 zero-padded 2-D FFT product: O(TX log(TX)) per order and replica, exact up
-to rounding.
+to rounding. Each ``simulate_Z_batch`` call allocates the buffers this
+product runs in once (``_propagation_buffers``: the zero-padded spectrum,
+one complex work array and the inverse rows) next to the field and the
+noise, and every order of every replica reuses them; nothing outlives the
+call.
 """
 
 from __future__ import annotations
@@ -148,17 +152,34 @@ def _kernel_fft(grid: WhiteNoiseGrid) -> np.ndarray:
     return np.fft.rfft2(gen, s=(_fast_len(2 * t_cells - 1), _fast_len(2 * x_cells - 1)))
 
 
-def _propagate(v: np.ndarray, kernel_fft: np.ndarray) -> np.ndarray:
-    """w[t, x] = sum_{s<t} sum_y v[s, y] G(t-s, x-y) for a (T, X) field v."""
+def _propagation_buffers(grid: WhiteNoiseGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arrays ``_propagate`` runs in on grid, for any kernel spectrum of
+    ``_kernel_fft``'s shape: the padded spectrum, whose rows T and beyond stay
+    zero; one complex work array of the same shape; and the inverse rows
+    (T, L1), whose row 0 stays zero."""
+    t_cells, x_cells = grid.time_cells, grid.space_cells
+    width = _fast_len(2 * x_cells - 1)
+    spec = np.zeros((_fast_len(2 * t_cells - 1), width // 2 + 1), dtype=complex)
+    return spec, np.empty_like(spec), np.zeros((t_cells, width))
+
+
+def _propagate(v: np.ndarray, kernel_fft: np.ndarray,
+               buffers: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """w[t, x] = sum_{s<t} sum_y v[s, y] G(t-s, x-y) for a (T, X) field v, as
+    a (T, X) view into the buffers of ``_propagation_buffers``, valid until
+    their next use. v is only read.
+
+    These are the 1-D transforms of irfft2(rfft2(v, s) * kernel_fft, s), bit
+    for bit, with the last one run on the kept time rows only."""
+    spec, work, back = buffers
     t_cells, x_cells = v.shape
-    shape = (kernel_fft.shape[0], _fast_len(2 * x_cells - 1))
-    # the two inverse transforms of irfft2(., s=shape), bit for bit, with the
-    # last one run on the kept time rows only
-    rows = np.fft.ifft(np.fft.rfft2(v, s=shape) * kernel_fft, n=shape[0], axis=0)[1:t_cells]
-    w = np.zeros_like(v)
-    # no chain ends in slice 0
-    w[1:] = np.fft.irfft(rows, n=shape[1], axis=1)[:, x_cells - 1 : 2 * x_cells - 1]
-    return w
+    np.fft.rfft(v, n=back.shape[1], axis=1, out=spec[:t_cells])
+    np.fft.fft(spec, axis=0, out=work)
+    work *= kernel_fft
+    np.fft.ifft(work, axis=0, out=work)
+    # no chain ends in slice 0: row 0 of back is never written
+    np.fft.irfft(work[1:t_cells], n=back.shape[1], axis=1, out=back[1:])
+    return back[:, x_cells - 1 : 2 * x_cells - 1]
 
 
 def simulate_Z_batch(a: ContinuumAmplitude, grid: WhiteNoiseGrid, order: int,
@@ -169,7 +190,8 @@ def simulate_Z_batch(a: ContinuumAmplitude, grid: WhiteNoiseGrid, order: int,
     substream(master_seed, replica_offset + r), so batching is invisible to
     results. Each order after the first is one FFT convolution
     (``_propagate``): O(TX log(TX)) per order and replica, exact up to
-    rounding.
+    rounding. The field, the noise and the FFT buffers are allocated once
+    per call; each order overwrites the field in place.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -178,20 +200,24 @@ def simulate_Z_batch(a: ContinuumAmplitude, grid: WhiteNoiseGrid, order: int,
     tc = grid.time_centers()
     xc = grid.space_centers()
     amp = np.asarray(a(tc[:, None], xc[None, :]), dtype=float)
-    rho0 = heat_kernel(tc[:, None], xc[None, :])
     terms = np.zeros((n_replicas, order + 1))
     terms[:, 0] = 1.0
     if order == 0:
         return terms
+    amp_rho0 = amp * heat_kernel(tc[:, None], xc[None, :])
     kern = _kernel_fft(grid)
+    buffers = _propagation_buffers(grid)
     sigma = math.sqrt(grid.dt * grid.dx)
+    xi, amp_xi, v = (np.empty((t_cells, x_cells)) for _ in range(3))
     for r in range(n_replicas):
-        rng = substream(master_seed, replica_offset + r)
-        xi = rng.standard_normal((t_cells, x_cells)) * sigma
-        v = amp * rho0 * xi
+        substream(master_seed, replica_offset + r).standard_normal(out=xi)
+        xi *= sigma
+        np.multiply(amp, xi, out=amp_xi)
+        np.multiply(amp_rho0, xi, out=v)
         terms[r, 1] = v.sum()
         for n in range(2, order + 1):
-            v = amp * xi * _propagate(v, kern)
+            # row 0 of the propagated field is zero, so v[0] = amp_xi[0] * 0.0
+            np.multiply(amp_xi, _propagate(v, kern, buffers), out=v)
             terms[r, n] = v.sum()
     return terms
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .chaos import WhiteNoiseGrid
+from .chaos import GridError, WhiteNoiseGrid
 from .collisions import constant_fn, gaussian_bump
 from .environment import ContinuumAmplitude, disorder_from_function
 from .polymer import band_tail_bound, partition_samples, scaled_disorder
@@ -73,6 +73,9 @@ _NORM_TOL_REL = 0.01   # kernels-check: extrapolated chain norms, relative error
 _CLT_RATE_TOL = 0.05   # kernels-check: log-log slopes of the exact local-CLT distance near -1/4
 _MOMENT_SIGMA = 3.0    # chaos: E[Z^2] against the sampled grid's exact value, in stderr
 _MEAN_SIGMA = 4.0      # chaos, partition, ustat-check: a sampled mean against its exact value
+# chaos: the smallest grid cutoff at which scheme_order_variances, whose
+# spatial sums ignore the cut, is the sampled grid's E[Z^2] to rounding
+_EXACT_CUTOFF = 6.0
 
 
 def summarize(values) -> MonteCarloSummary:
@@ -654,10 +657,15 @@ def chaos_experiment(gamma: float, grid: WhiteNoiseGrid, order: int, n_replicas:
                      master_seed: int) -> ExperimentReport:
     """Simulated chaos value at constant amplitude on the grid against that
     grid's exact second moment, next to the closed-form series and the
-    grid's bias to it."""
+    grid's bias to it. A grid cut below _EXACT_CUTOFF raises a GridError
+    naming cutoff before any sample is drawn: its exact second moment
+    would describe another grid."""
     from .chaos import (chaos_tail_bound, estimate_Z_moments, scheme_order_variances,
                         second_moment_series)
 
+    if grid.cutoff < _EXACT_CUTOFF:
+        raise GridError(f"cutoff {grid.cutoff} < {_EXACT_CUTOFF}: the grid's exact second "
+                        "moment ignores the cut, so it would describe another grid", "cutoff")
     amplitude = constant_fn(gamma)
     powers, z_values = estimate_Z_moments(amplitude, grid, order, 2, n_replicas, master_seed)
     first, second = (summarize(column) for column in powers.T)

@@ -5,7 +5,8 @@ Python integers, U-statistic sign pairings and one-order passes, the scalar and
 array walk transitions, the exact discrete chain norm, the constant
 amplitude, the whole-chunk bodies of the walk and importance-sampling
 kernels, the local-CLT distance by adaptive 2-D quadrature, the chaos
-grid's exact order variances on the cut grid, and the KS p-value. Each is
+grid's exact order variances on the cut grid, the chaos terms with fresh
+FFT arrays at every order, and the KS p-value. Each is
 exponential, scalar or unoptimised on purpose, or a plain reference that
 no experiment needs, and checks a production kernel of collisim from an
 independent route.
@@ -489,10 +490,40 @@ def cut_grid_order_variances(grid, gamma: float, order: int) -> np.ndarray:
     with np.errstate(under="ignore"):
         gen[1:] = K.heat_kernel(np.arange(1, t_cells)[:, None] * grid.dt, offsets[None, :]) ** 2
     kern = np.fft.rfft2(gen, s=(C._fast_len(2 * t_cells - 1), C._fast_len(2 * x_cells - 1)))
+    buffers = C._propagation_buffers(grid)
     w = gamma * gamma * grid.dt * grid.dx
     v = w * K.heat_kernel(grid.time_centers()[:, None], grid.space_centers()[None, :]) ** 2
     sums = [v.sum()]
     for _ in range(2, order + 1):
-        v = w * C._propagate(v, kern)
+        v = w * C._propagate(v, kern, buffers)
         sums.append(v.sum())
     return np.array(sums[:order])
+
+
+def unbuffered_chaos_terms(a, grid, order: int, master_seed: int, n_replicas: int,
+                           replica_offset: int = 0) -> np.ndarray:
+    """chaos.simulate_Z_batch with fresh arrays at every order: per order one
+    rfft2 of the field, the product with the kernel spectrum, the time-axis
+    ifft and the irfft of the kept rows, each a new array."""
+    t_cells, x_cells = grid.time_cells, grid.space_cells
+    tc, xc = grid.time_centers(), grid.space_centers()
+    amp = np.asarray(a(tc[:, None], xc[None, :]), dtype=float)
+    rho0 = K.heat_kernel(tc[:, None], xc[None, :])
+    terms = np.zeros((n_replicas, order + 1))
+    terms[:, 0] = 1.0
+    if order == 0:
+        return terms
+    kern = C._kernel_fft(grid)
+    shape = (kern.shape[0], C._fast_len(2 * x_cells - 1))
+    sigma = math.sqrt(grid.dt * grid.dx)
+    for r in range(n_replicas):
+        xi = substream(master_seed, replica_offset + r).standard_normal((t_cells, x_cells)) * sigma
+        v = amp * rho0 * xi
+        terms[r, 1] = v.sum()
+        for n in range(2, order + 1):
+            rows = np.fft.ifft(np.fft.rfft2(v, s=shape) * kern, n=shape[0], axis=0)[1:t_cells]
+            w = np.zeros_like(v)
+            w[1:] = np.fft.irfft(rows, n=shape[1], axis=1)[:, x_cells - 1 : 2 * x_cells - 1]
+            v = amp * xi * w
+            terms[r, n] = v.sum()
+    return terms

@@ -11,7 +11,7 @@ from collisim.environment import ContinuumAmplitude
 from collisim.harness import summarize
 from collisim.kernels import rho_chain_norm_sq
 from collisim.rngs import substream
-from oracles import cut_grid_order_variances
+from oracles import cut_grid_order_variances, unbuffered_chaos_terms
 
 
 def _const_amp(gamma):
@@ -105,13 +105,14 @@ def test_fft_propagation_does_not_wrap(time_cells, dx, cutoff):
     grid = C.WhiteNoiseGrid(time_cells, dx, cutoff)
     t_cells, x_cells = time_cells, grid.space_cells
     kern = C._kernel_fft(grid)
+    buffers = C._propagation_buffers(grid)
     t_idx = np.arange(t_cells)[:, None]
     x_idx = np.arange(x_cells)[None, :]
     atol = 1e-12 * _heat(grid.dt, 0.0)
     for s, y in ((0, 0), (0, x_cells - 1), (t_cells - 1, 0), (t_cells - 1, x_cells - 1)):
         v = np.zeros((t_cells, x_cells))
         v[s, y] = 1.0
-        w = C._propagate(v, kern)
+        w = C._propagate(v, kern, buffers)
         lag = np.maximum(t_idx - s, 1) * grid.dt
         expected = np.where(t_idx > s, _heat(lag, (x_idx - y) * dx), 0.0)
         assert np.all(w[0] == 0.0)
@@ -133,7 +134,44 @@ def test_propagate_is_the_irfft2_formula_bit_for_bit(refinements):
     full = np.fft.irfft2(np.fft.rfft2(v, s=shape) * kern, s=shape)
     want = np.zeros_like(v)
     want[1:] = full[1:t_cells, x_cells - 1:2 * x_cells - 1]
-    assert C._propagate(v, kern).tobytes() == want.tobytes()
+    assert C._propagate(v, kern, C._propagation_buffers(grid)).tobytes() == want.tobytes()
+
+
+def test_propagate_only_reads_its_field_and_keeps_the_padding_zero():
+    grid = C.WhiteNoiseGrid(64, 0.0875)
+    kern = C._kernel_fft(grid)
+    buffers = C._propagation_buffers(grid)
+    spec, _, back = buffers
+    for seed in (1, 2):
+        v = substream(78, seed).standard_normal((grid.time_cells, grid.space_cells))
+        copy = v.copy()
+        C._propagate(v, kern, buffers)
+        assert v.tobytes() == copy.tobytes()
+        # the rows past the field keep the zero padding of the time transform,
+        # and no chain ends in slice 0
+        assert not spec[grid.time_cells:].any()
+        assert not back[0].any()
+
+
+# the default chaos grid and a small one; a constant amplitude and a bump
+BUFFERED_CASES = [(C.WhiteNoiseGrid(16, 0.25), _const_amp(0.7)),
+                  (C.WhiteNoiseGrid(16, 0.25), gaussian_bump(0.5, 1.0)),
+                  (C.WhiteNoiseGrid(64, 0.0875), _const_amp(1 / math.sqrt(2))),
+                  (C.WhiteNoiseGrid(64, 0.0875), gaussian_bump(0.5, 1.0))]
+
+
+@pytest.mark.parametrize("grid, amp", BUFFERED_CASES)
+def test_buffered_terms_are_the_unbuffered_loop_byte_for_byte(grid, amp):
+    got = C.simulate_Z_batch(amp, grid, 6, 31, 4, replica_offset=5)
+    want = unbuffered_chaos_terms(amp, grid, 6, 31, 4, replica_offset=5)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("grid, amp", BUFFERED_CASES[::3])
+def test_buffers_carry_nothing_between_replicas(grid, amp):
+    batch = C.simulate_Z_batch(amp, grid, 6, 32, 5, replica_offset=2)
+    singles = [C.simulate_Z_batch(amp, grid, 6, 32, 1, replica_offset=2 + r) for r in range(5)]
+    assert batch.tobytes() == np.concatenate(singles).tobytes()
 
 
 def test_mean_one_over_seeds():

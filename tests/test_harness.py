@@ -665,6 +665,18 @@ def test_chaos_experiment_small():
     assert rep.passed, [v.detail for v in rep.verdicts if not v.passed]
 
 
+def test_chaos_experiment_rejects_a_grid_cut_below_six(monkeypatch):
+    # at cutoff 2 the exact second moment is about 4.6e-5 above the sampled
+    # grid's, so the experiment refuses the grid before it draws a sample
+    def no_sample(*args, **kwargs):
+        raise AssertionError("sampled a grid it should refuse")
+
+    monkeypatch.setattr(CH, "estimate_Z_moments", no_sample)
+    with pytest.raises(CH.GridError, match="cutoff") as err:
+        H.chaos_experiment(math.sqrt(2) * 0.5, CH.WhiteNoiseGrid(64, 0.0875, 2.0), 6, 40, 5)
+    assert err.value.fields == ("cutoff",)
+
+
 def test_chaos_grid_second_moment_is_the_exact_scheme_value():
     gamma, dx = math.sqrt(2) * 0.5, math.sqrt(1 / 8) * 0.999 / 2
     sampled = CH.WhiteNoiseGrid(16, dx, 6.0)
