@@ -264,8 +264,9 @@ def _squared_kernel_sums(times: np.ndarray, points: np.ndarray, dx: float) -> np
 
 
 def scheme_order_variances(grid: WhiteNoiseGrid, gamma: float, order: int) -> np.ndarray:
-    """Exact variance of each chaos term for constant amplitude gamma on the
-    given grid (the discrete counterpart of gamma^(2n) ||rho_n||_2^2).
+    """Exact variance of each chaos term n = 1..order for constant amplitude
+    gamma on the given grid (the discrete counterpart of gamma^(2n)
+    ||rho_n||_2^2); none at order 0.
 
     Spatial sums over increments use the full difference grid, neglecting
     the cutoff-edge deficit: below rounding at the default cutoff 6, which
@@ -277,15 +278,15 @@ def scheme_order_variances(grid: WhiteNoiseGrid, gamma: float, order: int) -> np
     dt, dx, t_cells = grid.dt, grid.dx, grid.time_cells
     diffs = np.arange(-2 * grid.space_cells, 2 * grid.space_cells + 1) * dx
     s_lag = _squared_kernel_sums(np.arange(1, t_cells) * dt, diffs, dx)
-    variances = np.zeros(order + 1)
+    variances = np.zeros(order)
     # weight of chains ending at each slice: origin-anchored sums
     chain = _squared_kernel_sums(grid.time_centers(), grid.space_centers(), dx)
-    variances[1] = g2 * dt * chain.sum() if order >= 1 else 0.0
-    for n in range(2, order + 1):
-        # causal: chains ending at slice i extend those ending before it
-        chain = np.concatenate(([0.0], np.convolve(chain, s_lag)[: t_cells - 1]))
-        variances[n] = g2**n * dt**n * chain.sum()
-    return variances[1:]
+    for n in range(1, order + 1):
+        if n > 1:
+            # causal: chains ending at slice i extend those ending before it
+            chain = np.concatenate(([0.0], np.convolve(chain, s_lag)[: t_cells - 1]))
+        variances[n - 1] = g2**n * dt**n * chain.sum()
+    return variances
 
 
 #: the grids extrapolated_chain_norms fits: WhiteNoiseGrid(32, 0.175) and its

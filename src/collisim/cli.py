@@ -122,7 +122,9 @@ FIELDS = {
         "seed": (None, lambda value, where: parse_seed(value)),
         "out": ("runs/out", _path),
         "replicas": (10_000, _number(int, 1)),
-        "env_replicas": (2_000, _number(int, 1)),
+        # one environment would make every stderr 0; replicas stays >= 1, as
+        # collisions and tightness are pathwise
+        "env_replicas": (2_000, _number(int, 2)),
         "workers": (1, _number(int, 1)),
         "raw": (False, _flag),
     },

@@ -55,17 +55,6 @@ class CollisionMeasure:
         return float(self.weights.sum())
 
 
-def _sorted_measure(horizon, k, times, sites, weights) -> CollisionMeasure:
-    order = np.lexsort((sites, times))
-    return CollisionMeasure(
-        horizon,
-        np.asarray(times, dtype=np.int64)[order],
-        np.asarray(sites, dtype=np.int64)[order],
-        np.asarray(weights, dtype=np.int64)[order],
-        k,
-    )
-
-
 def detect_collisions(ensemble: WalkEnsemble) -> tuple[CollisionMeasure, CollisionMeasure]:
     """(with-multiplicity, distinct-event) collision measures of an ensemble.
 
@@ -81,11 +70,14 @@ def detect_collisions(ensemble: WalkEnsemble) -> tuple[CollisionMeasure, Collisi
     uniq, counts = np.unique(codes.ravel(), return_counts=True)
     hit = counts >= 2
     uniq, counts = uniq[hit], counts[hit]
+    # np.unique sorts the codes; as 0 < site + offset < 2 offset + 1, that is
+    # (time, site) order
     times = uniq // (2 * offset + 1)
     sites = uniq % (2 * offset + 1) - offset
     pair_weights = counts * (counts - 1) // 2
-    with_mult = _sorted_measure(ensemble.horizon, ensemble.k, times, sites, pair_weights)
-    distinct = _sorted_measure(ensemble.horizon, ensemble.k, times, sites, np.ones_like(pair_weights))
+    with_mult = CollisionMeasure(ensemble.horizon, times, sites, pair_weights, ensemble.k)
+    distinct = CollisionMeasure(ensemble.horizon, times, sites, np.ones_like(pair_weights),
+                                ensemble.k)
     return with_mult, distinct
 
 

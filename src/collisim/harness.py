@@ -21,6 +21,8 @@ import numpy as np
 from .chaos import GridError, WhiteNoiseGrid
 from .collisions import constant_fn, gaussian_bump
 from .environment import ContinuumAmplitude, disorder_from_function
+from .kernels import MonteCarloSummary, summarize
+from .kernels import NonFiniteSample  # noqa: F401  (what summarize raises, named here too)
 from .polymer import band_tail_bound, partition_samples, scaled_disorder
 from .rngs import substream
 from .walks import walk_positions
@@ -46,25 +48,6 @@ _WALK_CHUNK = 512  # most replicas per collision_statistics chunk
 _BLOCK_STEPS = 1 << 18  # walk-steps per block: at most about 3 MB of arrays
 
 
-class NonFiniteSample(RuntimeError):
-    """A replicate produced NaN or infinity."""
-
-
-@dataclass(frozen=True)
-class MonteCarloSummary:
-    n: int
-    mean: float
-    stderr: float
-
-    @property
-    def ci99(self) -> tuple[float, float]:
-        return (self.mean - _Z99 * self.stderr, self.mean + _Z99 * self.stderr)
-
-    def overlaps(self, other: "MonteCarloSummary") -> bool:
-        return self.ci99[0] <= other.ci99[1] and other.ci99[0] <= self.ci99[1]
-
-
-_Z99 = 2.576
 # verdict tolerances
 _GAP_FACTOR = 2.0      # duality: the |a-b| gap shrinks at least this much end to end
 _PLATEAU_SIGMA = 3.0   # expmoment, partition: final two rungs agree in combined stderr
@@ -76,16 +59,6 @@ _MEAN_SIGMA = 4.0      # chaos, partition, ustat-check: a sampled mean against i
 # chaos: the smallest grid cutoff at which scheme_order_variances, whose
 # spatial sums ignore the cut, is the sampled grid's E[Z^2] to rounding
 _EXACT_CUTOFF = 6.0
-
-
-def summarize(values) -> MonteCarloSummary:
-    values = np.asarray(values, dtype=float)
-    n = len(values)
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    if not (math.isfinite(mean) and math.isfinite(stderr)):
-        raise NonFiniteSample("a replicate, or the sum or squares of the replicates, is not finite")
-    return MonteCarloSummary(n, mean, stderr)
 
 
 def ks_two_sample(xs, ys) -> float:
@@ -554,7 +527,7 @@ def convergence_study(k: int, f: ContinuumAmplitude, n_ladder, n_replicas: int,
         raw[f"pi_prime_scaled_N{horizon}"] = pip
         diff = (stats["mass"] - stats["distinct_mass"]) / math.sqrt(horizon)
         mean_diff.append(summarize(diff))
-        rows.append({"N": horizon, "pi_mean": float(pi.mean()),
+        rows.append({"N": horizon, "pi_mean": summarize(pi).mean,
                      "mass_gap": _sum_dict(mean_diff[-1])})
     consec = []
     for a, b in zip(samples[:-1], samples[1:]):

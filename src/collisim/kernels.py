@@ -1,12 +1,19 @@
 """Walk and Gaussian transition kernels, chain products, block averages,
-closed-form L2 norms of Gaussian chains, and the exact local-CLT distance.
+closed-form L2 norms of Gaussian chains, the exact local-CLT distance, and
+the two shapes every result takes.
+
+Every sampled mean and its stderr comes from ``summarize`` (a
+``MonteCarloSummary``), and every computed value with a bound on its error
+is a ``Stated``; ``harness`` re-exports the first.
 
 Binomials live in log-space (gammaln). ``local_clt_distance_sq`` computes
 ||rho_1 - sqrt(N) p^N_1||_2^2 by a Gauss-Legendre rule per time row, with
 no sampling. No subcommand runs the importance sampler
 (``chain_norm_sq_mc``, ``local_clt_l2_error``): it is a test oracle, an
 independent Monte-Carlo check of that distance and of the closed-form
-chain norms.
+chain norms. It draws its proposal in chunks of ``_IS_BATCH`` points, each
+chunk's gaps in one call and then its increments in one call, and returns
+``summarize`` of the weighted ratios.
 
 scipy.special (gammaln, ndtr) is imported inside the functions that call
 it, so importing collisim loads numpy alone and only the commands that
@@ -38,9 +45,6 @@ CLT_NODES = 16
 
 #: proposal draws per importance-sampling chunk; the chunks fix the stream
 _IS_BATCH = 1 << 18
-
-#: proposal draws per block inside a chunk; the blocks bound memory
-_IS_BLOCK = 1 << 14
 
 
 class QuadratureError(ValueError):
@@ -168,10 +172,49 @@ def rho_chain_norm_sq(n: int) -> float:
 
 
 @dataclass(frozen=True)
-class ImportanceEstimate:
-    value: float
+class Stated:
+    """A computed value and a bound on its error, such as the mass a band
+    drops or the gap between two fits; floats, or arrays of one shape."""
+
+    value: float | np.ndarray
+    error: float | np.ndarray
+
+
+class NonFiniteSample(RuntimeError):
+    """A replicate produced NaN or infinity."""
+
+
+_Z99 = 2.576  # two-sided 99% normal quantile
+
+
+@dataclass(frozen=True)
+class MonteCarloSummary:
+    """The sample mean of n replicates and its standard error."""
+
+    n: int
+    mean: float
     stderr: float
-    n_samples: int
+
+    @property
+    def ci99(self) -> tuple[float, float]:
+        return (self.mean - _Z99 * self.stderr, self.mean + _Z99 * self.stderr)
+
+    def overlaps(self, other: "MonteCarloSummary") -> bool:
+        return self.ci99[0] <= other.ci99[1] and other.ci99[0] <= self.ci99[1]
+
+
+def summarize(values) -> MonteCarloSummary:
+    """Mean and standard error of a 1-D sample. The stderr is
+    std(ddof=1)/sqrt(n), and 0 for a single value. A NaN or infinite
+    replicate, or a sum or sum of squares that overflows, raises
+    NonFiniteSample, so no non-finite mean or stderr is ever returned."""
+    values = np.asarray(values, dtype=float)
+    n = len(values)
+    mean = float(values.mean())
+    stderr = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    if not (math.isfinite(mean) and math.isfinite(stderr)):
+        raise NonFiniteSample("a replicate, or the sum or squares of the replicates, is not finite")
+    return MonteCarloSummary(n, mean, stderr)
 
 
 # proposal: Dirichlet(3/4) gaps and Student-t(3) spatial increments at
@@ -186,26 +229,15 @@ _PROPOSAL_XSCALE_SQ = 0.75
 _T3_LOG_NORM = math.log(2.0 / (math.pi * math.sqrt(3.0)))
 
 
-def _proposal_gaps(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """(size, n) Dirichlet time gaps of the chain proposal, drawn in blocks of
-    _IS_BLOCK rows; Generator.dirichlet draws row by row, so the blocks
-    equal one call."""
-    alpha = np.full(n + 1, _PROPOSAL_ALPHA)
-    alpha[-1] = 1.0
-    gaps = np.empty((size, n))
-    for lo in range(0, size, _IS_BLOCK):
-        hi = min(lo + _IS_BLOCK, size)
-        gaps[lo:hi] = rng.dirichlet(alpha, size=hi - lo)[:, :n]
-    return gaps
-
-
-def _proposal_points(gaps: np.ndarray, rng: np.random.Generator):
-    """(t, x, log q) for given time gaps: the Student-t(3) increments are
-    drawn row-major from rng, so consecutive row blocks equal one call."""
+def sample_chain_proposal(n: int, size: int, rng: np.random.Generator):
+    """Draw (t, x, log q) from the tempered chain proposal on the simplex:
+    every gap in one dirichlet call, then every increment in one
+    standard_t call."""
     from scipy.special import gammaln
 
-    n = gaps.shape[1]
-    gaps = np.maximum(gaps, 1e-300)
+    alpha = np.full(n + 1, _PROPOSAL_ALPHA)
+    alpha[-1] = 1.0
+    gaps = np.maximum(rng.dirichlet(alpha, size=size)[:, :n], 1e-300)
     times = np.cumsum(gaps, axis=1)
     log_qt = (
         gammaln(n * _PROPOSAL_ALPHA + 1.0)
@@ -220,35 +252,24 @@ def _proposal_points(gaps: np.ndarray, rng: np.random.Generator):
     return times, xs, log_qt + log_qx
 
 
-def sample_chain_proposal(n: int, size: int, rng: np.random.Generator):
-    """Draw (t, x, log q) from the tempered chain proposal on the simplex:
-    every gap first, then every increment."""
-    return _proposal_points(_proposal_gaps(n, size, rng), rng)
-
-
-def _importance_sample(n: int, budget: int, rng: np.random.Generator, h) -> ImportanceEstimate:
-    """Mean of h(t, x)^2 / q over budget proposal draws. Each _IS_BATCH chunk
-    draws its gaps, then its increments block by block, so only one block's
-    points are held at a time and the draws equal sample_chain_proposal's
-    over the whole chunk."""
+def _importance_sample(n: int, budget: int, rng: np.random.Generator, h) -> MonteCarloSummary:
+    """Mean of h(t, x)^2 / q over budget proposal draws, taken in chunks of
+    _IS_BATCH draws."""
     ratios = np.empty(budget)
     for done in range(0, budget, _IS_BATCH):
-        gaps = _proposal_gaps(n, min(_IS_BATCH, budget - done), rng)
-        for lo in range(0, len(gaps), _IS_BLOCK):
-            t, x, logq = _proposal_points(gaps[lo:lo + _IS_BLOCK], rng)
-            values = h(t, x)
-            ratios[done + lo:done + lo + len(values)] = values * values * np.exp(-logq)
-    return ImportanceEstimate(float(ratios.mean()),
-                              float(ratios.std(ddof=1) / math.sqrt(len(ratios))), len(ratios))
+        t, x, logq = sample_chain_proposal(n, min(_IS_BATCH, budget - done), rng)
+        values = h(t, x)
+        ratios[done:done + len(values)] = values * values * np.exp(-logq)
+    return summarize(ratios)
 
 
-def chain_norm_sq_mc(n: int, budget: int, rng: np.random.Generator) -> ImportanceEstimate:
+def chain_norm_sq_mc(n: int, budget: int, rng: np.random.Generator) -> MonteCarloSummary:
     """Importance-sampled ||rho_n||_2^2 (independent check of the closed form)."""
     return _importance_sample(n, budget, rng, chain_density_gaussian_batch)
 
 
 def local_clt_l2_error(n: int, horizon: int, budget: int,
-                       rng: np.random.Generator) -> ImportanceEstimate:
+                       rng: np.random.Generator) -> MonteCarloSummary:
     """Estimate of ||rho_n - N^(n/2) p^N_n||_2^2 with a standard error.
 
     Report is the squared distance; take sqrt for the L2 distance. The
@@ -259,15 +280,6 @@ def local_clt_l2_error(n: int, horizon: int, budget: int,
     scale = float(horizon) ** (n / 2.0)
     return _importance_sample(n, budget, rng, lambda t, x: (
         chain_density_gaussian_batch(t, x) - scale * discrete_kernel_pNn_batch(t, x, horizon)))
-
-
-@dataclass(frozen=True)
-class Stated:
-    """A computed value and a bound on its error, such as the mass a band
-    drops or the gap between two fits; floats, or arrays of one shape."""
-
-    value: float | np.ndarray
-    error: float | np.ndarray
 
 
 def local_clt_distance_sq(horizon: int) -> Stated:

@@ -3,10 +3,10 @@ enumeration, subset expansions, the scalar cell map, the return-time
 law, the splitmix64/v1 cell hash and transfer, the splitmix64/v2 sign in
 Python integers, U-statistic sign pairings and one-order passes, the scalar and
 array walk transitions, the exact discrete chain norm, the constant
-amplitude, the whole-chunk bodies of the walk and importance-sampling
-kernels, the local-CLT distance by adaptive 2-D quadrature, the chaos
-grid's exact order variances on the cut grid, the chaos terms with fresh
-FFT arrays at every order, and the KS p-value. Each is
+amplitude, the whole-chunk bodies of the walk kernels, the local-CLT
+distance by adaptive 2-D quadrature, the chaos grid's exact order
+variances on the cut grid, the chaos terms with fresh FFT arrays at every
+order, and the KS p-value. Each is
 exponential, scalar or unoptimised on purpose, or a plain reference that
 no experiment needs, and checks a production kernel of collisim from an
 independent route.
@@ -421,39 +421,6 @@ def collision_statistics_whole_chunk(k: int, horizon: int, f, n_replicas: int,
     merged["pi_scaled"] = merged["pi_f"] / sqrt_n
     merged["exp_pi"] = np.exp(merged["pi_scaled"])
     return merged
-
-
-def sample_chain_proposal_whole_chunk(n: int, size: int, rng: np.random.Generator):
-    """kernels.sample_chain_proposal with one dirichlet and one standard_t call."""
-    alpha = np.full(n + 1, K._PROPOSAL_ALPHA)
-    alpha[-1] = 1.0
-    gaps = rng.dirichlet(alpha, size=size)[:, :n]
-    gaps = np.maximum(gaps, 1e-300)
-    times = np.cumsum(gaps, axis=1)
-    log_qt = (
-        gammaln(n * K._PROPOSAL_ALPHA + 1.0)
-        - n * gammaln(K._PROPOSAL_ALPHA)
-        + (K._PROPOSAL_ALPHA - 1.0) * np.log(gaps).sum(axis=1)
-    )
-    scale = np.sqrt(K._PROPOSAL_XSCALE_SQ * gaps)
-    u = rng.standard_t(3, size=(size, n))
-    incr = u * scale
-    log_qx = (K._T3_LOG_NORM - 2.0 * np.log1p(u * u / 3.0) - np.log(scale)).sum(axis=1)
-    xs = np.cumsum(incr, axis=1)
-    return times, xs, log_qt + log_qx
-
-
-def importance_sample_whole_chunk(n: int, budget: int, rng: np.random.Generator, h):
-    """kernels._importance_sample with every _IS_BATCH chunk drawn and
-    weighted at once."""
-    chunks = []
-    for done in range(0, budget, K._IS_BATCH):
-        t, x, logq = sample_chain_proposal_whole_chunk(n, min(K._IS_BATCH, budget - done), rng)
-        values = h(t, x)
-        chunks.append(values * values * np.exp(-logq))
-    ratios = np.concatenate(chunks)
-    return K.ImportanceEstimate(float(ratios.mean()),
-                                float(ratios.std(ddof=1) / math.sqrt(len(ratios))), len(ratios))
 
 
 def local_clt_distance_sq_dense(horizon: int, reach: float = 10.0) -> float:

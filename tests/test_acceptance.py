@@ -86,7 +86,7 @@ def test_criterion_03_closed_form_norms():
     for n in (1, 2, 3, 4):
         est = K.chain_norm_sq_mc(n, 1_000_000, substream(1003, n))
         closed = K.rho_chain_norm_sq(n)
-        rel = abs(est.value - closed) / closed
+        rel = abs(est.mean - closed) / closed
         ok &= rel <= 0.01
         details.append(f"n={n}: {rel:.4%}")
     elapsed = time.perf_counter() - started
@@ -102,7 +102,7 @@ def test_criterion_04_local_clt_ladder():
     dists = []
     for horizon in (16, 64, 256, 1024, 4096):
         est = K.local_clt_l2_error(1, horizon, 120_000, rng)
-        dist = math.sqrt(max(est.value, 0.0))
+        dist = math.sqrt(max(est.mean, 0.0))
         se = est.stderr / (2.0 * dist)
         dists.append(f"{dist:.4f}")
         if prev is not None:

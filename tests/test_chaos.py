@@ -246,6 +246,15 @@ def test_scheme_variances_match_lag_loop(time_cells):
     assert np.all(np.abs(got - ref) <= 1e-13 * ref), np.abs(got - ref) / ref
 
 
+def test_scheme_variances_of_a_lower_order_are_a_prefix():
+    grid = _grid(16)
+    full = C.scheme_order_variances(grid, 0.8, 6)
+    for order in range(6):
+        got = C.scheme_order_variances(grid, 0.8, order)
+        assert got.tobytes() == full[:order].tobytes(), order
+    assert C.scheme_order_variances(grid, 0.8, 0).shape == (0,)
+
+
 def test_scheme_variances_match_the_cut_grid_at_the_default_cutoff():
     # the sampled grid of the chaos defaults, cut at +-6: the uncut
     # difference sums of the scheme miss nothing above rounding

@@ -111,6 +111,9 @@ def test_bad_env_budget_named(tmp_path, capsys, budget):
     ("chaos", {"chaos": {"gamma": 7.3}}, "chaos.gamma"),
     ("chaos", {"chaos": {"gamma": -7.3}}, "chaos.gamma"),
     ("chaos", {"chaos": {"gamma": 1e200}}, "chaos.gamma"),
+    # one environment makes every stderr 0, so mean-one would fail whatever the code does
+    ("partition", {"walks": {"k": 2, "n_ladder": [64]}, "run": {"env_replicas": 1}},
+     "run.env_replicas"),
 ])
 def test_bad_config_value_named(tmp_path, capsys, command, doc, field):
     cfg = write_cfg(tmp_path, doc)
@@ -281,6 +284,19 @@ def test_chaos_past_the_tail_peak_reports_a_finite_bound(tmp_path):
     assert run_cli(["chaos", "--config", cfg, "--seed", "1", "--out", str(out)]) in (0, 1)
     tables = json.loads((out / "report.json").read_text())["tables"]
     assert math.isfinite(tables["truncation_bound"]) and tables["truncation_bound"] > 0
+
+
+def test_chaos_at_order_zero_reports_unit_moments(tmp_path):
+    # order 0 keeps term_0 = 1 alone: no order variances, so the grid's E[Z^2]
+    # is 1, every sampled power is 1, and both verdicts pass
+    out = tmp_path / "c"
+    cfg = write_cfg(tmp_path, {"chaos": {"order": 0, "replicas": 10}})
+    assert run_cli(["chaos", "--config", cfg, "--seed", "1", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["tables"]["grid_second_moment"] == 1.0
+    assert report["tables"]["moments"] == [1.0, 1.0]
+    assert report["tables"]["stderrs"] == [0.0, 0.0]
+    assert [v["passed"] for v in report["verdicts"]] == [True, True]
 
 
 def test_chaos_target_at_large_alpha_runs(tmp_path):

@@ -399,11 +399,6 @@ def test_collision_statistics_memory_is_bounded():
     assert _traced_peak_mb(lambda: H.collision_statistics(3, 1024, f, 512, 3)) < 4.0
 
 
-def test_importance_sampler_memory_is_bounded():
-    # one full 2^18-draw chunk at order 4: whole-chunk proposals took 66 MB
-    assert _traced_peak_mb(lambda: K.chain_norm_sq_mc(4, 2**18, substream(3, 4))) < 24.0
-
-
 def test_duality_experiment_zero_function():
     rep = H.duality_experiment(2, constant_fn(0.0), [8, 16], 300, 300, 23)
     assert rep.passed
