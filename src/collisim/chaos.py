@@ -32,7 +32,7 @@ import numpy as np
 
 from .environment import ContinuumAmplitude
 from .kernels import Stated, heat_kernel, log_rho_chain_norm_sq, rho_chain_norm_sq
-from .rngs import substream
+from .rngs import CHAOS, substream
 
 __all__ = [
     "WhiteNoiseGrid",
@@ -183,15 +183,16 @@ def _propagate(v: np.ndarray, kernel_fft: np.ndarray,
 
 
 def simulate_Z_batch(a: ContinuumAmplitude, grid: WhiteNoiseGrid, order: int,
-                     master_seed: int, n_replicas: int, replica_offset: int = 0) -> np.ndarray:
+                     master_seed: int, n_replicas: int) -> np.ndarray:
     """(n_replicas, order+1) per-order chaos terms, term_0 = 1.
 
     Replica r draws its cell Gaussians from
-    substream(master_seed, replica_offset + r), so batching is invisible to
-    results. Each order after the first is one FFT convolution
-    (``_propagate``): O(TX log(TX)) per order and replica, exact up to
-    rounding. The field, the noise and the FFT buffers are allocated once
-    per call; each order overwrites the field in place.
+    substream(master_seed, CHAOS, grid.time_cells, r), so batching is
+    invisible to results: a call's first m replicas are an m-replica call.
+    Each order after the first is one FFT convolution (``_propagate``):
+    O(TX log(TX)) per order and replica, exact up to rounding. The field,
+    the noise and the FFT buffers are allocated once per call; each order
+    overwrites the field in place.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -210,7 +211,7 @@ def simulate_Z_batch(a: ContinuumAmplitude, grid: WhiteNoiseGrid, order: int,
     sigma = math.sqrt(grid.dt * grid.dx)
     xi, amp_xi, v = (np.empty((t_cells, x_cells)) for _ in range(3))
     for r in range(n_replicas):
-        substream(master_seed, replica_offset + r).standard_normal(out=xi)
+        substream(master_seed, CHAOS, t_cells, r).standard_normal(out=xi)
         xi *= sigma
         np.multiply(amp, xi, out=amp_xi)
         np.multiply(amp_rho0, xi, out=v)
@@ -235,19 +236,14 @@ def estimate_Z_moments(a: ContinuumAmplitude, grid: WhiteNoiseGrid, order: int, 
                        n_replicas: int, master_seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-replica powers of the simulated chaos value on grid: the
     (n_replicas, k) antithetic powers, column j - 1 estimating E[Z^j], and
-    the (n_replicas,) values of Z. The caller summarises the columns it reads.
-
-    Replica r draws from substream(master_seed, n_replicas + r), the key it
-    held when a coarse pass took keys 0..n_replicas-1 and this grid was its
-    refinement. The key stays until one typed key schema changes every
-    stream at once, so each sampled number stays bit-identical meanwhile.
+    the (n_replicas,) values of Z, replica r being replica r of
+    simulate_Z_batch. The caller summarises the columns it reads.
 
     Each replica is an antithetic pair in the noise sign: flipping the field
     flips exactly the odd-order terms, so the mirrored value costs nothing
     and cancels the dominant odd-chaos noise in the moment estimates.
     """
-    terms = simulate_Z_batch(a, grid, order, master_seed, n_replicas,
-                             replica_offset=n_replicas)
+    terms = simulate_Z_batch(a, grid, order, master_seed, n_replicas)
     signs = (-1.0) ** np.arange(order + 1)
     exponents = np.arange(1, k + 1)
     plus = terms.sum(axis=1)

@@ -25,13 +25,17 @@ from . import __version__, harness, polymer
 from .chaos import NORM_LADDER, GridError, GridResolutionError, WhiteNoiseGrid
 from .collisions import gaussian_bump
 from .kernels import CLT_MIN_BUDGET
-from .rngs import HASH_VERSION
+from .rngs import HASH_VERSION, STREAM_SCHEMA
 from .ustat import MIN_REPLICAS as USTAT_MIN_REPLICAS
 
 COMMANDS = (
     "collisions", "partition", "chaos", "duality", "expmoment",
     "tightness", "convergence", "kernels-check", "ustat-check",
 )
+
+#: the fewest run.replicas a command takes where one would make every stderr 0;
+#: the rest take 1 (collisions and tightness are pathwise)
+MIN_REPLICAS = {"expmoment": 2, "duality": 2, "convergence": 2, "ustat-check": USTAT_MIN_REPLICAS}
 
 
 class ConfigError(ValueError):
@@ -121,10 +125,8 @@ FIELDS = {
         # required: reproducibility forbids wall-clock defaults
         "seed": (None, lambda value, where: parse_seed(value)),
         "out": ("runs/out", _path),
-        "replicas": (10_000, _number(int, 1)),
-        # one environment would make every stderr 0; replicas stays >= 1, as
-        # collisions and tightness are pathwise
-        "env_replicas": (2_000, _number(int, 2)),
+        "replicas": (10_000, _number(int, 1)),  # and at least MIN_REPLICAS[command]
+        "env_replicas": (2_000, _number(int, 2)),  # one field would make every stderr 0
         "workers": (1, _number(int, 1)),
         "raw": (False, _flag),
     },
@@ -242,8 +244,9 @@ def load_config(args: argparse.Namespace) -> dict:
             cfg["run"][name] = getattr(args, name)
     cfg = validate(cfg)
     check_exponents(args.command, cfg)
-    if args.command == "ustat-check" and cfg["run"]["replicas"] < USTAT_MIN_REPLICAS:
-        raise ConfigError(f"run.replicas: ustat-check needs at least {USTAT_MIN_REPLICAS}, "
+    floor = MIN_REPLICAS.get(args.command, 1)
+    if cfg["run"]["replicas"] < floor:
+        raise ConfigError(f"run.replicas: {args.command} needs at least {floor}, "
                           f"got {cfg['run']['replicas']}")
     return cfg
 
@@ -308,6 +311,7 @@ def write_outputs(report: harness.ExperimentReport, cfg: dict, command: str,
         "seed": cfg["run"]["seed"],
         "artifact_version": __version__,
         "hash_function": HASH_VERSION,
+        "stream_schema": STREAM_SCHEMA,
         "band_sigmas": polymer.BAND_SIGMAS,
         "report_schema": 1,
         "config": cfg,

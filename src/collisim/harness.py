@@ -2,12 +2,12 @@
 verification experiments.
 
 Every experiment is a pure function of (config, master seed). The walk and
-environment sweeps share one chunk rule (_sweep): chunk idx of a sweep at
-seed s with purpose tag p draws from the stream substream(s, p, idx), so
-reruns and worker counts cannot change results. Each experiment calls its
-samplers itself, with the grids and functions it is given. Verdicts are
-computed from the statistics stored in the report tables, at the fixed
-tolerances below.
+environment sweeps share one chunk rule (_sweep): chunk idx of a sweep of
+horizon N at seed s draws from the stream substream(s, purpose, N, idx)
+(see rngs), so reruns and worker counts cannot change results. Each
+experiment calls its samplers itself, with the grids and functions it is
+given. Verdicts are computed from the statistics stored in the report
+tables, at the fixed tolerances below.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .environment import ContinuumAmplitude, disorder_from_function
 from .kernels import MonteCarloSummary, summarize
 from .kernels import NonFiniteSample  # noqa: F401  (what summarize raises, named here too)
 from .polymer import band_tail_bound, partition_samples, scaled_disorder
-from .rngs import substream
+from .rngs import ENVIRONMENT, WALKS, substream
 from .walks import walk_positions
 # No experiment calls sample_ensemble, positions_from_steps, detect_collisions,
 # integrate or collision_weights: they are imported only because
@@ -35,12 +35,8 @@ from .collisions import detect_collisions, integrate  # noqa: F401
 from .polymer import collision_weights  # noqa: F401
 from .walks import positions_from_steps, sample_ensemble  # noqa: F401
 
-# purpose tags for seed derivation (keep stable across versions)
-_TAG_WALKS = 1
-_TAG_ENV = 2
-
 _ENV_CHUNK = 256  # environments per partition_sweep chunk: a few MB of transfer state
-# Chunks fix the walk streams: chunk idx draws from (seed, _TAG_WALKS, idx).
+# Chunks fix the walk streams: chunk idx draws from (seed, WALKS, N, idx).
 # Blocks bound memory: a chunk is drawn from its stream in blocks of about
 # _BLOCK_STEPS walk-steps, and no block changes a bit (see _walk_sweep).
 _LOCAL_TIME_CHUNK = 2048  # walks per local_time_counts chunk
@@ -119,17 +115,17 @@ class ExperimentReport:
 # batched walk-side collision statistics
 
 
-def _sweep(body, total: int, chunk: int, master_seed: int, tag: int, workers: int) -> list:
+def _sweep(body, total: int, chunk: int, key: tuple, workers: int) -> list:
     """body(rng, size) for each chunk of the total replicas, in chunk order:
     chunk idx holds min(chunk, total - idx chunk) replicas and draws from the
-    stream substream(master_seed, tag, idx). The chunks are shared over a
-    pool of workers threads, and neither the pool nor the order in which
-    chunks finish changes a result."""
+    stream substream(*key, idx), key being (master_seed, purpose, size). The
+    chunks are shared over a pool of workers threads, and neither the pool
+    nor the order in which chunks finish changes a result."""
     if total < 1:
         raise ValueError(f"n_replicas must be >= 1, got {total}")
 
     def run(idx):
-        return body(substream(master_seed, tag, idx), min(chunk, total - idx * chunk))
+        return body(substream(*key, idx), min(chunk, total - idx * chunk))
 
     chunks = range(-(-total // chunk))
     if workers > 1:
@@ -148,13 +144,13 @@ def _concat(parts: list) -> dict:
 def _walk_sweep(block_fn, shape: tuple, horizon: int, total: int, chunk: int,
                 master_seed: int, workers: int) -> dict:
     """The per-replica arrays of block_fn(positions), a dict, concatenated over
-    every block of a _sweep of walks (tag _TAG_WALKS). Each chunk is drawn
-    from its stream one block after another, each of shape (block, *shape,
-    horizon), and joined before the next chunk starts, so no block's
-    arrays outlive their chunk. A block is a multiple of 8 replicas, so
-    every block but a chunk's ragged last covers a multiple of 8 steps and
-    the blocks reproduce walk_positions(rng, (size, *shape), horizon) bit
-    for bit."""
+    every block of a _sweep of walks (key (master_seed, WALKS, horizon)).
+    Each chunk is drawn from its stream one block after another, each of
+    shape (block, *shape, horizon), and joined before the next chunk starts,
+    so no block's arrays outlive their chunk. A block is a multiple of 8
+    replicas, so every block but a chunk's ragged last covers a multiple of 8
+    steps and the blocks reproduce walk_positions(rng, (size, *shape),
+    horizon) bit for bit."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     block = max(8, _BLOCK_STEPS // (math.prod(shape) * horizon) // 8 * 8)
@@ -164,7 +160,7 @@ def _walk_sweep(block_fn, shape: tuple, horizon: int, total: int, chunk: int,
                                                 horizon))
                         for start in range(0, size, block)])
 
-    return _concat(_sweep(run, total, chunk, master_seed, _TAG_WALKS, workers))
+    return _concat(_sweep(run, total, chunk, (master_seed, WALKS, horizon), workers))
 
 
 STATISTICS = ("pi_f", "pi_prime_f", "mass", "distinct_mass", "t_sum", "prod_x", "max_abs",
@@ -206,7 +202,7 @@ def collision_statistics(k: int, horizon: int, f: ContinuumAmplitude, n_replicas
     subset changes no bit.
 
     Chunk idx holds min(_WALK_CHUNK, 2^22 / N) replicas (at least 32) and
-    draws from the stream (master_seed, _TAG_WALKS, idx), in blocks from
+    draws from the stream (master_seed, WALKS, horizon, idx), in blocks from
     _walk_sweep. Every output is per replica, and each replica's sums run
     in the same order inside a block as inside a whole chunk, so the blocks
     change no bit.
@@ -310,14 +306,16 @@ def partition_sweep(f: ContinuumAmplitude, horizon: int, n_replicas: int, master
                     workers: int = 1) -> np.ndarray:
     """z_N at A_N(n, z) = N^(-1/4) sqrt(max(f(n/N, z/sqrt N), 0)) over n_replicas
     hashed fields. Chunk idx draws its field seeds from the stream
-    (master_seed, _TAG_ENV, idx), so the values do not depend on the workers."""
+    (master_seed, ENVIRONMENT, horizon, idx), so the values do not depend on
+    the workers or on the other horizons of a ladder."""
     amplitude = disorder_from_function(sqrt_amplitude(f), horizon)
     amplitude = scaled_disorder(amplitude, horizon ** (-0.25))
 
     def run(rng, size):
         return partition_samples(horizon, amplitude, size, rng)
 
-    return np.concatenate(_sweep(run, n_replicas, _ENV_CHUNK, master_seed, _TAG_ENV, workers))
+    key = (master_seed, ENVIRONMENT, horizon)
+    return np.concatenate(_sweep(run, n_replicas, _ENV_CHUNK, key, workers))
 
 
 def local_time_counts(horizon: int, n_replicas: int, master_seed: int,
@@ -342,8 +340,8 @@ def duality_experiment(k: int, f: ContinuumAmplitude, n_ladder, n_walk_replicas:
     (b) E[prod(1+X)] over walks, (c) E[z_N^k] over environments; the (b)=(c)
     bridge is an exact identity, the (a)-(b) gap shrinks along the ladder.
     Given a chaos_grid, the chaos target E[Z^k] at amplitude sqrt(2 f) is
-    sampled on it to chaos_order with chaos_replicas replicas, from the key
-    master_seed + 99, and held against the largest horizon's (a).
+    sampled on it to chaos_order with chaos_replicas replicas, on the CHAOS
+    streams of master_seed, and held against the largest horizon's (a).
 
     The same walks carry the pathwise sandwich
     exp(S - c_N S / 2) <= prod(1+X) <= exp(S), S = sum X_n and
@@ -355,8 +353,8 @@ def duality_experiment(k: int, f: ContinuumAmplitude, n_ladder, n_walk_replicas:
     raw = {}
     verdicts = []
     c = math.sqrt(max(f.bound, 0.0))
-    for ni, horizon in enumerate(n_ladder):
-        stats = collision_statistics(k, horizon, f, n_walk_replicas, master_seed + ni, workers,
+    for horizon in n_ladder:
+        stats = collision_statistics(k, horizon, f, n_walk_replicas, master_seed, workers,
                                      outputs=("pi_f", "t_sum", "prod_x"))
         a_sum = summarize(stats["exp_pi"])
         b_sum = summarize(stats["prod_x"])
@@ -376,7 +374,7 @@ def duality_experiment(k: int, f: ContinuumAmplitude, n_ladder, n_walk_replicas:
         raw[f"exp_pi_N{horizon}"] = stats["exp_pi"]
         raw[f"prod_x_N{horizon}"] = stats["prod_x"]
         if n_env_replicas > 0:
-            z_vals = partition_sweep(f, horizon, n_env_replicas, master_seed + ni, workers)
+            z_vals = partition_sweep(f, horizon, n_env_replicas, master_seed, workers)
             c_sum = summarize(z_vals**k)
             row["z_to_k"] = _sum_dict(c_sum)
             row["band_tail_bound"] = band_tail_bound(horizon)
@@ -411,7 +409,7 @@ def duality_experiment(k: int, f: ContinuumAmplitude, n_ladder, n_walk_replicas:
         from .chaos import estimate_Z_moments
 
         powers, _ = estimate_Z_moments(sqrt_amplitude(f, 2.0), chaos_grid, chaos_order, k,
-                                       chaos_replicas, master_seed + 99)
+                                       chaos_replicas, master_seed)
         chaos_target = summarize(powers[:, k - 1])
         a_last = rows[-1]["exp_pi"]
         tol = 0.1 * abs(chaos_target.mean) + 3.0 * math.hypot(
@@ -449,8 +447,8 @@ def exponential_moment_probe(beta: float, n_ladder, n_replicas: int, master_seed
     n_ladder = list(n_ladder)
     rows = []
     raw = {}
-    for ni, horizon in enumerate(n_ladder):
-        counts = local_time_counts(horizon, n_replicas, master_seed + ni, workers)
+    for horizon in n_ladder:
+        counts = local_time_counts(horizon, n_replicas, master_seed, workers)
         vals = np.exp(beta * counts / math.sqrt(horizon))
         raw[f"exp_moment_N{horizon}"] = vals
         rows.append({"N": horizon, **_sum_dict(summarize(vals))})
@@ -479,7 +477,7 @@ def tightness_probe(k: int, n_ladder, m_ladder, n_replicas: int, master_seed: in
     mass_tail = np.zeros((len(n_ladder), len(m_ladder)))
     sup_tail = np.zeros_like(mass_tail)
     for ni, horizon in enumerate(n_ladder):
-        stats = collision_statistics(k, horizon, f1, n_replicas, master_seed + ni, workers,
+        stats = collision_statistics(k, horizon, f1, n_replicas, master_seed, workers,
                                      outputs=("mass", "max_abs"))
         scaled_mass = stats["mass"] / math.sqrt(horizon)
         for mi, m in enumerate(m_ladder):
@@ -516,8 +514,8 @@ def convergence_study(k: int, f: ContinuumAmplitude, n_ladder, n_replicas: int,
     samples, samples_prime, mean_diff = [], [], []
     rows = []
     raw = {}
-    for ni, horizon in enumerate(n_ladder):
-        stats = collision_statistics(k, horizon, f, n_replicas, master_seed + ni, workers,
+    for horizon in n_ladder:
+        stats = collision_statistics(k, horizon, f, n_replicas, master_seed, workers,
                                      outputs=("pi_f", "pi_prime_f", "mass", "distinct_mass"))
         pi = stats["pi_scaled"]
         pip = stats["pi_prime_f"] / math.sqrt(horizon)
@@ -529,9 +527,7 @@ def convergence_study(k: int, f: ContinuumAmplitude, n_ladder, n_replicas: int,
         mean_diff.append(summarize(diff))
         rows.append({"N": horizon, "pi_mean": summarize(pi).mean,
                      "mass_gap": _sum_dict(mean_diff[-1])})
-    consec = []
-    for a, b in zip(samples[:-1], samples[1:]):
-        consec.append(ks_two_sample(a, b))
+    consec = [ks_two_sample(a, b) for a, b in zip(samples, samples[1:])]
     ks_pi_pip = ks_two_sample(samples[-1], samples_prime[-1])
     verdicts = []
     if len(consec) >= 2:
@@ -573,11 +569,11 @@ def partition_experiment(n_ladder, k: int, f: ContinuumAmplitude, n_env_replicas
     raw = {}
     all_positive = True
     mean_one = True
-    for ni, horizon in enumerate(n_ladder):
+    for horizon in n_ladder:
         reps = n_env_replicas
         if env_budget is not None:
             reps = int(min(n_env_replicas, max(96, env_budget // horizon)))
-        vals = partition_sweep(f, horizon, reps, master_seed + ni, workers)
+        vals = partition_sweep(f, horizon, reps, master_seed, workers)
         raw[f"z_N{horizon}"] = vals
         s_mean = summarize(vals)
         s_k = summarize(vals**k)

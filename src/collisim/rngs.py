@@ -4,7 +4,11 @@ Two primitives shared by every stochastic module:
 
 * ``substream(master_seed, *key)`` derives an independent ``numpy`` generator
   from a master seed and an integer key path, so replica r always sees the
-  same stream regardless of execution order or worker count.
+  same stream regardless of execution order or worker count. Every sampled
+  stream is keyed (master_seed, purpose, size, index): a purpose below, the
+  sweep's horizon N (time_cells for CHAOS) and the chunk or replica. So no
+  two samples share a stream, and a rung's samples do not depend on its
+  ladder. Manifests record this schema as ``STREAM_SCHEMA``.
 * The Rademacher environment omega(n, z) = +-1 of a staged seed
   ``s0 = splitmix64(seed)`` is a pure function of the cell, hashed on
   demand (O(1) memory instead of materialized arrays). This module is the
@@ -34,6 +38,13 @@ from __future__ import annotations
 import numpy as np
 
 HASH_VERSION = "splitmix64/v2"
+STREAM_SCHEMA = "philox(seed, purpose, size, index)/v1"
+
+# stream purposes (keep stable across versions)
+WALKS = 1
+ENVIRONMENT = 2
+CHAOS = 3
+USTAT = 4
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -102,20 +113,10 @@ def cell_signs(s0, n, z) -> np.ndarray:
 
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for the replica identified by ``key``.
+    """Independent generator for the stream identified by ``key`` (see above).
 
     Pure function of (master_seed, key): parallel and serial sweeps agree
     bit-for-bit. Philox is counter-based, so spawned streams are cheap.
     """
     ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def child_seeds(master_seed: int, n: int, *prefix: int) -> np.ndarray:
-    """n distinct 63-bit integer seeds derived from (master_seed, prefix).
-
-    Used where a replica needs a plain integer seed (environment fields)
-    rather than a Generator.
-    """
-    ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(k) for k in prefix))
-    return ss.generate_state(n, dtype=np.uint64).astype(np.int64) & np.int64(0x7FFFFFFFFFFFFFFF)

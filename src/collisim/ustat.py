@@ -39,7 +39,7 @@ import numpy as np
 
 from .environment import DisorderFunction
 from .kernels import block_average_cells
-from .rngs import child_seeds, splitmix64, step_keys, window_bits
+from .rngs import USTAT, splitmix64, step_keys, substream, window_bits
 
 #: fewest replicas ustat_moment_suite accepts
 MIN_REPLICAS = 1000
@@ -130,11 +130,13 @@ def exact_second_moment(table: CellTable) -> np.ndarray:
 def ustat_moment_suite(table: CellTable, n_replicas: int, master_seed: int) -> np.ndarray:
     """The sampled U-statistics of orders 1 .. n over shared environment
     seeds, shape (n, n_replicas): the table and one pass over the times serve
-    every order and every replica, and field r has the seed
-    child_seeds(master_seed, n_replicas, 71)[r]. Each mean is exactly 0, so
-    the sample mean of S_k^2 estimates E[S_k^2] (exact_second_moment), and
-    the orders are uncorrelated.
+    every order and every replica. The field seeds are drawn as
+    polymer.partition_samples draws them, from the stream (master_seed, USTAT,
+    N, 0) at the table's horizon N. Each mean is exactly 0, so the sample mean
+    of S_k^2 estimates E[S_k^2] (exact_second_moment), and the orders are
+    uncorrelated.
     """
     if n_replicas < MIN_REPLICAS:
         raise ValueError(f"moment suite needs at least {MIN_REPLICAS} replicas")
-    return evaluate_table(table, child_seeds(master_seed, n_replicas, 71))
+    rng = substream(master_seed, USTAT, len(table.first_sites), 0)
+    return evaluate_table(table, rng.integers(2**63, size=n_replicas, dtype=np.int64))

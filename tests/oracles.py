@@ -27,7 +27,7 @@ from collisim import kernels as K
 from collisim.collisions import detect_collisions
 from collisim.environment import DisorderFunction
 from collisim.kernels import log_rw_transition
-from collisim.rngs import cell_signs, splitmix64, substream
+from collisim.rngs import CHAOS, WALKS, cell_signs, splitmix64, substream
 from collisim.walks import positions_from_steps, walk_positions
 
 #: exhaustive path enumeration is for tiny horizons only
@@ -358,7 +358,7 @@ def local_time_counts_whole_chunk(horizon: int, n_replicas: int, master_seed: in
 
     def run(chunk_spec):
         idx, start, size = chunk_spec
-        walks = walk_positions(substream(master_seed, H._TAG_WALKS, idx), (size,), horizon)
+        walks = walk_positions(substream(master_seed, WALKS, horizon, idx), (size,), horizon)
         return (walks == 0).sum(axis=1).astype(float)
 
     return np.concatenate([run(r) for r in chunk_ranges(n_replicas, H._LOCAL_TIME_CHUNK)])
@@ -376,7 +376,7 @@ def collision_statistics_whole_chunk(k: int, horizon: int, f, n_replicas: int,
 
     def run(chunk_spec):
         idx, start, size = chunk_spec
-        rng = substream(master_seed, H._TAG_WALKS, idx)
+        rng = substream(master_seed, WALKS, horizon, idx)
         walks = np.ascontiguousarray(walk_positions(rng, (size, k), horizon).transpose(1, 0, 2))
         pos = walks.reshape(k, size * horizon)
         below = np.zeros((k - 1, size * horizon), dtype=bool)
@@ -467,8 +467,7 @@ def cut_grid_order_variances(grid, gamma: float, order: int) -> np.ndarray:
     return np.array(sums[:order])
 
 
-def unbuffered_chaos_terms(a, grid, order: int, master_seed: int, n_replicas: int,
-                           replica_offset: int = 0) -> np.ndarray:
+def unbuffered_chaos_terms(a, grid, order: int, master_seed: int, n_replicas: int) -> np.ndarray:
     """chaos.simulate_Z_batch with fresh arrays at every order: per order one
     rfft2 of the field, the product with the kernel spectrum, the time-axis
     ifft and the irfft of the kept rows, each a new array."""
@@ -484,7 +483,7 @@ def unbuffered_chaos_terms(a, grid, order: int, master_seed: int, n_replicas: in
     shape = (kern.shape[0], C._fast_len(2 * x_cells - 1))
     sigma = math.sqrt(grid.dt * grid.dx)
     for r in range(n_replicas):
-        xi = substream(master_seed, replica_offset + r).standard_normal((t_cells, x_cells)) * sigma
+        xi = substream(master_seed, CHAOS, t_cells, r).standard_normal((t_cells, x_cells)) * sigma
         v = amp * rho0 * xi
         terms[r, 1] = v.sum()
         for n in range(2, order + 1):

@@ -10,7 +10,7 @@ from collisim.collisions import gaussian_bump
 from collisim.environment import ContinuumAmplitude
 from collisim.harness import summarize
 from collisim.kernels import rho_chain_norm_sq
-from collisim.rngs import substream
+from collisim.rngs import CHAOS, substream
 from oracles import cut_grid_order_variances, unbuffered_chaos_terms
 
 
@@ -40,7 +40,7 @@ def _lag_loop_terms(a, grid, order, master_seed, n_replicas):
     terms = np.zeros((n_replicas, order + 1))
     terms[:, 0] = 1.0
     for r in range(n_replicas):
-        xi = substream(master_seed, r).standard_normal((t_cells, x_cells)) * sigma
+        xi = substream(master_seed, CHAOS, t_cells, r).standard_normal((t_cells, x_cells)) * sigma
         v = amp * rho0 * xi
         terms[r, 1] = v.sum()
         for n in range(2, order + 1):
@@ -162,16 +162,30 @@ BUFFERED_CASES = [(C.WhiteNoiseGrid(16, 0.25), _const_amp(0.7)),
 
 @pytest.mark.parametrize("grid, amp", BUFFERED_CASES)
 def test_buffered_terms_are_the_unbuffered_loop_byte_for_byte(grid, amp):
-    got = C.simulate_Z_batch(amp, grid, 6, 31, 4, replica_offset=5)
-    want = unbuffered_chaos_terms(amp, grid, 6, 31, 4, replica_offset=5)
+    got = C.simulate_Z_batch(amp, grid, 6, 31, 4)
+    want = unbuffered_chaos_terms(amp, grid, 6, 31, 4)
     assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("grid, amp", BUFFERED_CASES[::3])
-def test_buffers_carry_nothing_between_replicas(grid, amp):
-    batch = C.simulate_Z_batch(amp, grid, 6, 32, 5, replica_offset=2)
-    singles = [C.simulate_Z_batch(amp, grid, 6, 32, 1, replica_offset=2 + r) for r in range(5)]
-    assert batch.tobytes() == np.concatenate(singles).tobytes()
+def test_buffers_carry_nothing_between_replicas(monkeypatch, grid, amp):
+    # keyed in reverse, each replica's stream follows other streams than in
+    # the plain call, and it still gives the same bytes
+    batch = C.simulate_Z_batch(amp, grid, 6, 32, 5)
+
+    def reversed_keys(seed, purpose, size, r):
+        return substream(seed, purpose, size, 4 - r)
+
+    monkeypatch.setattr(C, "substream", reversed_keys)
+    assert C.simulate_Z_batch(amp, grid, 6, 32, 5).tobytes() == batch[::-1].tobytes()
+
+
+@pytest.mark.parametrize("grid, amp", BUFFERED_CASES[::3])
+def test_fewer_replicas_are_a_prefix(grid, amp):
+    # replica r reads the key (seed, CHAOS, T, r) whatever the call's size
+    batch = C.simulate_Z_batch(amp, grid, 6, 32, 5)
+    for m in (1, 3):
+        assert C.simulate_Z_batch(amp, grid, 6, 32, m).tobytes() == batch[:m].tobytes()
 
 
 def test_mean_one_over_seeds():
@@ -388,18 +402,17 @@ def test_estimate_Z_moments_second_moment_vs_series():
     # the estimate on the given grid within 3 stderr of the closed-form series
     assert abs(second.mean - target) < 3.0 * second.stderr
     assert abs(first.mean - 1.0) < 4.0 * first.stderr
-    # the given grid is sampled, replica r keyed (seed, n + r)
-    for r in (0, n - 1):
-        terms = C.simulate_Z_batch(a, grid, 5, seed, 1, replica_offset=n + r)
-        assert values[r] == terms.sum(axis=1)[0], r
+    # the given grid is sampled, replica r keyed (seed, CHAOS, T, r)
+    terms = C.simulate_Z_batch(a, grid, 5, seed, 2)
+    assert values[:2].tobytes() == terms.sum(axis=1).tobytes()
 
 
 def test_estimate_Z_moments_samples_the_given_grid_once():
-    # one pass on the given grid, replica r keyed (seed, n + r); the powers
-    # are the antithetic pair means of the plain batch's terms
+    # one pass on the given grid, replica r keyed (seed, CHAOS, T, r); the
+    # powers are the antithetic pair means of the plain batch's terms
     a, grid, order, k, n, seed = _const_amp(0.9), _grid(8).refined(), 4, 3, 30, 77
     powers, values = C.estimate_Z_moments(a, grid, order, k, n, seed)
-    terms = C.simulate_Z_batch(a, grid, order, seed, n, replica_offset=n)
+    terms = C.simulate_Z_batch(a, grid, order, seed, n)
     plus = terms.sum(axis=1)
     minus = (terms * (-1.0) ** np.arange(order + 1)).sum(axis=1)
     exps = np.arange(1, k + 1)
@@ -409,11 +422,12 @@ def test_estimate_Z_moments_samples_the_given_grid_once():
 
 
 def test_simulation_reproducible():
-    def replica(r):
-        return C.simulate_Z_batch(_const_amp(0.5), _grid(16), 3, 12345, 1, replica_offset=r)[0]
+    def batch():
+        return C.simulate_Z_batch(_const_amp(0.5), _grid(16), 3, 12345, 6)
 
-    assert replica(4).tolist() == replica(4).tolist()
-    assert replica(4).tolist() != replica(5).tolist()
+    terms = batch()
+    assert terms.tolist() == batch().tolist()
+    assert terms[4].tolist() != terms[5].tolist()
 
 
 def test_norm_ladder_refines_the_base_grid():

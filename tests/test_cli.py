@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from collisim import chaos as CH
-from collisim import cli, harness, ustat
+from collisim import cli, harness, rngs, ustat
 from collisim.chaos import WhiteNoiseGrid, estimate_Z_moments, extrapolated_chain_norms
 from collisim.collisions import gaussian_bump
 from collisim.environment import ContinuumAmplitude
@@ -114,6 +114,10 @@ def test_bad_env_budget_named(tmp_path, capsys, budget):
     # one environment makes every stderr 0, so mean-one would fail whatever the code does
     ("partition", {"walks": {"k": 2, "n_ladder": [64]}, "run": {"env_replicas": 1}},
      "run.env_replicas"),
+    # one walk replica makes every stderr 0 where a verdict reads one
+    ("expmoment", {"run": {"replicas": 1}}, "run.replicas"),
+    ("duality", {"run": {"replicas": 1}}, "run.replicas"),
+    ("convergence", {"run": {"replicas": 1}}, "run.replicas"),
 ])
 def test_bad_config_value_named(tmp_path, capsys, command, doc, field):
     cfg = write_cfg(tmp_path, doc)
@@ -126,6 +130,13 @@ def test_bad_config_value_named(tmp_path, capsys, command, doc, field):
     assert code == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["collisions", "tightness"])
+def test_pathwise_commands_take_one_replica(tmp_path, command):
+    # their verdicts hold replicate by replicate, so one replica is a valid run
+    argv = [command, "--seed", "1", "--replicas", "1", "--out", str(tmp_path / "o")]
+    assert cli.load_config(cli.build_parser().parse_args(argv))["run"]["replicas"] == 1
 
 
 @pytest.mark.parametrize("leaf", [f"{name}.{field}" for name, section in cli.DEFAULT_CONFIG.items()
@@ -343,6 +354,8 @@ def test_hex_seed_accepted(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 0xBEEF
     assert manifest["hash_function"] == "splitmix64/v2"
+    assert manifest["stream_schema"] == rngs.STREAM_SCHEMA
+    assert "stream_schema" not in (out / "report.json").read_text()
     # the run's peak RSS so far, in MB; the in-process run never exceeds
     # this process's peak, and the report stays free of it
     assert 0.0 < manifest["peak_rss_mb"] <= cli.peak_rss_mb()
@@ -503,7 +516,7 @@ def test_chaos_target_negative_alpha_is_finite(tmp_path):
 
 
 def test_duality_tables_hold_the_chaos_target(tmp_path):
-    # the summary of the sampled E[Z^k] at amplitude sqrt(2 f), key seed + 99
+    # the summary of the sampled E[Z^k] at amplitude sqrt(2 f), on the seed's chaos streams
     out = tmp_path / "d"
     cfg = write_cfg(tmp_path, {
         "walks": {"k": 2, "n_ladder": [4, 16]},
@@ -514,7 +527,7 @@ def test_duality_tables_hold_the_chaos_target(tmp_path):
     assert run_cli(["duality", "--config", cfg, "--seed", "6", "--out", str(out)]) in (0, 1)
     entry = json.loads((out / "report.json").read_text())["tables"]["chaos_target"]
     powers, _ = estimate_Z_moments(harness.sqrt_amplitude(gaussian_bump(0.5, 1.0), 2.0),
-                                   WhiteNoiseGrid(16, 0.0875, 6.0), 6, 2, 20, 6 + 99)
+                                   WhiteNoiseGrid(16, 0.0875, 6.0), 6, 2, 20, 6)
     # in the n, mean, stderr, ci99 form of every other summary
     assert entry == harness._sum_dict(harness.summarize(powers[:, 1]))
 
@@ -530,28 +543,29 @@ def test_chaos_detail_stays_short_at_the_largest_gamma(tmp_path):
 
 
 def _record_stream_keys(monkeypatch) -> list:
-    """Collect (master_seed, *key) for every stream harness.substream and
-    chaos.substream derive, and (master_seed, *prefix) for every
-    ustat.child_seeds call, whose second argument is a count."""
+    """Collect the key (master_seed, *key) of every stream harness.substream,
+    chaos.substream and ustat.substream derive."""
     keys = []
 
-    def recorded(fn, key_of):
-        def wrapper(*args):
-            keys.append(tuple(int(a) for a in key_of(args)))
-            return fn(*args)
+    def recorded(fn):
+        def wrapper(*key):
+            keys.append(tuple(int(k) for k in key))
+            return fn(*key)
         return wrapper
 
-    for module in (harness, CH):
-        monkeypatch.setattr(module, "substream", recorded(module.substream, lambda a: a))
-    monkeypatch.setattr(ustat, "child_seeds",
-                        recorded(ustat.child_seeds, lambda a: a[:1] + a[2:]))
+    for module in (harness, CH, ustat):
+        monkeypatch.setattr(module, "substream", recorded(module.substream))
     return keys
 
 
-@pytest.mark.parametrize("command, harness_cfg",
-                         [(command, {}) for command in cli.COMMANDS]
-                         + [("duality", {"with_chaos_target": True})],
-                         ids=list(cli.COMMANDS) + ["duality-chaos-target"])
+_PURPOSES = {rngs.WALKS, rngs.ENVIRONMENT, rngs.CHAOS, rngs.USTAT}
+_EVERY_COMMAND = pytest.mark.parametrize(
+    "command, harness_cfg",
+    [(command, {}) for command in cli.COMMANDS] + [("duality", {"with_chaos_target": True})],
+    ids=list(cli.COMMANDS) + ["duality-chaos-target"])
+
+
+@_EVERY_COMMAND
 def test_no_stream_key_repeats_within_a_run(tmp_path, monkeypatch, command, harness_cfg):
     keys = _record_stream_keys(monkeypatch)
     cfg = write_cfg(tmp_path, {**TINY, "harness": {**TINY["harness"], **harness_cfg}})
@@ -565,3 +579,37 @@ def test_no_stream_key_repeats_within_a_run(tmp_path, monkeypatch, command, harn
     assert key_sets[0] == key_sets[1]
     # kernels-check draws no sample; every other command does
     assert bool(key_sets[0]) == (command != "kernels-check")
+    # every key is (seed, purpose, size, index), with the run's own seed;
+    # a key of another length fails the unpacking
+    for key in key_sets[0]:
+        seed, purpose, size, index = key
+        assert seed == 77 and purpose in _PURPOSES and size >= 1 and index >= 0, key
+
+
+@_EVERY_COMMAND
+def test_no_stream_key_is_shared_between_seeds(tmp_path, monkeypatch, command, harness_cfg):
+    # a ladder keyed by seed + rung gave rung i + 1 of seed 77 the streams of
+    # rung i of seed 78
+    keys = _record_stream_keys(monkeypatch)
+    cfg = write_cfg(tmp_path, {**TINY, "harness": {**TINY["harness"], **harness_cfg}})
+    key_sets = []
+    for seed in (77, 78):
+        keys.clear()
+        assert run_cli([command, "--config", cfg, "--seed", str(seed),
+                        "--out", str(tmp_path / f"s{seed}")]) in (0, 1)
+        key_sets.append(set(keys))
+    assert not key_sets[0] & key_sets[1], command
+
+
+def test_a_partition_rung_does_not_depend_on_its_ladder(tmp_path):
+    # the N=256 rung draws the same fields whether it is first or last
+    rows = []
+    for ladder in ([64, 256], [256, 1024]):
+        out = tmp_path / f"from{ladder[0]}"
+        cfg = write_cfg(tmp_path, {"walks": {"k": 2, "n_ladder": ladder},
+                                   "run": {"env_replicas": 100}})
+        assert run_cli(["partition", "--config", cfg, "--seed", "5", "--out", str(out)]) in (0, 1)
+        ladder_rows = json.loads((out / "report.json").read_text())["tables"]["ladder"]
+        rows.append([row for row in ladder_rows if row["N"] == 256])
+    assert len(rows[0]) == 1
+    assert rows[0] == rows[1]

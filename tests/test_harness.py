@@ -13,7 +13,7 @@ from collisim import polymer as P
 from collisim import ustat as U
 from collisim.collisions import constant_fn, gaussian_bump
 from collisim.environment import ContinuumAmplitude, EnvironmentField, disorder_from_function
-from collisim.rngs import substream
+from collisim.rngs import ENVIRONMENT, WALKS, substream
 from collisim.walks import WalkEnsemble, WalkPath, positions_from_steps, walk_positions
 import oracles
 from oracles import jitter
@@ -106,7 +106,7 @@ def _measure_oracle(k, horizon, f, n_replicas, seed, chunk):
     ranges = oracles.chunk_ranges(n_replicas, chunk)
     assert len(ranges) >= 2
     for idx, start, size in ranges:
-        rng = substream(seed, H._TAG_WALKS, idx)
+        rng = substream(seed, WALKS, horizon, idx)
         steps = rng.integers(0, 2, size=(size, k, horizon), dtype=np.int8) * 2 - 1
         pos = positions_from_steps(steps)
         for j in range(size):
@@ -183,14 +183,14 @@ def test_collision_statistics_worker_invariance(monkeypatch):
 
 def test_sweep_chunks_streams_and_order():
     # 10 replicas in chunks of 4: sizes 4, 4 and a ragged 2
-    total, chunk, seed, tag = 10, 4, 1234, 7
-    first = [int(substream(seed, tag, idx).integers(2**62)) for idx in range(3)]
+    total, chunk, key = 10, 4, (1234, 7, 99)
+    first = [int(substream(*key, idx).integers(2**62)) for idx in range(3)]
     want = [(4, first[0]), (4, first[1]), (2, first[2])]
 
     def body(rng, size):
         return size, int(rng.integers(2**62))
 
-    assert H._sweep(body, total, chunk, seed, tag, 1) == want
+    assert H._sweep(body, total, chunk, key, 1) == want
     # with three threads chunk 0 waits until chunk 2 has finished, and the
     # results still come back in chunk order
     last_done = threading.Event()
@@ -205,7 +205,7 @@ def test_sweep_chunks_streams_and_order():
             last_done.set()
         return out
 
-    assert H._sweep(racing, total, chunk, seed, tag, 3) == want
+    assert H._sweep(racing, total, chunk, key, 3) == want
     assert finished.index(first[2]) < finished.index(first[0])
 
 
@@ -262,7 +262,7 @@ def test_collision_statistics_blocks_are_bit_identical(monkeypatch, k):
     # block; each experiment's subset holds the same bits as the whole set
     horizon, n_replicas = 999, 812
     f = ContinuumAmplitude(lambda t, x: (0.3 + 0.4 * t) * np.exp(-x * x / 2.0), 0.7)
-    first = walk_positions(substream(21, H._TAG_WALKS, 0), (512, k), horizon)
+    first = walk_positions(substream(21, WALKS, horizon, 0), (512, k), horizon)
     # the first chunk has a cell of all k walks and, from k = 4, two cells at
     # one time
     assert (first == first[:, :1]).all(axis=1).any()
@@ -361,7 +361,7 @@ def test_collision_statistics_rejects_an_unknown_statistic_before_sampling(monke
                                outputs=("mass", "pi_scaled"))
     assert drawn == []
     H.collision_statistics(3, 64, gaussian_bump(0.5, 1.0), 100, 5, outputs=("mass",))
-    assert drawn == [(5, H._TAG_WALKS, 0)]
+    assert drawn == [(5, WALKS, 64, 0)]
 
 
 def test_collision_statistics_mass_and_sup_never_evaluate_f():
@@ -476,14 +476,14 @@ def test_partition_experiment_small():
 
 def test_partition_experiment_replicas_are_named_fields():
     # replica chunk + 4 is replica 4 of chunk 1 on each rung's stream
-    # (seed + rung, _TAG_ENV, chunk); partition_dp recomputes it
+    # (seed, ENVIRONMENT, N, chunk); partition_dp recomputes it
     f = gaussian_bump(0.5, 1.0)
     ladder = [16, 128]
     chunk = H._ENV_CHUNK
     rep = H.partition_experiment(ladder, 2, f, chunk + 44, 15)
-    for ni, horizon in enumerate(ladder):
+    for horizon in ladder:
         amp = _polymer_amplitude(f, horizon)
-        seeds = substream(15 + ni, H._TAG_ENV, 1).integers(0, 2**63, size=44, dtype=np.int64)
+        seeds = substream(15, ENVIRONMENT, horizon, 1).integers(0, 2**63, size=44, dtype=np.int64)
         value = P.partition_dp(horizon, amp, EnvironmentField(int(seeds[4]))).value
         assert np.float64(value).tobytes() == rep.raw[f"z_N{horizon}"][chunk + 4].tobytes()
 
@@ -680,9 +680,9 @@ def test_chaos_grid_second_moment_is_the_exact_scheme_value():
     assert (rep.config["time_cells"], rep.config["dx"]) == (16, dx)
     exact = 1.0 + float(CH.scheme_order_variances(sampled, gamma, 4).sum())
     assert rep.tables["grid_second_moment"] == exact
-    # replica r keyed (seed, n + r)
+    # replica r keyed (seed, CHAOS, T, r)
     amp = ContinuumAmplitude(lambda t, x: np.full(np.broadcast(t, x).shape, gamma), gamma)
-    terms = CH.simulate_Z_batch(amp, sampled, 4, 5, 40, replica_offset=40)
+    terms = CH.simulate_Z_batch(amp, sampled, 4, 5, 40)
     assert rep.raw["z_values"].tobytes() == terms.sum(axis=1).tobytes()
     assert "coarse_moments" not in rep.tables and "refinement_drift" not in rep.tables
     detail = [v.detail for v in rep.verdicts if v.name == "second-moment"][0]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from collisim import polymer as P
 from collisim import walks as W
 from collisim.environment import DisorderFunction, EnvironmentField
-from collisim.rngs import child_seeds, substream
+from collisim.rngs import substream
 import oracles
 from oracles import constant_disorder
 
@@ -207,7 +207,7 @@ def test_narrow_band_matches_enumeration(monkeypatch):
     paths, prob = _in_band_paths(horizon, band)
     amp = _wavy_amplitude(0.45)
 
-    seeds = child_seeds(12, 3, 0)
+    seeds = _replayed_seeds(substream(12, 0), 3)
     many = P.partition_many(horizon, amp, seeds)
     for seed, got in zip(seeds, many):
         field = EnvironmentField(int(seed))
@@ -236,7 +236,7 @@ def test_narrow_band_matches_enumeration(monkeypatch):
 @pytest.mark.parametrize("horizon", [16, 64, 1024])
 def test_band_matches_full_width(horizon, monkeypatch):
     amp = P.scaled_disorder(_wavy_amplitude(1.0), horizon ** (-0.25))
-    seeds = child_seeds(8, 6, horizon)
+    seeds = _replayed_seeds(substream(8, horizon, 0), 6)
 
     def engines():
         return (P.partition_samples(horizon, amp, 6, substream(8, horizon)),
@@ -257,7 +257,7 @@ def test_band_matches_full_width(horizon, monkeypatch):
 def test_partition_dp_is_a_partition_many_row():
     horizon = 1024
     amp = P.scaled_disorder(_wavy_amplitude(1.0), horizon ** (-0.25))
-    seeds = child_seeds(10, 5, 0)
+    seeds = _replayed_seeds(substream(10, 0), 5)
     batch = P.partition_many(horizon, amp, seeds)
     for i in (0, 3):
         value = P.partition_dp(horizon, amp, EnvironmentField(int(seeds[i]))).value
@@ -269,7 +269,7 @@ def test_partition_many_blocks_are_bit_identical():
     # the bytes of one 600-row transfer pass and of three separate calls
     horizon = 100
     amp = P.scaled_disorder(_wavy_amplitude(1.0), horizon ** (-0.25))
-    seeds = child_seeds(11, 600, 0)
+    seeds = _replayed_seeds(substream(11, 0), 600)
     got = P.partition_many(horizon, amp, seeds)
     one_pass = P._transfer(horizon, amp, np.ones(600), seeds)
     assert got.tobytes() == one_pass.tobytes()
@@ -297,9 +297,16 @@ _SLIDING_BAND_PINS_V2 = {
 }
 
 
+# the field seeds of the sliding-band cases, at which the pins were recorded
+_SLIDING_BAND_SEEDS = {
+    256: [2226783925380817263, 6531897704970299856, 1162343255113574749, 3441351399596956484],
+    1024: [8622026903947687689, 5538635456758885729, 4005040966939744772, 5522408358601139263],
+}
+
+
 def _sliding_band_case(horizon):
     amp = P.scaled_disorder(_wavy_amplitude(1.0), horizon ** (-0.25))
-    return amp, child_seeds(13, 4, horizon)
+    return amp, np.array(_SLIDING_BAND_SEEDS[horizon], dtype=np.int64)
 
 
 @pytest.mark.parametrize("horizon", sorted(_SLIDING_BAND_PINS))
@@ -329,7 +336,7 @@ def test_partition_many_matches_omega_at_reference(horizon):
 
 def _chaos_pin_case():
     amp = P.scaled_disorder(_wavy_amplitude(1.0), 256 ** (-0.25))
-    return amp, int(child_seeds(13, 1, 7)[0])
+    return amp, 726139677811401541  # the field seed the pins were recorded at
 
 
 def test_chaos_terms_sliding_band_pins():
@@ -367,7 +374,7 @@ def test_partition_dp_rows_of_partition_many(rows):
         return wavy(n, z)
 
     amp = DisorderFunction(recorded, wavy.bound)
-    seeds = child_seeds(14, rows, 0)
+    seeds = _replayed_seeds(substream(14, 0), rows)
     batch = P.partition_many(horizon, amp, seeds)
     many_sizes = sizes[:]
     for i in sorted({0, rows // 2, rows - 1}):

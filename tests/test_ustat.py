@@ -9,7 +9,7 @@ from collisim import ustat as U
 from collisim.environment import DisorderFunction, EnvironmentField
 from collisim.harness import summarize
 from collisim.kernels import block_average_cells
-from collisim.rngs import child_seeds
+from collisim.rngs import substream
 from oracles import constant_disorder, second_moment_by_pairings, ustat_one_order
 
 
@@ -211,7 +211,7 @@ def test_one_sweep_gives_every_order_bit_for_bit(horizon):
         return np.exp(-xs**2) * (1.0 + 0.5 * xs) * (np.abs(xs) <= 2.0)
 
     amp = DisorderFunction(lambda n, z: 1.0 / (1.0 + 0.1 * np.abs(np.asarray(z, dtype=float))), 1.0)
-    seeds = child_seeds(3, 300, 71)
+    seeds = substream(3, 71).integers(2**63, size=300, dtype=np.int64)
     sweep = U.evaluate_table(U.build_cell_table(h, 3, 2.0, horizon, amp), seeds)
     assert sweep.shape == (3, len(seeds))
     for order in (1, 2, 3):
