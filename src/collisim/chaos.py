@@ -6,8 +6,9 @@ with strict time ordering between consecutive cells (the simplex support).
 Kernels are evaluated at cell centers (midpoint rule). The scheme's own
 exact second moment (``scheme_order_variances``) measures the
 discretization bias deterministically, so one Monte-Carlo pass on the
-grid it is given suffices. ``WhiteNoiseGrid`` states each grid rule once,
-and a broken rule raises a ``GridError`` naming the parameters it reads.
+grid it is given suffices. Every grid covers the space window [-CUTOFF,
+CUTOFF] = [-6, 6]. ``WhiteNoiseGrid`` states each grid rule once, and a
+broken rule raises a ``GridError`` naming the parameters it reads.
 Extrapolated to zero mesh over a ladder of grids
 (``extrapolated_chain_norms``), the same variances give the chain norms
 ||rho_n||_2^2 with a stated error and no sampling. The continuum second
@@ -43,45 +44,40 @@ __all__ = [
 ]
 
 
+CUTOFF = 6.0  # every grid's space window is [-CUTOFF, CUTOFF]
+
+
 class GridError(ValueError):
     """A grid rule is broken; ``fields`` names the parameters the rule reads
-    (``time_cells``, ``dx``, ``cutoff`` or the chain ``order``)."""
+    (``time_cells``, ``dx`` or the chain ``order``)."""
 
     def __init__(self, message: str, *fields: str):
         super().__init__(message)
         self.fields = fields
 
 
-class GridResolutionError(GridError):
-    """Raised when the time mesh cannot order the requested chain length."""
-
-
 @dataclass(frozen=True)
 class WhiteNoiseGrid:
-    """Cells on [0,1] x [-cutoff, cutoff]: time_cells slices, dx columns."""
+    """Cells on [0,1] x [-CUTOFF, CUTOFF]: time_cells slices, dx columns."""
 
     time_cells: int
     dx: float
-    cutoff: float = 6.0
 
     def __post_init__(self):
-        for name in ("time_cells", "dx", "cutoff"):
-            if not getattr(self, name) > 0:
-                raise GridError(f"must be positive, got {getattr(self, name)!r}", name)
+        if not self.time_cells >= 1:
+            raise GridError(f"need time_cells >= 1, got {self.time_cells!r}", "time_cells")
+        if not self.dx > 0:
+            raise GridError(f"need dx > 0, got {self.dx!r}", "dx")
         if self.dx > math.sqrt(self.dt) + 1e-12:
             raise GridError("need dx <= sqrt(dt) = sqrt(1/time_cells) for stable midpoint "
                             "kernels", "dx", "time_cells")
-        if self.space_cells < 1:
-            raise GridError("cutoff too small for dx: the grid has no space cells "
-                            "(2 cutoff / dx rounds to 0)", "cutoff", "dx")
 
     def check_order(self, order: int) -> None:
-        """Raise GridResolutionError unless dt < 1/order, so that the time
-        mesh can strictly order the cells of a chain of length order."""
+        """Raise a GridError unless dt < 1/order, so that the time mesh can
+        strictly order the cells of a chain of length order."""
         if order >= 1 and self.dt >= 1.0 / order:
-            raise GridResolutionError(
-                f"dt={self.dt} cannot time-order chains of length {order}",
-                "time_cells", "order")
+            raise GridError(f"dt={self.dt} cannot time-order chains of length {order}",
+                            "time_cells", "order")
 
     @property
     def dt(self) -> float:
@@ -89,13 +85,13 @@ class WhiteNoiseGrid:
 
     @property
     def space_cells(self) -> int:
-        return int(round(2.0 * self.cutoff / self.dx))
+        return int(round(2.0 * CUTOFF / self.dx))
 
     def time_centers(self) -> np.ndarray:
         return (np.arange(self.time_cells) + 0.5) * self.dt
 
     def space_centers(self) -> np.ndarray:
-        return -self.cutoff + (np.arange(self.space_cells) + 0.5) * self.dx
+        return -CUTOFF + (np.arange(self.space_cells) + 0.5) * self.dx
 
     def refined(self) -> "WhiteNoiseGrid":
         return replace(self, time_cells=2 * self.time_cells, dx=self.dx / 2.0)
@@ -264,11 +260,11 @@ def scheme_order_variances(grid: WhiteNoiseGrid, gamma: float, order: int) -> np
     gamma on the given grid (the discrete counterpart of gamma^(2n)
     ||rho_n||_2^2); none at order 0.
 
-    Spatial sums over increments use the full difference grid, neglecting
-    the cutoff-edge deficit: below rounding at the default cutoff 6, which
-    is all the CLI samples, but 4.6e-5 of E[Z^2] at cutoff 2 (T=64, gamma^2
-    = 1/2). Deterministic: 1 + the sum is the grid's exact E[Z^2], which
-    separates simulator correctness from discretization bias.
+    Spatial sums over increments use the uncut difference grid, neglecting
+    the chains that leave the window: below rounding at CUTOFF = 6 (a
+    window of +-2 would miss 4.6e-5 of E[Z^2] at T=64, gamma^2 = 1/2).
+    Deterministic: 1 + the sum is the grid's exact E[Z^2], which separates
+    simulator correctness from discretization bias.
     """
     g2 = gamma * gamma
     dt, dx, t_cells = grid.dt, grid.dx, grid.time_cells

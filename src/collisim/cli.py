@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, harness, polymer
-from .chaos import NORM_LADDER, GridError, GridResolutionError, WhiteNoiseGrid
+from .chaos import NORM_LADDER, GridError, WhiteNoiseGrid
 from .collisions import gaussian_bump
 from .kernels import CLT_MIN_BUDGET
 from .rngs import HASH_VERSION, STREAM_SCHEMA
@@ -147,8 +147,8 @@ FIELDS = {
         "max_order": (4, _number(int, 1)),
     },
     "chaos": {
-        # the sampled grid is WhiteNoiseGrid(time_cells, dx) at its default
-        # cutoff 6, where chaos.scheme_order_variances is exact to rounding
+        # the sampled grid is WhiteNoiseGrid(time_cells, dx) on the fixed window
+        # [-6, 6], where chaos.scheme_order_variances is exact to rounding
         "gamma": (0.7071067811865476, _chaos_gamma),
         "time_cells": (64, _number(int, 1)),
         "dx": (0.0875, _number(float)),
@@ -190,7 +190,7 @@ def validate(cfg: dict) -> dict:
         # kernels_check extrapolates the chain norms from a grid ladder whose
         # coarsest grid must time-order chains of length max_order
         NORM_LADDER[0].check_order(cfg["harness"]["max_order"])
-    except GridResolutionError as exc:
+    except GridError as exc:
         raise ConfigError(f"harness.max_order: {exc} on the chain-norm ladder's coarsest "
                           f"grid ({NORM_LADDER[0].time_cells} time cells)") from exc
     ch = cfg["chaos"]
@@ -226,6 +226,16 @@ def check_exponents(command: str, cfg: dict) -> None:
                           f"{field} <= {limit / scale:.6g}, got {value!r}")
 
 
+def check_amplitude(command: str, cfg: dict) -> None:
+    """Reject a partition alpha whose lattice amplitude N^(-1/4) sqrt(max(f, 0))
+    can exceed 1 at the smallest rung: some site factors (1 +- A)/2 would be
+    negative, so z_N would be no partition function."""
+    n_min, alpha = cfg["walks"]["n_ladder"][0], cfg["harness"]["alpha"]
+    if command == "partition" and alpha > math.sqrt(n_min):
+        raise ConfigError(f"harness.alpha: the amplitude N^(-1/4) sqrt(alpha) exceeds 1 at "
+                          f"N={n_min}; need alpha <= {math.sqrt(n_min):.6g}, got {alpha!r}")
+
+
 def load_config(args: argparse.Namespace) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if args.config:
@@ -244,6 +254,7 @@ def load_config(args: argparse.Namespace) -> dict:
             cfg["run"][name] = getattr(args, name)
     cfg = validate(cfg)
     check_exponents(args.command, cfg)
+    check_amplitude(args.command, cfg)
     floor = MIN_REPLICAS.get(args.command, 1)
     if cfg["run"]["replicas"] < floor:
         raise ConfigError(f"run.replicas: {args.command} needs at least {floor}, "

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .chaos import GridError, WhiteNoiseGrid
-from .collisions import constant_fn, gaussian_bump
+from .chaos import CUTOFF, WhiteNoiseGrid
+from .collisions import constant_fn
 from .environment import ContinuumAmplitude, disorder_from_function
 from .kernels import MonteCarloSummary, summarize
 from .kernels import NonFiniteSample  # noqa: F401  (what summarize raises, named here too)
@@ -52,9 +52,6 @@ _NORM_TOL_REL = 0.01   # kernels-check: extrapolated chain norms, relative error
 _CLT_RATE_TOL = 0.05   # kernels-check: log-log slopes of the exact local-CLT distance near -1/4
 _MOMENT_SIGMA = 3.0    # chaos: E[Z^2] against the sampled grid's exact value, in stderr
 _MEAN_SIGMA = 4.0      # chaos, partition, ustat-check: a sampled mean against its exact value
-# chaos: the smallest grid cutoff at which scheme_order_variances, whose
-# spatial sums ignore the cut, is the sampled grid's E[Z^2] to rounding
-_EXACT_CUTOFF = 6.0
 
 
 def ks_two_sample(xs, ys) -> float:
@@ -598,14 +595,12 @@ def partition_experiment(n_ladder, k: int, f: ContinuumAmplitude, n_env_replicas
 
 
 def collision_experiment(k: int, horizon: int, n_replicas: int, master_seed: int,
-                         f: ContinuumAmplitude | None = None, workers: int = 1) -> ExperimentReport:
+                         f: ContinuumAmplitude, workers: int = 1) -> ExperimentReport:
     """Collision-measure invariants on the batched occupancy kernel: the
     multiplicity bounds Pi' <= Pi <= binom(k,2) Pi' on every replicate and,
     for k = 2, the pathwise total-mass identity: ||Pi|| from the collision
     cells equals the count of times with S^1_n = S^2_n (pair_hits), the
     zero count of the difference walk."""
-    if f is None:
-        f = gaussian_bump(0.5, 1.0)
     stats = collision_statistics(k, horizon, f, n_replicas, master_seed, workers,
                                  outputs=("pi_f", "pi_prime_f", "mass", "pair_hits"))
     pi, pip = stats["pi_f"], stats["pi_prime_f"]
@@ -626,15 +621,10 @@ def chaos_experiment(gamma: float, grid: WhiteNoiseGrid, order: int, n_replicas:
                      master_seed: int) -> ExperimentReport:
     """Simulated chaos value at constant amplitude on the grid against that
     grid's exact second moment, next to the closed-form series and the
-    grid's bias to it. A grid cut below _EXACT_CUTOFF raises a GridError
-    naming cutoff before any sample is drawn: its exact second moment
-    would describe another grid."""
+    grid's bias to it. The report names the grid's window [-CUTOFF, CUTOFF]."""
     from .chaos import (chaos_tail_bound, estimate_Z_moments, scheme_order_variances,
                         second_moment_series)
 
-    if grid.cutoff < _EXACT_CUTOFF:
-        raise GridError(f"cutoff {grid.cutoff} < {_EXACT_CUTOFF}: the grid's exact second "
-                        "moment ignores the cut, so it would describe another grid", "cutoff")
     amplitude = constant_fn(gamma)
     powers, z_values = estimate_Z_moments(amplitude, grid, order, 2, n_replicas, master_seed)
     first, second = (summarize(column) for column in powers.T)
@@ -649,7 +639,7 @@ def chaos_experiment(gamma: float, grid: WhiteNoiseGrid, order: int, n_replicas:
                 f"(series {series:.6g}, bias {series - grid_m2:.6g})"),
     ]
     cfg = {"gamma": gamma, "time_cells": grid.time_cells, "dx": grid.dx,
-           "cutoff": grid.cutoff, "order": order, "replicas": n_replicas}
+           "cutoff": CUTOFF, "order": order, "replicas": n_replicas}
     tables = {
         "moments": [first.mean, second.mean],
         "stderrs": [first.stderr, second.stderr],

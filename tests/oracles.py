@@ -448,9 +448,10 @@ def local_clt_distance_sq_dense(horizon: int, reach: float = 10.0) -> float:
 
 def cut_grid_order_variances(grid, gamma: float, order: int) -> np.ndarray:
     """E[term_n^2] for n = 1..order at constant amplitude gamma on the grid as
-    sampled, cut at +-cutoff: V_1 = w rho_0^2 and V_n = w (G^2 * V_(n-1)) per
-    cell, w = gamma^2 dt dx, summed over the cells. It is the sampler's own
-    convolution (chaos._propagate) with the kernel generator squared."""
+    sampled, cut at +-chaos.CUTOFF: V_1 = w rho_0^2 and V_n = w
+    (G^2 * V_(n-1)) per cell, w = gamma^2 dt dx, summed over the cells. It
+    is the sampler's own convolution (chaos._propagate) with the kernel
+    generator squared."""
     t_cells, x_cells = grid.time_cells, grid.space_cells
     offsets = np.arange(1 - x_cells, x_cells) * grid.dx
     gen = np.zeros((t_cells, 2 * x_cells - 1))

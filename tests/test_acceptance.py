@@ -181,7 +181,7 @@ def test_criterion_08_asymptotic_duality():
 def test_criterion_09_chaos_second_moment():
     started = time.perf_counter()
     gamma = math.sqrt(2.0) * 0.5
-    grid = WhiteNoiseGrid(64, math.sqrt(1 / 32) * 0.999 / 2, 6.0)
+    grid = WhiteNoiseGrid(64, math.sqrt(1 / 32) * 0.999 / 2)
     rep = H.chaos_experiment(gamma, grid, 6, 1000, 1013)
     verdict = [v for v in rep.verdicts if v.name == "second-moment"][0]
     elapsed = time.perf_counter() - started

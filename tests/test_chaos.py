@@ -19,8 +19,8 @@ def _const_amp(gamma):
         lambda t, x: np.full(np.broadcast(t, x).shape, float(gamma)), abs(gamma))
 
 
-def _grid(time_cells=32, cutoff=6.0):
-    return C.WhiteNoiseGrid(time_cells, math.sqrt(1.0 / time_cells) * 0.999, cutoff)
+def _grid(time_cells=32):
+    return C.WhiteNoiseGrid(time_cells, math.sqrt(1.0 / time_cells) * 0.999)
 
 
 def _heat(lag, offset):
@@ -54,11 +54,9 @@ def _lag_loop_terms(a, grid, order, master_seed, n_replicas):
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        C.WhiteNoiseGrid(16, 0.5, 6.0)  # dx > sqrt(dt)
+        C.WhiteNoiseGrid(16, 0.5)  # dx > sqrt(dt)
     with pytest.raises(ValueError):
-        C.WhiteNoiseGrid(0, 0.1, 6.0)
-    with pytest.raises(ValueError, match="no space cells"):
-        C.WhiteNoiseGrid(32, 0.175, 0.01)  # 2 cutoff / dx rounds to 0
+        C.WhiteNoiseGrid(0, 0.1)
     g = _grid(16)
     assert g.refined().time_cells == 32
     assert g.refined().dx == pytest.approx(g.dx / 2)
@@ -75,19 +73,20 @@ def test_order_zero_gives_one():
 
 
 def test_resolution_guard():
-    with pytest.raises(C.GridResolutionError):
+    with pytest.raises(C.GridError) as err:
         C.simulate_Z_batch(_const_amp(0.5), _grid(4), 6, 1, 1)
+    assert err.value.fields == ("time_cells", "order")
 
 
-# 2T-1 and 2X-1 are not 5-smooth (13, 21 and 21, 37), so the padded
+# 2T-1 and 2X-1 are not 5-smooth (13, 63 and 21, 79), so the padded
 # transform is longer than the linear convolution on both axes
-ODD_GRIDS = [(7, 0.3, 1.65), (11, 0.25, 2.375)]
+ODD_GRIDS = [(7, 0.375), (11, 0.3)]
 
 
-@pytest.mark.parametrize("time_cells, dx, cutoff", ODD_GRIDS)
-def test_fft_propagation_matches_lag_loop(time_cells, dx, cutoff):
-    grid = C.WhiteNoiseGrid(time_cells, dx, cutoff)
-    assert grid.space_cells in (11, 19)
+@pytest.mark.parametrize("time_cells, dx", ODD_GRIDS)
+def test_fft_propagation_matches_lag_loop(time_cells, dx):
+    grid = C.WhiteNoiseGrid(time_cells, dx)
+    assert grid.space_cells in (32, 40)
     amp = ContinuumAmplitude(lambda t, x: 0.9 * np.cos(2.0 * t + 0.7 * x) + 0.2 * t, 1.1)
     order = time_cells - 1
     ref = _lag_loop_terms(amp, grid, order, 4242, 4)
@@ -97,12 +96,12 @@ def test_fft_propagation_matches_lag_loop(time_cells, dx, cutoff):
     assert np.all(np.abs(got - ref) <= 1e-12 * scale), np.abs(got - ref).max(axis=0) / scale
 
 
-@pytest.mark.parametrize("time_cells, dx, cutoff", ODD_GRIDS)
-def test_fft_propagation_does_not_wrap(time_cells, dx, cutoff):
+@pytest.mark.parametrize("time_cells, dx", ODD_GRIDS)
+def test_fft_propagation_does_not_wrap(time_cells, dx):
     # a unit impulse at each corner cell propagates to the shifted kernel
     # generator and to nothing else: circular wrap of the padded transform
     # would leak mass onto the opposite edge or the early slices
-    grid = C.WhiteNoiseGrid(time_cells, dx, cutoff)
+    grid = C.WhiteNoiseGrid(time_cells, dx)
     t_cells, x_cells = time_cells, grid.space_cells
     kern = C._kernel_fft(grid)
     buffers = C._propagation_buffers(grid)
@@ -269,22 +268,16 @@ def test_scheme_variances_of_a_lower_order_are_a_prefix():
     assert C.scheme_order_variances(grid, 0.8, 0).shape == (0,)
 
 
-def test_scheme_variances_match_the_cut_grid_at_the_default_cutoff():
-    # the sampled grid of the chaos defaults, cut at +-6: the uncut
-    # difference sums of the scheme miss nothing above rounding
-    grid = C.WhiteNoiseGrid(64, 0.0875)
+@pytest.mark.parametrize("time_cells, dx", [(7, 0.375), (16, 0.25), (16, 0.0875), (32, 0.175),
+                                             (64, 0.0875), (64, 0.125), (128, 0.04375)])
+def test_scheme_variances_match_the_cut_grid_at_the_default_cutoff(time_cells, dx):
+    # every grid is cut at +-CUTOFF = 6, where the uncut difference sums of
+    # the scheme miss nothing above rounding: (64, 0.0875) is the chaos
+    # default, (32, 0.175) the chain-norm ladder's coarsest grid
+    grid = C.WhiteNoiseGrid(time_cells, dx)
     got = C.scheme_order_variances(grid, 1 / math.sqrt(2), 6)
     ref = cut_grid_order_variances(grid, 1 / math.sqrt(2), 6)
-    assert np.all(np.abs(got - ref) <= 2e-15 * ref), np.abs(got - ref) / ref
-
-
-def test_scheme_variances_overstate_a_grid_cut_closer():
-    # at cutoff 2 the cut grid loses the chains that leave [-2, 2]: its
-    # E[Z^2] is lower by about 4.6e-5, which the uncut sums do not see
-    grid = C.WhiteNoiseGrid(64, 0.0875, 2.0)
-    gap = (C.scheme_order_variances(grid, 1 / math.sqrt(2), 6).sum()
-           - cut_grid_order_variances(grid, 1 / math.sqrt(2), 6).sum())
-    assert 4e-5 < gap < 5e-5
+    assert np.all(np.abs(got - ref) <= 1e-14 * ref), np.abs(got - ref) / ref
 
 
 def test_scheme_variances_converge_to_chain_norms():
@@ -454,7 +447,8 @@ def test_extrapolated_chain_norms_fit_the_exact_scheme():
 
 def test_extrapolated_chain_norms_resolution_guard():
     assert len(C.extrapolated_chain_norms(31).value) == 31
-    with pytest.raises(C.GridResolutionError):
+    with pytest.raises(C.GridError) as err:
         C.extrapolated_chain_norms(32)
+    assert err.value.fields == ("time_cells", "order")
     with pytest.raises(ValueError):
         C.extrapolated_chain_norms(0)

@@ -76,7 +76,7 @@ def test_bad_env_budget_named(tmp_path, capsys, budget):
     ("collisions", {"harness": {"sigma": math.nan}}, "harness.sigma"),
     ("duality", {"harness": {"alpha": math.inf}}, "harness.alpha"),
     ("expmoment", {"harness": {"thresholds": 5}}, "harness.thresholds"),
-    # the grid's cutoff is not a config field: the sampler runs at its default 6
+    # the grid's cutoff is not a config field: every grid is cut at chaos.CUTOFF = 6
     ("chaos", {"chaos": {"cutoff": 0.01}}, "chaos.cutoff"),
     # the string "false" is truthy: only JSON booleans switch these
     ("duality", {"harness": {"with_chaos_target": "false"}}, "harness.with_chaos_target"),
@@ -118,6 +118,9 @@ def test_bad_env_budget_named(tmp_path, capsys, budget):
     ("expmoment", {"run": {"replicas": 1}}, "run.replicas"),
     ("duality", {"run": {"replicas": 1}}, "run.replicas"),
     ("convergence", {"run": {"replicas": 1}}, "run.replicas"),
+    # an amplitude N^(-1/4) sqrt(alpha) above 1 makes some site factors negative
+    ("partition", {"walks": {"n_ladder": [16, 64]}, "run": {"env_replicas": 200},
+                   "harness": {"alpha": 1e4}}, "harness.alpha"),
 ])
 def test_bad_config_value_named(tmp_path, capsys, command, doc, field):
     cfg = write_cfg(tmp_path, doc)
@@ -130,6 +133,18 @@ def test_bad_config_value_named(tmp_path, capsys, command, doc, field):
     assert code == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_partition_alpha_bound_is_the_smallest_rung_amplitude(tmp_path):
+    # at alpha = sqrt(N_min) the largest amplitude N^(-1/4) sqrt(alpha) is 1
+    def load(alpha):
+        cfg = write_cfg(tmp_path, {"walks": {"n_ladder": [16, 64]}, "harness": {"alpha": alpha}})
+        return cli.load_config(cli.build_parser().parse_args(["partition", "--config", cfg,
+                                                              "--seed", "1"]))
+
+    assert load(math.sqrt(16))["harness"]["alpha"] == 4.0
+    with pytest.raises(cli.ConfigError, match="harness.alpha: .*need alpha <= 4,"):
+        load(math.sqrt(16) * 1.001)
 
 
 @pytest.mark.parametrize("command", ["collisions", "tightness"])
@@ -527,7 +542,7 @@ def test_duality_tables_hold_the_chaos_target(tmp_path):
     assert run_cli(["duality", "--config", cfg, "--seed", "6", "--out", str(out)]) in (0, 1)
     entry = json.loads((out / "report.json").read_text())["tables"]["chaos_target"]
     powers, _ = estimate_Z_moments(harness.sqrt_amplitude(gaussian_bump(0.5, 1.0), 2.0),
-                                   WhiteNoiseGrid(16, 0.0875, 6.0), 6, 2, 20, 6)
+                                   WhiteNoiseGrid(16, 0.0875), 6, 2, 20, 6)
     # in the n, mean, stderr, ci99 form of every other summary
     assert entry == harness._sum_dict(harness.summarize(powers[:, 1]))
 

@@ -500,7 +500,7 @@ def test_partition_sweep_worker_invariance():
 
 def test_collision_experiment_identity():
     for k in (2, 3):
-        rep = H.collision_experiment(k, 64, 400, 21)
+        rep = H.collision_experiment(k, 64, 400, 21, gaussian_bump(0.5, 1.0))
         names = [v.name for v in rep.verdicts]
         assert names == (["multiplicity-bounds", "mass-identity"] if k == 2
                          else ["multiplicity-bounds"]), k
@@ -518,8 +518,9 @@ def test_collision_experiment_reads_kernel_mass(k):
 
 def test_collision_experiment_worker_invariance():
     # 1100 replicates span three kernel chunks, so two workers share them out
-    one = H.collision_experiment(3, 64, 1100, 8, workers=1)
-    two = H.collision_experiment(3, 64, 1100, 8, workers=2)
+    f = gaussian_bump(0.5, 1.0)
+    one = H.collision_experiment(3, 64, 1100, 8, f, workers=1)
+    two = H.collision_experiment(3, 64, 1100, 8, f, workers=2)
     assert one.to_dict() == two.to_dict()
     assert np.array_equal(one.raw["mass"], two.raw["mass"])
 
@@ -536,7 +537,7 @@ def test_collision_experiment_flags_bad_replicate(monkeypatch, k):
         return stats
 
     monkeypatch.setattr(H, "collision_statistics", corrupted)
-    rep = H.collision_experiment(k, 64, 300, 5)
+    rep = H.collision_experiment(k, 64, 300, 5, gaussian_bump(0.5, 1.0))
     failed = {v.name for v in rep.verdicts if not v.passed}
     assert failed == ({"multiplicity-bounds", "mass-identity"} if k == 2
                       else {"multiplicity-bounds"})
@@ -655,26 +656,14 @@ def test_ustat_check_rejects_a_non_finite_statistic(monkeypatch, bad):
 
 
 def test_chaos_experiment_small():
-    grid = CH.WhiteNoiseGrid(32, math.sqrt(1 / 16) * 0.999 / 2, 6.0)
+    grid = CH.WhiteNoiseGrid(32, math.sqrt(1 / 16) * 0.999 / 2)
     rep = H.chaos_experiment(math.sqrt(2) * 0.5, grid, 5, 300, 41)
     assert rep.passed, [v.detail for v in rep.verdicts if not v.passed]
 
 
-def test_chaos_experiment_rejects_a_grid_cut_below_six(monkeypatch):
-    # at cutoff 2 the exact second moment is about 4.6e-5 above the sampled
-    # grid's, so the experiment refuses the grid before it draws a sample
-    def no_sample(*args, **kwargs):
-        raise AssertionError("sampled a grid it should refuse")
-
-    monkeypatch.setattr(CH, "estimate_Z_moments", no_sample)
-    with pytest.raises(CH.GridError, match="cutoff") as err:
-        H.chaos_experiment(math.sqrt(2) * 0.5, CH.WhiteNoiseGrid(64, 0.0875, 2.0), 6, 40, 5)
-    assert err.value.fields == ("cutoff",)
-
-
 def test_chaos_grid_second_moment_is_the_exact_scheme_value():
     gamma, dx = math.sqrt(2) * 0.5, math.sqrt(1 / 8) * 0.999 / 2
-    sampled = CH.WhiteNoiseGrid(16, dx, 6.0)
+    sampled = CH.WhiteNoiseGrid(16, dx)
     rep = H.chaos_experiment(gamma, sampled, 4, 40, 5)
     # the given grid is sampled and named in the report
     assert (rep.config["time_cells"], rep.config["dx"]) == (16, dx)
@@ -690,7 +679,7 @@ def test_chaos_grid_second_moment_is_the_exact_scheme_value():
 
 
 def test_chaos_second_moment_verdict_reads_the_grid_value(monkeypatch):
-    gamma, grid = math.sqrt(2) * 0.5, CH.WhiteNoiseGrid(16, math.sqrt(1 / 8) * 0.999 / 2, 6.0)
+    gamma, grid = math.sqrt(2) * 0.5, CH.WhiteNoiseGrid(16, math.sqrt(1 / 8) * 0.999 / 2)
     rep = H.chaos_experiment(gamma, grid, 4, 40, 5)
     assert rep.tables["series_bias"] == rep.tables["series_target"] - rep.tables["grid_second_moment"]
     assert rep.tables["series_bias"] > 0.0
