@@ -37,6 +37,10 @@ COMMANDS = (
 #: the rest take 1 (collisions and tightness are pathwise)
 MIN_REPLICAS = {"expmoment": 2, "duality": 2, "convergence": 2, "ustat-check": USTAT_MIN_REPLICAS}
 
+#: the smallest harness.sigma, 2^-537.5 rounded up: the smallest float whose
+#: square is not 0; below it gaussian_bump's f(t, 0) reads 0/0
+SIGMA_MIN = math.ldexp(math.sqrt(0.5), -537)
+
 
 class ConfigError(ValueError):
     """Invalid configuration; message names the offending field."""
@@ -60,9 +64,9 @@ def parse_seed(text) -> int:
 # A check takes (value, "section.field") and returns the normalised value,
 # or raises a ConfigError naming the field.
 
-def _number(kind, minimum: float = -math.inf, strict: bool = False):
-    """A finite kind (int or float) >= minimum, or > minimum if strict. A JSON
-    boolean is not a number, and a fraction is rejected, not truncated."""
+def _number(kind, minimum: float = -math.inf):
+    """A finite kind (int or float) >= minimum. A JSON boolean is not a
+    number, and a fraction is rejected, not truncated."""
     def check(value, where: str):
         try:
             number = kind(value)
@@ -70,9 +74,8 @@ def _number(kind, minimum: float = -math.inf, strict: bool = False):
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{where}: cannot parse {value!r} as {kind.__name__}") from exc
         if (isinstance(value, bool) or not finite or number < minimum
-                or (strict and number == minimum)
                 or (isinstance(value, float) and value != number)):
-            bound = f" {'>' if strict else '>='} {minimum}" if minimum > -math.inf else ""
+            bound = f" >= {minimum}" if minimum > -math.inf else ""
             raise ConfigError(f"{where}: must be a finite {kind.__name__}{bound}, "
                               f"got {value!r}")
         return number
@@ -137,7 +140,7 @@ FIELDS = {
     },
     "harness": {
         "alpha": (0.5, _number(float)),
-        "sigma": (1.0, _number(float, 0, strict=True)),
+        "sigma": (1.0, _number(float, SIGMA_MIN)),
         "beta": (1.0, _number(float, 0)),
         "with_chaos_target": (False, _flag),
         "env_budget": (2_000_000, _optional(_number(int, 1))),

@@ -10,12 +10,11 @@ bit-exactly across runs. A test function f(t, x) is a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .environment import ContinuumAmplitude
-from .walks import WalkEnsemble
 
 __all__ = [
     "CollisionMeasure",
@@ -45,7 +44,6 @@ class CollisionMeasure:
     times: np.ndarray
     sites: np.ndarray
     weights: np.ndarray
-    k: int = field(default=0)
 
     @property
     def n_atoms(self) -> int:
@@ -55,17 +53,19 @@ class CollisionMeasure:
         return float(self.weights.sum())
 
 
-def detect_collisions(ensemble: WalkEnsemble) -> tuple[CollisionMeasure, CollisionMeasure]:
-    """(with-multiplicity, distinct-event) collision measures of an ensemble.
+def detect_collisions(ensemble: np.ndarray) -> tuple[CollisionMeasure, CollisionMeasure]:
+    """(with-multiplicity, distinct-event) collision measures of the (k, N+1)
+    positions of k walks.
 
     Occupancy is counted per (time, site) cell: a cell holding c >= 2 walks
     contributes weight binom(c, 2) to the multiplicity measure and 1 to the
     distinct-event measure. Times are restricted to 1 <= n <= N.
     """
-    pos = ensemble.position_matrix()[:, 1:]  # (k, N)
-    n_index = np.broadcast_to(np.arange(1, ensemble.horizon + 1), pos.shape)
+    horizon = ensemble.shape[1] - 1
+    pos = ensemble[:, 1:]  # (k, N)
+    n_index = np.broadcast_to(np.arange(1, horizon + 1), pos.shape)
     # cell code packs (time, site); site offset keeps codes nonnegative
-    offset = ensemble.horizon + 1
+    offset = horizon + 1
     codes = n_index.astype(np.int64) * (2 * offset + 1) + (pos.astype(np.int64) + offset)
     uniq, counts = np.unique(codes.ravel(), return_counts=True)
     hit = counts >= 2
@@ -75,9 +75,8 @@ def detect_collisions(ensemble: WalkEnsemble) -> tuple[CollisionMeasure, Collisi
     times = uniq // (2 * offset + 1)
     sites = uniq % (2 * offset + 1) - offset
     pair_weights = counts * (counts - 1) // 2
-    with_mult = CollisionMeasure(ensemble.horizon, times, sites, pair_weights, ensemble.k)
-    distinct = CollisionMeasure(ensemble.horizon, times, sites, np.ones_like(pair_weights),
-                                ensemble.k)
+    with_mult = CollisionMeasure(horizon, times, sites, pair_weights)
+    distinct = CollisionMeasure(horizon, times, sites, np.ones_like(pair_weights))
     return with_mult, distinct
 
 

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .rngs import HASH_VERSION, cell_signs, splitmix64
+from .rngs import cell_signs, splitmix64
 
 __all__ = [
     "EnvironmentField",
@@ -25,7 +25,6 @@ __all__ = [
     "ContinuumAmplitude",
     "disorder_from_function",
     "cells_of",
-    "HASH_VERSION",
 ]
 
 

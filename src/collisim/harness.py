@@ -22,7 +22,6 @@ from .chaos import CUTOFF, WhiteNoiseGrid
 from .collisions import constant_fn
 from .environment import ContinuumAmplitude, disorder_from_function
 from .kernels import MonteCarloSummary, summarize
-from .kernels import NonFiniteSample  # noqa: F401  (what summarize raises, named here too)
 from .polymer import band_tail_bound, partition_samples, scaled_disorder
 from .rngs import ENVIRONMENT, WALKS, substream
 from .walks import walk_positions
@@ -597,15 +596,18 @@ def partition_experiment(n_ladder, k: int, f: ContinuumAmplitude, n_env_replicas
 def collision_experiment(k: int, horizon: int, n_replicas: int, master_seed: int,
                          f: ContinuumAmplitude, workers: int = 1) -> ExperimentReport:
     """Collision-measure invariants on the batched occupancy kernel: the
-    multiplicity bounds Pi' <= Pi <= binom(k,2) Pi' on every replicate and,
-    for k = 2, the pathwise total-mass identity: ||Pi|| from the collision
-    cells equals the count of times with S^1_n = S^2_n (pair_hits), the
-    zero count of the difference walk."""
+    multiplicity bounds, Pi between Pi' and binom(k,2) Pi' on every
+    replicate (Pi' <= Pi <= binom(k,2) Pi' where f >= 0; Pi - Pi' has the
+    sign of f, so the bounds reverse where f < 0) and, for k = 2, the
+    pathwise total-mass identity: ||Pi|| from the collision cells equals the
+    count of times with S^1_n = S^2_n (pair_hits), the zero count of the
+    difference walk."""
     stats = collision_statistics(k, horizon, f, n_replicas, master_seed, workers,
                                  outputs=("pi_f", "pi_prime_f", "mass", "pair_hits"))
     pi, pip = stats["pi_f"], stats["pi_prime_f"]
-    bounds_ok = bool(np.all(pip <= pi + 1e-12) and
-                     np.all(pi <= math.comb(k, 2) * pip + 1e-12))
+    scaled = math.comb(k, 2) * pip
+    bounds_ok = bool(np.all(np.minimum(pip, scaled) <= pi + 1e-12) and
+                     np.all(pi <= np.maximum(pip, scaled) + 1e-12))
     verdicts = [Verdict("multiplicity-bounds", bounds_ok,
                         "Pi' <= Pi <= binom(k,2) Pi' on every replicate")]
     if k == 2:

@@ -29,7 +29,6 @@ import numpy as np
 from .collisions import detect_collisions, integrate  # noqa: F401
 from .environment import DisorderFunction, EnvironmentField
 from .rngs import splitmix64, step_keys, window_bits
-from .walks import WalkEnsemble
 
 BAND_SIGMAS = 8.0
 _ROW_BLOCK = 256  # environments per transfer pass in partition_many
@@ -39,18 +38,6 @@ _AMP_BLOCK = 1 << 14  # amplitude values per block of steps in _transfer (see _s
 @dataclass(frozen=True)
 class PartitionResult:
     value: float
-    horizon: int
-
-
-@dataclass(frozen=True)
-class CollisionWeights:
-    """X_{N,n} for n = 1..N (all nonnegative) and their sum T_N."""
-
-    per_step: np.ndarray
-
-    @property
-    def total(self) -> float:
-        return float(self.per_step.sum())
 
 
 def scaled_disorder(amplitude: DisorderFunction, factor: float) -> DisorderFunction:
@@ -187,7 +174,7 @@ def partition_dp(horizon: int, amplitude: DisorderFunction,
     """Conditional expectation E[prod_n (1 + A(n,S_n) omega(n,S_n)) | omega],
     exact up to the band's dropped mass (none for N <= 64); its chaos terms
     are chaos_terms(horizon, 1.0, amplitude, field)."""
-    return PartitionResult(float(partition_many(horizon, amplitude, [field.seed])[0]), horizon)
+    return PartitionResult(float(partition_many(horizon, amplitude, [field.seed])[0]))
 
 
 def chaos_terms(horizon: int, beta: float, amplitude: DisorderFunction,
@@ -202,20 +189,20 @@ def chaos_terms(horizon: int, beta: float, amplitude: DisorderFunction,
     return _transfer(horizon, amplitude, np.r_[1.0, np.zeros(m)], field.seed, beta=beta)
 
 
-def collision_weights(ensemble: WalkEnsemble, theta: DisorderFunction) -> CollisionWeights:
-    """Site-factorized collision weights X_{N,n} at a caller-scaled amplitude.
+def collision_weights(ensemble: np.ndarray, theta: DisorderFunction) -> np.ndarray:
+    """Site-factorized collision weights X_{N,n}, n = 1..N, of the (k, N+1)
+    positions of k walks at a caller-scaled amplitude.
 
     1 + X_n = prod over occupied sites z of ((1+theta)^m + (1-theta)^m)/2
     with m the occupancy; singly-occupied sites contribute factor 1, so only
     collision cells enter.
     """
     with_mult, _ = detect_collisions(ensemble)
-    n_steps = ensemble.horizon
-    prod = np.ones(n_steps)
+    prod = np.ones(with_mult.horizon)
     if with_mult.n_atoms:
         # recover occupancy m from the pair count binom(m, 2)
         m = ((1.0 + np.sqrt(1.0 + 8.0 * with_mult.weights)) / 2.0).round().astype(np.int64)
         th = np.asarray(theta(with_mult.times, with_mult.sites), dtype=float)
         factors = ((1.0 + th) ** m + (1.0 - th) ** m) / 2.0
         np.multiply.at(prod, with_mult.times - 1, factors)
-    return CollisionWeights(prod - 1.0)
+    return prod - 1.0

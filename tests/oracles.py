@@ -157,10 +157,10 @@ def subset_expansion_weight(sites, thetas) -> float:
 def total_mass_identity_check(ensemble) -> tuple[float, int]:
     """For k = 2: (||Pi_N||, zero count of the difference walk); the two are
     equal pathwise."""
-    if ensemble.k != 2:
-        raise WrongEnsembleSize(f"identity requires k=2, got k={ensemble.k}")
+    if len(ensemble) != 2:
+        raise WrongEnsembleSize(f"identity requires k=2, got k={len(ensemble)}")
     with_mult, _ = detect_collisions(ensemble)
-    diff = ensemble.walks[0].positions[1:] - ensemble.walks[1].positions[1:]
+    diff = ensemble[0, 1:] - ensemble[1, 1:]
     return with_mult.total_mass(), int(np.count_nonzero(diff == 0))
 
 

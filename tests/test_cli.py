@@ -121,6 +121,9 @@ def test_bad_env_budget_named(tmp_path, capsys, budget):
     # an amplitude N^(-1/4) sqrt(alpha) above 1 makes some site factors negative
     ("partition", {"walks": {"n_ladder": [16, 64]}, "run": {"env_replicas": 200},
                    "harness": {"alpha": 1e4}}, "harness.alpha"),
+    # a sigma whose square underflows to 0, so that f(t, 0) = 0/0
+    ("partition", {"harness": {"sigma": 1e-300}, "walks": {"n_ladder": [4, 16]},
+                   "run": {"env_replicas": 20}}, "harness.sigma"),
 ])
 def test_bad_config_value_named(tmp_path, capsys, command, doc, field):
     cfg = write_cfg(tmp_path, doc)
@@ -145,6 +148,20 @@ def test_partition_alpha_bound_is_the_smallest_rung_amplitude(tmp_path):
     assert load(math.sqrt(16))["harness"]["alpha"] == 4.0
     with pytest.raises(cli.ConfigError, match="harness.alpha: .*need alpha <= 4,"):
         load(math.sqrt(16) * 1.001)
+
+
+def test_sigma_bound_is_the_smallest_unflushed_square(tmp_path):
+    def load(sigma):
+        cfg = write_cfg(tmp_path, {"harness": {"sigma": sigma}})
+        return cli.load_config(cli.build_parser().parse_args(["collisions", "--config", cfg,
+                                                              "--seed", "1"]))
+
+    assert cli.SIGMA_MIN ** 2 > 0.0
+    assert math.nextafter(cli.SIGMA_MIN, 0.0) ** 2 == 0.0
+    for sigma in (1.6e-162, 1e-160):
+        assert load(sigma)["harness"]["sigma"] == sigma
+    with pytest.raises(cli.ConfigError, match="harness.sigma: .* >= 1.5717277847026288e-162,"):
+        load(1.5e-162)
 
 
 @pytest.mark.parametrize("command", ["collisions", "tightness"])

@@ -8,7 +8,6 @@ from scipy.stats import chi2_contingency
 
 from collisim.collisions import gaussian_bump
 from collisim.environment import (
-    HASH_VERSION,
     ContinuumAmplitude,
     DisorderFunction,
     EnvironmentField,
@@ -16,6 +15,7 @@ from collisim.environment import (
     disorder_from_function,
 )
 from collisim.polymer import partition_dp
+from collisim.rngs import HASH_VERSION
 import oracles
 from oracles import cell_of, constant_disorder
 

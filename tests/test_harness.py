@@ -13,8 +13,9 @@ from collisim import polymer as P
 from collisim import ustat as U
 from collisim.collisions import constant_fn, gaussian_bump
 from collisim.environment import ContinuumAmplitude, EnvironmentField, disorder_from_function
+from collisim.kernels import NonFiniteSample
 from collisim.rngs import ENVIRONMENT, WALKS, substream
-from collisim.walks import WalkEnsemble, WalkPath, positions_from_steps, walk_positions
+from collisim.walks import positions_from_steps, walk_positions
 import oracles
 from oracles import jitter
 
@@ -26,14 +27,14 @@ def test_summarize_constant():
 
 
 def test_summarize_rejects_nonfinite():
-    with pytest.raises(H.NonFiniteSample):
+    with pytest.raises(NonFiniteSample):
         H.summarize([1.0, float("nan"), 2.0])
 
 
 @pytest.mark.parametrize("values", [[1e308, 1e308], [0.0, 1e200]])
 def test_summarize_rejects_overflowing_mean_or_stderr(values):
     # finite samples whose sum (first) or squared deviations (second) overflow
-    with pytest.raises(H.NonFiniteSample):
+    with pytest.raises(NonFiniteSample):
         H.summarize(values)
 
 
@@ -111,10 +112,9 @@ def _measure_oracle(k, horizon, f, n_replicas, seed, chunk):
         pos = positions_from_steps(steps)
         for j in range(size):
             r = start + j
-            ens = WalkEnsemble(tuple(
-                WalkPath(np.concatenate(([0], pos[j, i]))) for i in range(k)), horizon)
+            ens = np.concatenate((np.zeros((k, 1), dtype=np.int64), pos[j]), axis=1)
             with_mult, distinct = C.detect_collisions(ens)
-            x = P.collision_weights(ens, theta).per_step
+            x = P.collision_weights(ens, theta)
             ref["pi_f"][r] = C.integrate(with_mult, f)
             ref["pi_prime_f"][r] = C.integrate(distinct, f)
             ref["mass"][r] = with_mult.total_mass()
@@ -507,6 +507,15 @@ def test_collision_experiment_identity():
         assert rep.passed, (k, [v.detail for v in rep.verdicts if not v.passed])
 
 
+def test_collision_experiment_bounds_reverse_where_f_is_negative():
+    # Pi - Pi' has the sign of f: a triple collision at f < 0 puts Pi below Pi'
+    f = gaussian_bump(-0.5, 1.0)
+    stats = H.collision_statistics(3, 64, f, 400, 21, outputs=("pi_f", "pi_prime_f"))
+    assert np.any(stats["pi_f"] < stats["pi_prime_f"] - 1e-12)
+    rep = H.collision_experiment(3, 64, 400, 21, f)
+    assert rep.passed, [v.detail for v in rep.verdicts if not v.passed]
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_collision_experiment_reads_kernel_mass(k):
     f = gaussian_bump(0.5, 1.0)
@@ -651,7 +660,7 @@ def test_ustat_check_rejects_a_non_finite_statistic(monkeypatch, bad):
         return values
 
     monkeypatch.setattr(U, "evaluate_table", poisoned)
-    with pytest.raises(H.NonFiniteSample):
+    with pytest.raises(NonFiniteSample):
         H.ustat_check(16, 1000, 1)
 
 
@@ -715,7 +724,7 @@ def test_chaos_experiment_rejects_a_non_finite_power(monkeypatch, bad):
         return terms
 
     monkeypatch.setattr(CH, "simulate_Z_batch", poisoned)
-    with pytest.raises(H.NonFiniteSample):
+    with pytest.raises(NonFiniteSample):
         H.chaos_experiment(math.sqrt(2) * 0.5, CH.WhiteNoiseGrid(16, 0.0875), 4, 40, 5)
 
 

@@ -125,24 +125,23 @@ def test_partition_mean_one_and_positive():
 
 
 def _collision_ensemble(*positions):
-    return W.WalkEnsemble(tuple(W.WalkPath(np.array(p)) for p in positions),
-                          len(positions[0]) - 1)
+    return np.array(positions, dtype=np.int64)
 
 
 def test_collision_weights_cases():
     theta = constant_disorder(0.2)
     # all sites singly occupied: X = 0
     ens = _collision_ensemble([0, 1, 2, 3], [0, -1, -2, -3])
-    assert np.allclose(P.collision_weights(ens, theta).per_step, 0.0)
+    assert np.allclose(P.collision_weights(ens, theta), 0.0)
     # one pair: X_n = theta^2 at collision times
     ens = _collision_ensemble([0, 1, 0, 1], [0, -1, 0, 1])
-    x = P.collision_weights(ens, theta).per_step
+    x = P.collision_weights(ens, theta)
     assert x[0] == 0.0
     assert x[1] == pytest.approx(0.2**2, rel=1e-12)
     assert x[2] == pytest.approx(0.2**2, rel=1e-12)
     # triple occupancy: X = 3 theta^2
     ens = _collision_ensemble([0, 1], [0, 1], [0, 1])
-    x = P.collision_weights(ens, theta).per_step
+    x = P.collision_weights(ens, theta)
     assert x[0] == pytest.approx(3 * 0.2**2, rel=1e-12)
 
 
@@ -151,14 +150,13 @@ def test_collision_weights_against_subset_oracle():
     theta_field = DisorderFunction(
         lambda n, z: 0.1 + 0.05 * np.cos(np.asarray(z, dtype=float)), 0.15)
     for k in (2, 3, 4, 5):
-        ens = W.sample_ensemble(k, 12, rng)
-        weights = P.collision_weights(ens, theta_field)
-        pos = ens.position_matrix()
+        pos = W.sample_ensemble(k, 12, rng)
+        weights = P.collision_weights(pos, theta_field)
         for n in range(1, 13):
             sites = pos[:, n]
             thetas = np.asarray(theta_field(np.full(k, n), sites), dtype=float)
             oracle = oracles.subset_expansion_weight(sites.tolist(), thetas)
-            assert weights.per_step[n - 1] == pytest.approx(oracle, rel=1e-10, abs=1e-15)
+            assert weights[n - 1] == pytest.approx(oracle, rel=1e-10, abs=1e-15)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -168,7 +166,7 @@ def test_collision_weights_nonnegative_and_bounded(seed):
     horizon, k, c = 36, 3, 1.0
     ens = W.sample_ensemble(k, horizon, substream(seed, 0))
     theta = P.scaled_disorder(constant_disorder(c), horizon ** (-0.25))
-    x = P.collision_weights(ens, theta).per_step
+    x = P.collision_weights(ens, theta)
     assert np.all(x >= 0.0)
     assert np.all(x <= (c + 1) ** k / math.sqrt(horizon))
 
@@ -412,11 +410,10 @@ def test_exact_bridge_by_enumeration(horizon, k):
     # paths, counted by its number of orderings
     walk_side = 0.0
     for tup in itertools.combinations_with_replacement(range(len(pos)), k):
-        ens = W.WalkEnsemble(tuple(W.WalkPath(pos[i]) for i in tup), horizon)
         orderings = math.factorial(k)
         for c in np.unique(tup, return_counts=True)[1]:
             orderings //= math.factorial(int(c))
-        walk_side += orderings * float(np.prod(1.0 + P.collision_weights(ens, theta).per_step))
+        walk_side += orderings * float(np.prod(1.0 + P.collision_weights(pos[list(tup)], theta)))
     walk_side *= prob**k
     assert env_side > 1.0
     assert walk_side == pytest.approx(env_side, rel=1e-12)

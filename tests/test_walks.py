@@ -12,15 +12,14 @@ from oracles import rw_transition
 
 
 def test_empty_walk():
-    path = W.sample_walk(0, substream(1, 0))
-    assert path.horizon == 0
-    assert list(path.positions) == [0]
+    pos = W.sample_ensemble(2, 0, substream(1, 0))
+    assert pos.tolist() == [[0], [0]]
 
 
 def test_same_seed_same_path():
-    a = W.sample_walk(100, substream(42, 7))
-    b = W.sample_walk(100, substream(42, 7))
-    assert np.array_equal(a.positions, b.positions)
+    a = W.sample_ensemble(2, 100, substream(42, 7))
+    b = W.sample_ensemble(2, 100, substream(42, 7))
+    assert np.array_equal(a, b)
 
 
 def test_replica_stream_is_pure_function():
@@ -35,13 +34,13 @@ def test_replica_stream_is_pure_function():
 @given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=25, deadline=None)
 def test_walk_invariants(horizon, seed):
-    path = W.sample_walk(horizon, substream(seed, 0))
-    steps = np.diff(path.positions)
-    assert path.positions[0] == 0
-    assert set(np.unique(steps)) <= {-1, 1}
+    pos = W.sample_ensemble(2, horizon, substream(seed, 0))
+    assert pos.shape == (2, horizon + 1)
+    assert np.all(pos[:, 0] == 0)
+    assert set(np.unique(np.diff(pos))) <= {-1, 1}
     # n and S_n share parity
     idx = np.arange(horizon + 1)
-    assert np.all((idx + path.positions) % 2 == 0)
+    assert np.all((idx + pos) % 2 == 0)
 
 
 @pytest.mark.parametrize("lead", [(7,), (13, 3), (1,)])
