@@ -10,7 +10,6 @@ and wall-clock so byte comparison of reports stays meaningful.
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import math
 import resource
@@ -95,10 +94,6 @@ def _ladder(entry):
     return check
 
 
-def _optional(check):
-    return lambda value, where: None if value is None else check(value, where)
-
-
 def _flag(value, where: str) -> bool:
     # a JSON string such as "false" would otherwise be truthy
     if not isinstance(value, bool):
@@ -143,7 +138,7 @@ FIELDS = {
         "sigma": (1.0, _number(float, SIGMA_MIN)),
         "beta": (1.0, _number(float, 0)),
         "with_chaos_target": (False, _flag),
-        "env_budget": (2_000_000, _optional(_number(int, 1))),
+        "env_budget": (2_000_000, _number(int, 1)),
         # still validated, since perfbench's frozen configs set them; no subcommand reads them
         "norm_samples": (1_000_000, _number(int, 2)),
         "clt_budget": (120_000, _number(int, CLT_MIN_BUDGET)),
@@ -160,34 +155,29 @@ FIELDS = {
     },
 }
 
-DEFAULT_CONFIG = {section: {name: default for name, (default, _) in fields.items()}
-                  for section, fields in FIELDS.items()}
-
-
-def _merge(base: dict, override, path: str = "") -> dict:
-    if not isinstance(override, dict):
-        raise ConfigError(f"{path or 'config'}: must be an object, got {override!r}")
-    out = copy.deepcopy(base)
-    for key, val in override.items():
-        where = f"{path}.{key}" if path else key
-        if key not in out:
-            raise ConfigError(f"unknown config field: {where}")
-        if isinstance(out[key], dict):
-            out[key] = _merge(out[key], val, where)
-        else:
-            out[key] = val
-    return out
-
 
 def _chaos_grid(ch: dict) -> WhiteNoiseGrid:
     return WhiteNoiseGrid(ch["time_cells"], ch["dx"])
 
 
-def validate(cfg: dict) -> dict:
-    """Check and normalise every field, so a bad value fails before any work."""
-    for section, fields in FIELDS.items():
-        for name, (_, check) in fields.items():
-            cfg[section][name] = check(cfg[section][name], f"{section}.{name}")
+def resolve(document) -> dict:
+    """A new dict of every FIELDS field, checked: first the document's shape and
+    unknown fields, in document order, then each field's check on the document's
+    value or its default, in FIELDS order, then the two grid rules."""
+    if not isinstance(document, dict):
+        raise ConfigError(f"config: must be an object, got {document!r}")
+    for section, values in document.items():
+        if section not in FIELDS:
+            raise ConfigError(f"unknown config field: {section}")
+        if not isinstance(values, dict):
+            raise ConfigError(f"{section}: must be an object, got {values!r}")
+        for name in values:
+            if name not in FIELDS[section]:
+                raise ConfigError(f"unknown config field: {section}.{name}")
+    cfg = {section: {name: check(document.get(section, {}).get(name, default),
+                                 f"{section}.{name}")
+                     for name, (default, check) in fields.items()}
+           for section, fields in FIELDS.items()}
     # the grid rules, each stated once in chaos
     try:
         # kernels_check extrapolates the chain norms from a grid ladder whose
@@ -240,22 +230,25 @@ def check_amplitude(command: str, cfg: dict) -> None:
 
 
 def load_config(args: argparse.Namespace) -> dict:
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    """The --config document, with the flags folded into its run section (flags
+    win), through resolve and the command's own rules; writes nothing."""
+    document = {}
     if args.config:
         try:
             text = Path(args.config).read_text()
         except OSError as exc:
             raise ConfigError(f"config: cannot read {args.config}: {exc}") from exc
         try:
-            file_cfg = json.loads(text)
+            document = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config: invalid JSON in {args.config}: {exc}") from exc
-        cfg = _merge(cfg, file_cfg)
-    # flags win over file values
-    for name in ("seed", "out", "replicas", "workers", "raw"):
-        if getattr(args, name) is not None:
-            cfg["run"][name] = getattr(args, name)
-    cfg = validate(cfg)
+    flags = {name: getattr(args, name) for name in ("seed", "out", "replicas", "workers", "raw")
+             if getattr(args, name) is not None}
+    # a document or run section that is no object is left for resolve to name
+    run = document.get("run", {}) if isinstance(document, dict) else None
+    if isinstance(run, dict):
+        document = {**document, "run": {**run, **flags}}
+    cfg = resolve(document)
     check_exponents(args.command, cfg)
     check_amplitude(args.command, cfg)
     floor = MIN_REPLICAS.get(args.command, 1)
@@ -309,8 +302,7 @@ def peak_rss_mb() -> float:
 
 def write_outputs(report: harness.ExperimentReport, cfg: dict, command: str,
                   elapsed: float, to_stdout: bool) -> Path:
-    out_dir = Path(cfg["run"]["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(cfg["run"]["out"])  # main made it before the run
     doc = report.to_dict()
     doc["schema"] = 1
     doc["command"] = command
@@ -365,6 +357,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
+        try:  # here, not in load_config, which callers use to check a config alone
+            Path(cfg["run"]["out"]).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"run.out: {exc}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

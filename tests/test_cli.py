@@ -50,7 +50,7 @@ def test_empty_m_ladder_named(tmp_path, capsys):
     assert "walks.m_ladder" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("budget", ["abc", 0, -5, 1.5, True])
+@pytest.mark.parametrize("budget", ["abc", 0, -5, 1.5, True, None])
 def test_bad_env_budget_named(tmp_path, capsys, budget):
     cfg = write_cfg(tmp_path, {"harness": {"env_budget": budget}})
     code = run_cli(["partition", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "p")])
@@ -124,6 +124,10 @@ def test_bad_env_budget_named(tmp_path, capsys, budget):
     # a sigma whose square underflows to 0, so that f(t, 0) = 0/0
     ("partition", {"harness": {"sigma": 1e-300}, "walks": {"n_ladder": [4, 16]},
                    "run": {"env_replicas": 20}}, "harness.sigma"),
+    # the budget is a number: a budget of env_replicas * max(n_ladder) caps nothing
+    ("partition", {"harness": {"env_budget": None}}, "harness.env_budget"),
+    # shape and unknown fields are checked before any value, even an earlier one
+    ("collisions", {"walks": {"k": "x"}, "harness": {"thresholds": 5}}, "harness.thresholds"),
 ])
 def test_bad_config_value_named(tmp_path, capsys, command, doc, field):
     cfg = write_cfg(tmp_path, doc)
@@ -171,7 +175,7 @@ def test_pathwise_commands_take_one_replica(tmp_path, command):
     assert cli.load_config(cli.build_parser().parse_args(argv))["run"]["replicas"] == 1
 
 
-@pytest.mark.parametrize("leaf", [f"{name}.{field}" for name, section in cli.DEFAULT_CONFIG.items()
+@pytest.mark.parametrize("leaf", [f"{name}.{field}" for name, section in cli.FIELDS.items()
                                   for field in section])
 def test_every_config_field_validated(tmp_path, capsys, leaf):
     # an object fits no leaf field, so each one must be rejected by name
@@ -186,11 +190,11 @@ def test_every_config_field_validated(tmp_path, capsys, leaf):
 
 
 def _boolean_cases():
-    """Every numeric leaf of DEFAULT_CONFIG set to true and to false; a ladder
+    """Every numeric field of FIELDS set to true and to false; a ladder
     gets each of its entries set to true and to false in turn."""
     cases = []
-    for section, fields in cli.DEFAULT_CONFIG.items():
-        for field, default in fields.items():
+    for section, fields in cli.FIELDS.items():
+        for field, (default, _) in fields.items():
             leaf = f"{section}.{field}"
             if isinstance(default, list):
                 cases += [pytest.param(leaf, default[:i] + [flag] + default[i + 1:], flag,
@@ -218,7 +222,7 @@ def test_boolean_is_not_a_number(tmp_path, capsys, leaf, value, flag):
 
 def _accepts(doc: dict) -> bool:
     try:
-        cli.validate(cli._merge(cli.DEFAULT_CONFIG, {"run": {"seed": 1}, **doc}))
+        cli.resolve({"run": {"seed": 1}, **doc})
     except cli.ConfigError:
         return False
     return True
@@ -250,22 +254,39 @@ def test_validate_accepts_exactly_the_max_orders_the_chain_norms_take():
         assert _accepts({"harness": {"max_order": max_order}}) == taken, max_order
 
 
-def test_null_env_budget_accepted():
-    cfg = cli._merge(cli.DEFAULT_CONFIG, {"run": {"seed": 1}, "harness": {"env_budget": None}})
-    assert cli.validate(cfg)["harness"]["env_budget"] is None
-
-
 def test_integral_float_env_budget_accepted():
     # the same integer rule as every other count: 2e6 is 2,000,000
-    cfg = cli._merge(cli.DEFAULT_CONFIG, {"run": {"seed": 1}, "harness": {"env_budget": 2e6}})
-    budget = cli.validate(cfg)["harness"]["env_budget"]
+    cfg = cli.resolve({"run": {"seed": 1}, "harness": {"env_budget": 2e6}})
+    budget = cfg["harness"]["env_budget"]
     assert budget == 2_000_000 and isinstance(budget, int)
 
 
 def test_max_order_edge_accepted():
     # the largest order the chain-norm ladder's coarsest grid can time-order
-    cfg = cli._merge(cli.DEFAULT_CONFIG, {"run": {"seed": 1}, "harness": {"max_order": 31}})
-    assert cli.validate(cfg)["harness"]["max_order"] == 31
+    cfg = cli.resolve({"run": {"seed": 1}, "harness": {"max_order": 31}})
+    assert cfg["harness"]["max_order"] == 31
+
+
+def test_resolve_leaves_the_document_as_it_is():
+    doc = {"run": {"seed": "7"}, "walks": {"n_ladder": [4, 16.0]}}
+    cfg = cli.resolve(doc)
+    assert doc == {"run": {"seed": "7"}, "walks": {"n_ladder": [4, 16.0]}}
+    assert cfg["run"]["seed"] == 7 and cfg["walks"]["n_ladder"] == [4, 16]
+    assert cfg["harness"] == {name: default for name, (default, _) in cli.FIELDS["harness"].items()}
+
+
+def test_unusable_out_fails_before_any_work(tmp_path, capsys, monkeypatch):
+    # an out path under a regular file cannot be made: a config error, not a
+    # traceback after the whole run
+    afile = tmp_path / "afile"
+    afile.write_text("")
+
+    def no_run(*args):
+        raise AssertionError("dispatch reached")
+
+    monkeypatch.setattr(cli, "dispatch", no_run)
+    assert run_cli(["expmoment", "--seed", "1", "--out", str(afile / "sub")]) == 2
+    assert "run.out" in capsys.readouterr().err
 
 
 def test_kernels_check_report_leaves_norm_samples_out(tmp_path):
@@ -295,8 +316,8 @@ def test_kernels_check_draws_no_sample(tmp_path):
 def test_exponent_bound_edges(command, field, scale):
     limit = (math.log(sys.float_info.max) - math.log(10_000)) / 2 / scale
     for value, ok in ((limit * 0.999, True), (limit * 1.001, False)):
-        cfg = cli.validate(cli._merge(cli.DEFAULT_CONFIG, {
-            "run": {"seed": 1}, "walks": {"n_ladder": [64, 256]}, "harness": {field: value}}))
+        cfg = cli.resolve({
+            "run": {"seed": 1}, "walks": {"n_ladder": [64, 256]}, "harness": {field: value}})
         if ok:
             cli.check_exponents(command, cfg)
         else:
@@ -316,7 +337,7 @@ def test_chaos_report_names_the_default_cutoff(tmp_path):
     # the cutoff is no config field, and the report names the sampled grid's
     report = json.loads(_tiny_report(tmp_path, "chaos", "c"))
     assert report["config"]["cutoff"] == 6.0
-    assert "cutoff" not in cli.DEFAULT_CONFIG["chaos"]
+    assert "cutoff" not in cli.FIELDS["chaos"]
 
 
 def test_chaos_past_the_tail_peak_reports_a_finite_bound(tmp_path):
@@ -360,12 +381,12 @@ def test_gamma_range_edge():
     from collisim.chaos import second_moment_series
 
     for gamma, ok in ((7.29777, True), (7.29778, False)):
-        cfg = cli._merge(cli.DEFAULT_CONFIG, {"run": {"seed": 1}, "chaos": {"gamma": gamma}})
+        doc = {"run": {"seed": 1}, "chaos": {"gamma": gamma}}
         if ok:
-            cli.validate(cfg)
+            cli.resolve(doc)
         else:
             with pytest.raises(cli.ConfigError, match="chaos.gamma"):
-                cli.validate(cfg)
+                cli.resolve(doc)
         assert math.isfinite(second_moment_series(gamma)) == ok
 
 

@@ -243,6 +243,8 @@ def test_local_time_counts_blocks_are_bit_identical(monkeypatch):
 # the statistics each experiment asks for
 _EXPERIMENT_OUTPUTS = {
     "collisions": ("pi_f", "pi_prime_f", "mass", "pair_hits"),
+    # pair_hits feeds the mass identity, a k = 2 verdict
+    "collisions-k3": ("pi_f", "pi_prime_f", "mass"),
     "convergence": ("pi_f", "pi_prime_f", "mass", "distinct_mass"),
     "tightness": ("mass", "max_abs"),
     "duality": ("pi_f", "t_sum", "prod_x"),
@@ -344,6 +346,7 @@ def test_each_experiment_asks_for_its_statistics(monkeypatch):
     f = gaussian_bump(0.5, 1.0)
     runs = {
         "collisions": lambda: H.collision_experiment(2, 16, 50, 1, f),
+        "collisions-k3": lambda: H.collision_experiment(3, 16, 50, 1, f),
         "convergence": lambda: H.convergence_study(3, f, [4, 16], 50, 1),
         "tightness": lambda: H.tightness_probe(3, [4, 16], [1.0, 2.0], 50, 1),
         "duality": lambda: H.duality_experiment(3, f, [4, 16], 50, 0, 1),
@@ -470,7 +473,9 @@ def test_convergence_study_k2_pi_equals_prime():
 
 
 def test_partition_experiment_small():
-    rep = H.partition_experiment([16, 32, 64], 2, gaussian_bump(0.5, 1.0), 3000, 15)
+    # a budget of replicas * max(ladder) caps no rung
+    rep = H.partition_experiment([16, 32, 64], 2, gaussian_bump(0.5, 1.0), 3000, 15,
+                                 env_budget=3000 * 64)
     assert rep.passed, [v.detail for v in rep.verdicts if not v.passed]
 
 
@@ -480,7 +485,7 @@ def test_partition_experiment_replicas_are_named_fields():
     f = gaussian_bump(0.5, 1.0)
     ladder = [16, 128]
     chunk = H._ENV_CHUNK
-    rep = H.partition_experiment(ladder, 2, f, chunk + 44, 15)
+    rep = H.partition_experiment(ladder, 2, f, chunk + 44, 15, env_budget=(chunk + 44) * 128)
     for horizon in ladder:
         amp = _polymer_amplitude(f, horizon)
         seeds = substream(15, ENVIRONMENT, horizon, 1).integers(0, 2**63, size=44, dtype=np.int64)
